@@ -1,12 +1,13 @@
 """survcontrast benchmark: one workload per process, metrics as JSON.
 
-    python3 perfbench/run.py --workload ablate-desk [--seed 0] [--seconds 36] [--trace 0] [--smoke]
+    python3 perfbench/run.py --workload ablate-desk [--seed 0] [--seconds S] [--trace 0] [--smoke]
 
 Workloads are described in ``workloads.py``. The package is imported from
 ``src/`` beside this directory, never from an installed copy. Each run
 builds its inputs from ``--seed`` five times, then repeats the workload's
-operation until the next one would end past ``--seconds``, checking the
-outputs after every operation.
+operation until the next one would end past ``--seconds`` (default: the
+``run_seconds`` of ``BENCHMARK.json``; under ``--smoke``, a single
+operation), checking the outputs after every operation.
 
 End-to-end metrics (``--trace 0``), medians over the run's operations:
 
@@ -28,9 +29,12 @@ event bins, and ddc's seed-to-seed spread is wider than any bound allowed.
 Per-layer metrics (``--trace 1``) come from operations run with the tracer
 of ``tracing.py`` installed, alternating with untraced ones; the median
 ratio of each traced operation to the untraced one before it is
-``trace.overhead_frac``. Names are ``<module>.<function>.<stat>``. Only
-timings measured on every workload go on the result line; the line before
-it has the whole table.
+``trace.overhead_frac``. Names are ``<module>.<function>.<stat>``. On the
+result line a layer's time is its share of the traced operation's wall time
+(``self_frac``, ``wait_frac``, ``total_frac``), so that a layer a workload
+bypasses reads 0 as a share rather than as a time; the only seconds there
+are ``trace.wall_s`` and ``setup.*``. The line before it has the whole table,
+in seconds too.
 
 The last line of standard output is ``{"correct", "attempted", "failed",
 "metrics"}`` with the metrics ``BENCHMARK.json`` lists for the mode; the
@@ -69,8 +73,8 @@ MIN_TRACED_OPS = 2
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, default=0, help="synthetic-data and training seed (default 0)")
-    parser.add_argument("--seconds", type=float, default=36.0, help="measure for this long (default 36)")
+    parser.add_argument("--seed", type=int, default=0, help="synthetic-data seed (default 0)")
+    parser.add_argument("--seconds", type=float, help="measure for this long (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--smoke", action="store_true", help="tiny inputs, to check the harness quickly")
     return parser.parse_args(argv)
@@ -206,7 +210,7 @@ def _measure(args, workload, tracer, import_s, load_avg, tag):
             break
 
     if not failed:
-        final = workload.final_checks()
+        final = workload.final_checks(results)
         attempted += final.attempted
         failed += final.failed
         errors += final.errors
@@ -268,12 +272,15 @@ def main(argv=None) -> int:
         os.environ[var] = str(BLAS_THREADS)
     try:
         spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        if args.seconds is None:
+            args.seconds = 0.0 if args.smoke else float(spec["run_seconds"])
         if not (ROOT / "src" / "survcontrast" / "__init__.py").is_file():
             raise FileNotFoundError(f"package source not found under {ROOT / 'src'}")
         sys.path.insert(0, str(ROOT / "src"))
         record, measured, attempted, failed, errors = run(args)
         wanted = spec["per_layer"] if args.trace else spec["end_to_end"]
-        metrics = {m["name"]: {"value": measured[m["name"]], "unit": m["unit"]} for m in wanted}
+        # a run stopped by a failed check may have measured nothing for some names
+        metrics = {m["name"]: {"value": measured.get(m["name"], float("nan")), "unit": m["unit"]} for m in wanted}
     except Exception:
         traceback.print_exc()
         return 2

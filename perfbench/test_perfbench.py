@@ -29,7 +29,7 @@ def run_bench(*args, cwd=ROOT, script=HERE / "run.py"):
 @pytest.mark.parametrize("trace,seed", [(0, 0), (1, 1)])
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_smoke_run_prints_every_metric(workload, trace, seed):
-    proc = run_bench("--workload", workload, "--seed", str(seed), "--seconds", "0", "--trace", str(trace), "--smoke")
+    proc = run_bench("--workload", workload, "--seed", str(seed), "--trace", str(trace), "--smoke")
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert set(result) == {"correct", "attempted", "failed", "metrics"}
@@ -47,7 +47,7 @@ def test_smoke_run_prints_every_metric(workload, trace, seed):
 def test_fails_without_the_package_source(tmp_path):
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     shutil.copytree(HERE, tmp_path / HERE.name, ignore=shutil.ignore_patterns("out", "__pycache__"))
-    proc = run_bench("--workload", WORKLOADS[0], "--seconds", "0", "--smoke",
+    proc = run_bench("--workload", WORKLOADS[0], "--smoke",
                      cwd=tmp_path, script=tmp_path / HERE.name / "run.py")
     assert proc.returncode not in (0, 1)
     assert proc.stdout == ""
@@ -72,3 +72,22 @@ def test_tracer_uninstall_restores_every_binding():
     after = (data.corrupt, trainer.corrupt, survcontrast.cli.prepare, model.ACTIVATIONS["relu"],
              trainer.Adam.step, model.HazardModel.__dict__["load"])
     assert all(a is b for a, b in zip(before, after))
+
+
+def test_failed_check_in_traced_run_still_prints_its_result(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "src"))
+    import run
+    import workloads
+
+    def fail(self, result):
+        raise AssertionError("injected check failure")
+
+    for var in run.BLAS_ENV:
+        monkeypatch.setenv(var, str(run.BLAS_THREADS))
+    monkeypatch.setattr(workloads.EvaluateOracle, "check", fail)
+    code = run.main(["--workload", "evaluate-oracle", "--trace", "1", "--smoke"])
+    captured = capsys.readouterr()
+    result = json.loads(captured.out.strip().splitlines()[-1])
+    assert code == 1 and result["correct"] is False and result["failed"] >= 1
+    assert list(result["metrics"]) == [m["name"] for m in SPEC["per_layer"]]
+    assert "injected check failure" in captured.err

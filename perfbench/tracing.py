@@ -8,8 +8,9 @@ binding in the other modules, and dict entries such as ``model.ACTIVATIONS``.
 Methods are wrapped on their class. Nothing under ``src/`` is edited.
 
 Spans stay in memory until the run ends. A layer's self time is a span's
-duration minus the durations of its child spans; counts (tape nodes, pairs,
-bytes) are taken from return values at the same boundaries.
+duration minus the durations of its child spans, given in seconds and as a
+share of the operation's wall time; counts (tape nodes, pairs, bytes) are
+taken from return values at the same boundaries.
 """
 
 from __future__ import annotations
@@ -236,6 +237,9 @@ class Tracer:
             self.counters.get("anchors_used", 0) / max(self.counters.get("anchors", 0), 1)
         )
         table["model.checkpoint_bytes"] = int(self.counters.get("checkpoint_bytes", 0))
+        # every time also as a share of the operation's wall time
+        for key in [k for k in table if k.endswith("_s")]:
+            table[key.removesuffix("_s") + "_frac"] = table[key] / wall
         table["trace.bookkeeping_s"] = float(self_s[self._ids[BOOKKEEPING]])
         table["trace.wall_s"] = wall
         table["trace.coverage_frac"] = sum(layer_self.values()) / wall

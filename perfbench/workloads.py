@@ -1,7 +1,9 @@
 """The benchmark's workloads: inputs, timed calls and output checks.
 
 Every workload is one closed-loop caller: the next operation starts when the
-previous one returns. Inputs come only from the benchmark seed. The package
+previous one returns. Inputs come only from the benchmark seed, which picks
+the synthetic data; the run seed of the training workloads (data split, model
+initialisation, shuffling) is fixed at ``RUN_SEED``. The package
 is driven through ``cli.main``, ``trainer.train`` (after ``data.prepare`` and
 ``model.init_model``, as the train command does) and
 ``metrics.evaluate_hazards``; the calls made by the output checks run
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,6 +46,10 @@ ABLATION_TRAIN = dict(
     sigma=3.0, nu=0.07, corruption_rate=0.5, patience=50,
 )
 QUALITY_VARIANT = "nll+snce"
+# With 512-row batches a run takes 45 update steps. Over 8 seeds its test
+# concordance ranged over 0.54-0.83 with the run seed on fixed data, but only
+# over 0.75-0.83 with the data seed at a fixed run seed.
+RUN_SEED = 0
 PMF_TOLERANCE = 1e-12
 CINDEX_TOLERANCE = 1e-12
 ORACLE_DDC_LIMIT = 0.02
@@ -58,13 +65,12 @@ class Sizes:
     wide_batch_size: int = 512
     oracle_rows: int = 1500
     oracle_bins: int = 200
-    cindex_slice: int = 600
 
 
 FULL = Sizes()
 # tiny sizes that still exercise every layer and every check
 SMOKE = Sizes(n_samples=240, epochs=2, batch_size=32, wide_batch_size=64,
-              oracle_rows=800, oracle_bins=100, cindex_slice=80)
+              oracle_rows=800, oracle_bins=100)
 
 
 @dataclass
@@ -148,16 +154,18 @@ def brute_force_cindex(risks: np.ndarray, taus, deltas) -> float:
     half. The index at event time t covers the pairs whose anchor time is at
     most t, and each event time is weighted by the pairs anchored at it.
     """
+    taus, deltas = [int(t) for t in taus], [int(d) for d in deltas]
     n = len(taus)
     pairs: dict[int, int] = {}
     score: dict[int, float] = {}
     for i in range(n):
         if deltas[i] != 1:
             continue
-        t = int(taus[i])
+        t = taus[i]
+        column = risks[:, t].tolist()
         for j in range(n):
             if t < taus[j]:
-                own, other = risks[i, t], risks[j, t]
+                own, other = column[i], column[j]
                 pairs[t] = pairs.get(t, 0) + 1
                 score[t] = score.get(t, 0.0) + (1.0 if own > other else 0.5 if own == other else 0.0)
     total, weight_sum, seen_pairs, seen_score = 0.0, 0, 0, 0.0
@@ -190,11 +198,11 @@ class Workload:
         """Check the outputs of one operation, outside the timed region."""
         raise NotImplementedError
 
-    def final_checks(self) -> OpResult:
-        """Checks made once per run, after the last operation."""
+    def final_checks(self, results: list[OpResult]) -> OpResult:
+        """Checks made once per run on the operations' outputs, after the last one."""
         return OpResult()
 
-    # shared by the two training workloads; the data seed is also the run seed
+    # shared by the two training workloads
     def _synth(self) -> SynthConfig:
         s = self.sizes
         return SynthConfig(n_samples=s.n_samples, seed=self.seed, feature_dim=s.feature_dim)
@@ -210,7 +218,7 @@ class AblateDesk(Workload):
         spec = {
             "synthetic": {"kind": "paired_exponential", "n_samples": self.sizes.n_samples,
                           "feature_dim": self.sizes.feature_dim, "seed": self.seed},
-            "seeds": [self.seed],
+            "seeds": [RUN_SEED],
             "model": ABLATION_MODEL,
             "train": self._train_spec(),
             "n_bins": self.sizes.n_bins,
@@ -219,15 +227,18 @@ class AblateDesk(Workload):
         spec_path.write_text(json.dumps(spec))
         # the test rows of the run, to check the checkpoints against
         raw = sc.synth.generate_paired_exponential(self._synth()).to_raw()
-        data = sc.data.prepare(raw, seed=self.seed, n_bins=self.sizes.n_bins)
+        data = sc.data.prepare(raw, seed=RUN_SEED, n_bins=self.sizes.n_bins)
         return spec_path, data.subset(data.split.test), data.split.train.size
 
     def call(self) -> OpResult:
         spec_path = self.inputs[0]
+        out = self.workdir / "out"
+        # every operation writes into an empty directory, so its checks read only its own files
+        shutil.rmtree(out, ignore_errors=True)
         # the ablate command itself, then a training run and an evaluation per variant
         result = OpResult(attempted=1 + 2 * len(sc.trainer.VARIANTS))
         started = time.perf_counter()
-        result.outputs = sc.cli.main(["ablate", "--config", str(spec_path), "--out", str(self.workdir / "out")])
+        result.outputs = sc.cli.main(["ablate", "--config", str(spec_path), "--out", str(out)])
         result.wall_s = time.perf_counter() - started
         result.train_s = result.wall_s
         return result
@@ -244,7 +255,7 @@ class AblateDesk(Workload):
         result.failed += not result.check(labels == list(sc.trainer.VARIANTS), f"summary rows {labels}")
 
         for variant in sc.trainer.VARIANTS:
-            run = sc.cli.run_name(variant, self.seed)
+            run = sc.cli.run_name(variant, RUN_SEED)
             with open(out / "logs" / f"{run}.csv") as fh:
                 rows = [[float(v) for v in row[1:]] for row in list(csv.reader(fh))[1:]]
             result.train_samples += n_train * len(rows)
@@ -271,11 +282,11 @@ class TrainWideBatch(Workload):
         result = OpResult(attempted=2)
         started = time.perf_counter()
         # prepare -> init -> train -> score, as the train and evaluate commands do
-        data = sc.data.prepare(self.inputs, seed=self.seed, n_bins=self.sizes.n_bins)
+        data = sc.data.prepare(self.inputs, seed=RUN_SEED, n_bins=self.sizes.n_bins)
         model = sc.model.init_model(
-            ModelConfig(input_dim=data.n_features, n_time_bins=data.n_time_bins, **ABLATION_MODEL), self.seed
+            ModelConfig(input_dim=data.n_features, n_time_bins=data.n_time_bins, **ABLATION_MODEL), RUN_SEED
         )
-        config = sc.trainer.TrainConfig(seed=self.seed, **dict(self._train_spec(), batch_size=self.sizes.wide_batch_size))
+        config = sc.trainer.TrainConfig(seed=RUN_SEED, **dict(self._train_spec(), batch_size=self.sizes.wide_batch_size))
         train_started = time.perf_counter()
         model, log = sc.trainer.train(data, model, config, QUALITY_VARIANT)
         result.train_s = time.perf_counter() - train_started
@@ -322,16 +333,17 @@ class EvaluateOracle(Workload):
         result.failed += not result.check(not problems, f"report: {problems}")
         result.quality = _quality(report)
 
-    def final_checks(self) -> OpResult:
+    def final_checks(self, results: list[OpResult]) -> OpResult:
+        # the timed report itself, on every row; the run also asserts that
+        # all its operations reported the same ci_integrated
         oracle = self.inputs
-        k = self.sizes.cindex_slice
-        risks = sc.model.risk_from_hazard(oracle.true_hazards[:k])
-        got = sc.metrics.c_index_integrated(risks, oracle.taus[:k], oracle.deltas[:k])
-        want = brute_force_cindex(risks, oracle.taus[:k], oracle.deltas[:k])
+        got = results[0].outputs["ci_integrated"]
+        risks = 1.0 - np.cumprod(1.0 - oracle.true_hazards, axis=1)  # R(t) = 1 - S(t), not taken from the package
+        want = brute_force_cindex(risks, oracle.taus, oracle.deltas)
         result = OpResult(attempted=1)
         result.failed += not result.check(
             abs(got - want) <= CINDEX_TOLERANCE,
-            f"c_index_integrated {got!r} vs pair loop {want!r} on the first {k} rows",
+            f"evaluate_hazards ci_integrated {got!r} vs pair loop {want!r} on all {len(oracle.taus)} rows",
         )
         return result
 
