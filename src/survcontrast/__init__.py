@@ -8,13 +8,12 @@ from .losses import (
     nll_loss,
     ranking_loss,
     snce_loss,
-    total_loss,
     weight,
 )
 from .metrics import MetricReport, evaluate_hazards, kaplan_meier
 from .model import HazardModel, ModelConfig, init_model
 from .synth import SynthConfig, generate_discrete_oracle, generate_paired_exponential
-from .trainer import TrainConfig, TrainLog, train, train_variant
+from .trainer import TrainConfig, TrainLog, train
 
 __version__ = "0.1.0"
 
@@ -31,7 +30,6 @@ __all__ = [
     "nll_loss",
     "ranking_loss",
     "snce_loss",
-    "total_loss",
     "weight",
     "MetricReport",
     "evaluate_hazards",
@@ -45,5 +43,4 @@ __all__ = [
     "TrainConfig",
     "TrainLog",
     "train",
-    "train_variant",
 ]

@@ -72,43 +72,6 @@ class Tensor:
         if self.grad is not None:
             self.grad.fill(0.0)
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; the named functions below do the real work.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-
-class Tape:
-    """Topologically ordered record of one backward traversal.
-
-    Every node's parents appear before the node itself; the backward pass
-    walks the list once in reverse.
-    """
-
-    def __init__(self, nodes: list[Tensor]):
-        self.nodes = nodes
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def constant(values) -> Tensor:
     """A no-grad tensor, convenient for masks and fixed coefficients."""
@@ -293,13 +256,8 @@ def _check_axis(a: Tensor, axis) -> None:
 
 def reduce_sum(a: Tensor, axis=None) -> Tensor:
     _check_axis(a, axis)
-    if axis is None:
-        out = np.array([[a.values.sum()]])
-        pull = lambda g: np.broadcast_to(g, a.shape).copy()
-    else:
-        out = a.values.sum(axis=axis, keepdims=True)
-        pull = lambda g: np.broadcast_to(g, a.shape).copy()
-    return _make(out, "sum", (a,), (pull,))
+    out = a.values.sum(axis=axis, keepdims=True)
+    return _make(out, "sum", (a,), (lambda g: np.broadcast_to(g, a.shape).copy(),))
 
 
 def reduce_mean(a: Tensor, axis=None) -> Tensor:
@@ -315,27 +273,20 @@ def logsumexp(a: Tensor, axis=None) -> Tensor:
     """
     _check_axis(a, axis)
     x = a.values
-    if axis is None:
-        m = x.max()
-        e = np.exp(x - m)
-        s = e.sum()
-        out = np.array([[m + math.log(s)]])
-        soft = e / s
-    else:
-        m = x.max(axis=axis, keepdims=True)
-        e = np.exp(x - m)
-        s = e.sum(axis=axis, keepdims=True)
-        out = m + np.log(s)
-        soft = e / s
-    return _make(out, "logsumexp", (a,), (lambda g: g * soft,))
+    m = x.max(axis=axis, keepdims=True)
+    e = np.exp(x - m)
+    s = e.sum(axis=axis, keepdims=True)
+    soft = e / s
+    return _make(m + np.log(s), "logsumexp", (a,), (lambda g: g * soft,))
 
 
 # ---------------------------------------------------------------------------
 # backward pass
 # ---------------------------------------------------------------------------
 
-def trace(root: Tensor) -> Tape:
-    """Collect the graph below ``root`` in topological order (iterative DFS)."""
+def trace(root: Tensor) -> list[Tensor]:
+    """Collect the graph below ``root`` in topological order (iterative DFS):
+    every node's parents appear before the node itself."""
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -351,20 +302,20 @@ def trace(root: Tensor) -> Tape:
         for p in node._parents:
             if id(p) not in seen:
                 stack.append((p, False))
-    return Tape(order)
+    return order
 
 
-def backward(root: Tensor) -> Tape:
+def backward(root: Tensor) -> list[Tensor]:
     """Accumulate d(root)/d(leaf) into every reachable tensor's ``grad``.
 
     ``root`` must be 1x1. Each tape node is visited exactly once; fan-out
-    contributions sum by construction.
+    contributions sum by construction. Returns the tape.
     """
     if root.values.shape != (1, 1):
         raise ShapeError(f"backward root must be scalar (1x1), got {root.shape}")
     tape = trace(root)
     grads: dict[int, np.ndarray] = {id(root): np.ones((1, 1))}
-    for node in reversed(tape.nodes):
+    for node in reversed(tape):
         g = grads.pop(id(node), None)
         if g is None:
             continue

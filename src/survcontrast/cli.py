@@ -12,8 +12,14 @@ Commands:
 
 Experiment specs are JSON or TOML files; every flag mirrors a spec field
 and ``--seed/--variant/--out`` override it. Outputs are plain CSV/JSON with
-stable formatting, so identical specs reproduce identical bytes. Exit codes:
-0 success, 2 configuration error, 3 runtime divergence.
+stable formatting, so identical specs reproduce identical bytes.
+
+Exit codes, each failure with one ``<kind> error: <message>`` line on stderr:
+
+* 0 success
+* 2 bad input: configuration, data or checkpoint shapes
+* 3 runtime divergence (a non-finite loss)
+* 4 a metric undefined on the test split (e.g. too few events)
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ except ModuleNotFoundError:  # python < 3.11
 import numpy as np
 
 from . import metrics as M
+from .autodiff import ShapeError
 from .data import DataError, PreparedData, RawDataset, Schema, load_csv, prepare
 from .model import HazardModel, ModelConfig, init_model, survival_from_hazard
 from .synth import (
@@ -44,7 +51,7 @@ from .synth import (
     generate_paired_exponential,
     margin_study,
 )
-from .trainer import VARIANTS, TrainConfig, TrainingDiverged, train_variant
+from .trainer import VARIANTS, TrainConfig, TrainingDiverged, train
 
 OUT_ROOT_ENV = "SURVCONTRAST_OUT"
 DEFAULT_SEEDS = list(range(10))
@@ -180,7 +187,7 @@ def run_one(raw, spec: ExperimentSpec, variant: str, seed: int, out: Path, **tra
     data = prepare_for_seed(raw, spec, seed)
     model = init_model(spec.model_config(data.n_features, data.n_time_bins), seed)
     config = spec.train_config(seed, **train_overrides)
-    model, log = train_variant(data, model, config, variant)
+    model, log = train(data, model, config, variant)
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     (out / "logs").mkdir(parents=True, exist_ok=True)
     model.save(checkpoint_path(out, variant, seed))
@@ -199,34 +206,25 @@ def cmd_train(args) -> int:
     return 0
 
 
-def evaluate_run(raw, spec: ExperimentSpec, variant: str, seed: int, out: Path) -> M.MetricReport:
+def load_checkpoint(out: Path, variant: str, seed: int) -> HazardModel:
     path = checkpoint_path(out, variant, seed)
     if not path.exists():
-        raise ConfigError(f"missing checkpoint: {path}")
-    model = HazardModel.load(path)
-    data = prepare_for_seed(raw, spec, seed)
+        raise ConfigError(f"missing checkpoint: {path} (run train first)")
+    return HazardModel.load(path)
+
+
+def score_test_split(data: PreparedData, model: HazardModel) -> M.MetricReport:
     x, tau, delta = data.subset(data.split.test)
     return M.evaluate_hazards(model.hazard_curve(x), tau, delta)
 
 
 def aggregate_reports(reports: list[M.MetricReport]) -> dict:
-    def mean_std(values):
-        arr = np.asarray(values, dtype=float)
-        return float(arr.mean()), float(arr.std())
-
-    ci = mean_std([r.ci_integrated for r in reports])
-    ibs_ = mean_std([r.ibs for r in reports])
-    ddc_ = mean_std([r.ddc for r in reports])
-    return {
-        "n_seeds": len(reports),
-        "ci_mean": ci[0],
-        "ci_std": ci[1],
-        "ibs_mean": ibs_[0],
-        "ibs_std": ibs_[1],
-        "ddc_mean": ddc_[0],
-        "ddc_std": ddc_[1],
-        "dcal_passes": sum(r.dcal_pass for r in reports),
-    }
+    agg = {"n_seeds": len(reports)}
+    for name, attr in (("ci", "ci_integrated"), ("ibs", "ibs"), ("ddc", "ddc")):
+        values = np.asarray([getattr(r, attr) for r in reports], dtype=float)
+        agg[f"{name}_mean"], agg[f"{name}_std"] = float(values.mean()), float(values.std())
+    agg["dcal_passes"] = sum(r.dcal_pass for r in reports)
+    return agg
 
 
 AGG_COLUMNS = ["ci_mean", "ci_std", "ibs_mean", "ibs_std", "ddc_mean", "ddc_std", "dcal_passes"]
@@ -242,13 +240,19 @@ def write_summary(path: Path, rows: list[tuple[str, dict]]) -> None:
             fh.write(",".join(cells) + "\n")
 
 
+def print_summary(rows: list[tuple[str, dict]]) -> None:
+    for label, agg in rows:
+        print(f"{label}: ci={agg['ci_mean']:.4f}±{agg['ci_std']:.4f} ibs={agg['ibs_mean']:.4f}±{agg['ibs_std']:.4f} "
+              f"ddc={agg['ddc_mean']:.4f}±{agg['ddc_std']:.4f} dcal={agg['dcal_passes']}/{agg['n_seeds']}")
+
+
 def evaluate_variants(raw, spec: ExperimentSpec, out: Path) -> list[tuple[str, dict]]:
     (out / "reports").mkdir(parents=True, exist_ok=True)
     summary = []
     for variant in spec.variants:
         reports = []
         for seed in spec.seeds:
-            report = evaluate_run(raw, spec, variant, seed, out)
+            report = score_test_split(prepare_for_seed(raw, spec, seed), load_checkpoint(out, variant, seed))
             report.to_json(out / "reports" / f"{run_name(variant, seed)}.json")
             reports.append(report)
         summary.append((variant, aggregate_reports(reports)))
@@ -259,25 +263,15 @@ def evaluate_variants(raw, spec: ExperimentSpec, out: Path) -> list[tuple[str, d
 def cmd_evaluate(args) -> int:
     spec = load_spec(args.config, spec_overrides(args))
     out = resolve_out(spec.out, args.out)
-    raw = load_raw(spec)
-    for variant, agg in evaluate_variants(raw, spec, out):
-        print(f"{variant}: ci={agg['ci_mean']:.4f}±{agg['ci_std']:.4f} ibs={agg['ibs_mean']:.4f}±{agg['ibs_std']:.4f} "
-              f"ddc={agg['ddc_mean']:.4f}±{agg['ddc_std']:.4f} dcal={agg['dcal_passes']}/{agg['n_seeds']}")
+    print_summary(evaluate_variants(load_raw(spec), spec, out))
     return 0
 
 
 def cmd_ablate(args) -> int:
-    spec = load_spec(args.config, spec_overrides(args))
-    spec.variants = list(VARIANTS)
-    out = resolve_out(spec.out, args.out)
-    raw = load_raw(spec)
-    for variant in spec.variants:
-        for seed in spec.seeds:
-            run_one(raw, spec, variant, seed, out)
-    for variant, agg in evaluate_variants(raw, spec, out):
-        print(f"{variant}: ci={agg['ci_mean']:.4f} ibs={agg['ibs_mean']:.4f} "
-              f"ddc={agg['ddc_mean']:.4f} dcal={agg['dcal_passes']}/{agg['n_seeds']}")
-    return 0
+    """``train`` then ``evaluate``, always over all four variants."""
+    args.variant = list(VARIANTS)
+    cmd_train(args)
+    return cmd_evaluate(args)
 
 
 def cmd_subgroup(args) -> int:
@@ -285,11 +279,7 @@ def cmd_subgroup(args) -> int:
     out = resolve_out(spec.out, args.out)
     raw = load_raw(spec)
     seed = spec.seeds[0] if args.seed is None else args.seed[0]
-    variant = spec.variants[0]
-    path = checkpoint_path(out, variant, seed)
-    if not path.exists():
-        raise ConfigError(f"missing checkpoint: {path} (run train first)")
-    model = HazardModel.load(path)
+    model = load_checkpoint(out, spec.variants[0], seed)
     data = prepare_for_seed(raw, spec, seed)
 
     groups = subgroup_columns(data.feature_names, args.feature)
@@ -353,17 +343,14 @@ def cmd_sweep(args) -> int:
             overrides = {"alpha_percentile": value if value > 0 else None, "alpha": 0.0}
         else:
             overrides = {"alpha": value}
+        sub = out / f"{args.param}_{format(value, 'g')}"
         reports = []
         for seed in spec.seeds:
-            sub = out / f"{args.param}_{format(value, 'g')}"
             data, model, _ = run_one(raw, spec, variant, seed, sub, **overrides)
-            x, tau, delta = data.subset(data.split.test)
-            reports.append(M.evaluate_hazards(model.hazard_curve(x), tau, delta))
+            reports.append(score_test_split(data, model))
         rows.append((f"{args.param}={format(value, 'g')}", aggregate_reports(reports)))
     write_summary(out / "sweep.csv", rows)
-    for label, agg in rows:
-        print(f"{label}: ci={agg['ci_mean']:.4f} ibs={agg['ibs_mean']:.4f} "
-              f"ddc={agg['ddc_mean']:.4f} dcal={agg['dcal_passes']}/{agg['n_seeds']}")
+    print_summary(rows)
     return 0
 
 
@@ -480,16 +467,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# stderr label and exit code of each documented failure (module docstring)
+FAILURES = {
+    ConfigError: ("config", 2),
+    DataError: ("data", 2),
+    ShapeError: ("shape", 2),
+    TrainingDiverged: ("runtime", 3),
+    M.MetricError: ("metric", 4),
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except TrainingDiverged as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
+    except tuple(FAILURES) as exc:
+        kind, code = next(v for cls, v in FAILURES.items() if isinstance(exc, cls))
+        print(f"{kind} error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

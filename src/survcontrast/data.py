@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,10 +41,6 @@ class Schema:
         with open(path) as fh:
             raw = json.load(fh)
         return cls([ColumnSpec(**col) for col in raw["columns"]])
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump({"columns": [vars(c) for c in self.columns]}, fh, indent=2)
 
     def __post_init__(self):
         roles = [c.role for c in self.columns]
@@ -205,10 +201,6 @@ class TimeGrid:
         idx = np.searchsorted(self.edges, t, side="right") - 1
         return np.clip(idx, 0, self.t_max)
 
-    def midpoint(self, taus) -> np.ndarray:
-        taus = np.asarray(taus, dtype=int)
-        return (self.edges[taus] + self.edges[taus + 1]) / 2.0
-
 
 def discretize(raw_times, n_bins: int) -> tuple[TimeGrid, np.ndarray]:
     """Equal-width binning; the bin map is monotone in raw time."""
@@ -313,7 +305,6 @@ class PreparedData:
     split: Split
     feature_names: list[str]
     train_marginals: np.ndarray  # (n_train, p) pre-drawn pool for corruption
-    raw_times: np.ndarray = field(repr=False, default=None)
 
     @property
     def n_features(self) -> int:
@@ -361,7 +352,6 @@ def prepare(raw: RawDataset, seed: int, n_bins: int | None = None) -> PreparedDa
         split=split,
         feature_names=list(raw.feature_names),
         train_marginals=x[split.train],
-        raw_times=raw.times.copy(),
     )
 
 

@@ -11,7 +11,6 @@
   ablation baseline).
 * ``ranking_loss``: exponential pairwise risk-ordering penalty (the other
   ablation baseline).
-* ``total_loss``: likelihood plus ``beta`` times the auxiliary term.
 
 Batch layout for the contrastive losses: ``2M`` embeddings, originals in
 rows ``0..M-1`` and their corrupted views in rows ``M..2M-1``; row ``i``
@@ -71,12 +70,6 @@ class PairWeightMatrix:
 
     indicators: np.ndarray
     weights: np.ndarray
-    sigma: float | None = None
-    alpha: float = 0.0
-
-    @property
-    def n_anchors(self) -> int:
-        return self.weights.shape[0]
 
 
 def _structural_mask(m: int) -> np.ndarray:
@@ -102,7 +95,7 @@ def build_pair_weights(taus, deltas, sigma: float, alpha: float = 0.0) -> PairWe
     allowed = _structural_mask(m)
     ind = ind * allowed
     w = ind * weight(t2[:, None], t2[None, :], sigma)
-    return PairWeightMatrix(indicators=ind, weights=w, sigma=sigma, alpha=alpha)
+    return PairWeightMatrix(indicators=ind, weights=w)
 
 
 def uniform_pair_weights(m: int) -> PairWeightMatrix:
@@ -272,10 +265,3 @@ def ranking_loss(hazards: Tensor, taus, deltas, kappa: float = 0.1) -> Tensor:
     diff = ad.sub(own, cross)
     terms = ad.exp(ad.scale(diff, -1.0 / kappa))
     return ad.reduce_sum(ad.mul(terms, ad.constant(acceptable / n_pairs)))
-
-
-def total_loss(nll: Tensor, aux: Tensor, beta: float) -> Tensor:
-    """Likelihood plus ``beta`` times the auxiliary objective."""
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    return ad.add(nll, ad.scale(aux, beta))

@@ -14,7 +14,6 @@ per-sample survival or risk curves on the discrete grid.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -274,12 +273,6 @@ class MetricReport:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
 
-    def csv_row(self) -> list:
-        return [self.ci_integrated, self.ibs, self.ddc, int(self.dcal_pass)]
-
-
-CSV_HEADER = ["ci", "ibs", "ddc", "dcal_pass"]
-
 
 def evaluate_hazards(hazards: np.ndarray, taus, deltas, time_quantiles=(0.25, 0.5, 0.75)) -> MetricReport:
     """Full report for predicted hazard curves against observed outcomes."""
@@ -304,18 +297,3 @@ def evaluate_hazards(hazards: np.ndarray, taus, deltas, time_quantiles=(0.25, 0.
         ci_at=ci_at,
         bs_at=bs_at,
     )
-
-
-def write_report_csv(path, rows: list[dict]) -> None:
-    """Rows of {label -> MetricReport-like dict}; stable column order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + CSV_HEADER)
-        for row in rows:
-            writer.writerow([row["label"]] + [_fmt(v) for v in row["values"]])
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".12g")
-    return str(v)

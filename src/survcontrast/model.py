@@ -108,10 +108,6 @@ class HazardModel:
         self.hazard_net = hazard_net
         self.seed = seed
 
-    @property
-    def t_max(self) -> int:
-        return self.config.n_time_bins - 1
-
     def encode(self, x: Tensor) -> Tensor:
         if x.cols != self.config.input_dim:
             raise ad.ShapeError(f"expected {self.config.input_dim} features, got {x.cols}")
@@ -169,14 +165,28 @@ class HazardModel:
 
     @classmethod
     def load(cls, path) -> "HazardModel":
+        """Rebuild a saved model; raises ShapeError when the stored layers do
+        not match the shapes its config asks for."""
         with open(path) as fh:
             payload = json.load(fh)
         config = ModelConfig(**payload["config"])
         model = init_model(config, payload["seed"])
         for net, key in ((model.encoder, "encoder"), (model.projection, "projection"), (model.hazard_net, "hazard")):
-            for (w, b), (wv, bv) in zip(net.layers, payload["params"][key]):
-                w.values[...] = np.asarray(wv, dtype=np.float64)
-                b.values[...] = np.asarray(bv, dtype=np.float64)
+            stored = payload["params"][key]
+            if len(stored) != len(net.layers) or any(len(layer) != 2 for layer in stored):
+                raise ad.ShapeError(
+                    f"{path}: {key} network stores {len(stored)} layers, "
+                    f"its config needs {len(net.layers)} (weights and bias each)"
+                )
+            for i, layer in enumerate(stored):
+                for name, param, values in zip("wb", net.layers[i], layer):
+                    values = np.asarray(values, dtype=np.float64)
+                    if values.shape != param.shape:
+                        raise ad.ShapeError(
+                            f"{path}: {key} network layer {i} {name} has shape {values.shape}, "
+                            f"its config needs {param.shape}"
+                        )
+                    param.values[...] = values
         return model
 
 

@@ -30,7 +30,7 @@ from survcontrast.model import (
     risk_from_hazard,
 )
 from survcontrast.synth import SynthConfig, generate_discrete_oracle, generate_paired_exponential, margin_study
-from survcontrast.trainer import TrainConfig, train_variant
+from survcontrast.trainer import TrainConfig, train
 
 
 def _report(num: int, ok: bool, text: str) -> None:
@@ -62,7 +62,7 @@ def _train_ablation(raw, variant: str, seed: int):
     model = init_model(
         ModelConfig(input_dim=data.n_features, n_time_bins=data.n_time_bins, **ABLATION_MODEL), seed
     )
-    model, _ = train_variant(data, model, TrainConfig(seed=seed, **ABLATION_TRAIN), variant)
+    model, _ = train(data, model, TrainConfig(seed=seed, **ABLATION_TRAIN), variant)
     return data, model
 
 
@@ -167,9 +167,9 @@ def test_criterion_2_reduction_identities():
     cfg = dict(ABLATION_TRAIN, epochs=5, patience=50)
     data = prepare(raw, seed=3, n_bins=15)
     model_a = init_model(ModelConfig(input_dim=data.n_features, n_time_bins=15, hidden_dim=12, depth=2, embedding_dim=6), 3)
-    model_a, _ = train_variant(data, model_a, TrainConfig(seed=3, **dict(cfg, beta=0.0)), "nll+snce")
+    model_a, _ = train(data, model_a, TrainConfig(seed=3, **dict(cfg, beta=0.0)), "nll+snce")
     model_b = init_model(ModelConfig(input_dim=data.n_features, n_time_bins=15, hidden_dim=12, depth=2, embedding_dim=6), 3)
-    model_b, _ = train_variant(data, model_b, TrainConfig(seed=3, **cfg), "nll")
+    model_b, _ = train(data, model_b, TrainConfig(seed=3, **cfg), "nll")
     bitwise = all(np.array_equal(a, b) for a, b in zip(model_a.snapshot(), model_b.snapshot()))
 
     ok = worst_gap < 1e-10 and bitwise
@@ -349,7 +349,7 @@ def test_criterion_6_metabric_subcheck():
             epochs=500, batch_size=16, lr_contrastive=1e-4, lr_nll=1e-4, beta=1.0,
             sigma=0.75, alpha_percentile=10.0, nu=0.07, corruption_rate=0.5, patience=10, seed=seed
         )
-        model, _ = train_variant(data, model, config, "nll+snce")
+        model, _ = train(data, model, config, "nll+snce")
         x, tau, delta = data.subset(data.split.test)
         report = M.evaluate_hazards(model.hazard_curve(x), tau, delta)
         cis.append(report.ci_integrated)
@@ -400,7 +400,7 @@ def test_criterion_8_normalization_identity(tmp_path):
             ModelConfig(input_dim=data.n_features, n_time_bins=data.n_time_bins, **ABLATION_MODEL), 4
         )
         cfg = TrainConfig(seed=4, **dict(ABLATION_TRAIN, epochs=3))
-        model, _ = train_variant(data, model, cfg, variant)
+        model, _ = train(data, model, cfg, variant)
         path = tmp_path / f"{variant.replace('+', '_')}.json"
         model.save(path)
         from survcontrast.model import HazardModel

@@ -141,8 +141,8 @@ def test_tape_topological_order():
     x = Tensor([[2.0]], requires_grad=True)
     y = ad.mul(ad.add(x, x), ad.exp(x))
     tape = ad.trace(y)
-    pos = {id(n): i for i, n in enumerate(tape.nodes)}
-    for node in tape.nodes:
+    pos = {id(n): i for i, n in enumerate(tape)}
+    for node in tape:
         for parent in node._parents:
             assert pos[id(parent)] < pos[id(node)]
 

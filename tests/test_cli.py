@@ -106,6 +106,30 @@ def test_evaluate_missing_checkpoint_exits_2(tmp_path, capsys):
     assert "missing checkpoint" in capsys.readouterr().err
 
 
+def test_undefined_metric_exits_4_without_traceback(tmp_path, capsys):
+    # 40 samples leave 8 test rows, too few events for D-calibration
+    spec = write_spec(tmp_path, synthetic={"n_samples": 40}, seeds=[0])
+    assert main(["train", "--config", str(spec)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(spec)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("metric error: D-calibration needs at least 10 uncensored samples")
+    assert err.count("\n") == 1
+
+
+def test_malformed_checkpoint_exits_2(tmp_path, capsys):
+    spec = write_spec(tmp_path, seeds=[0])
+    assert main(["train", "--config", str(spec)]) == 0
+    path = tmp_path / "out" / "checkpoints" / "nll_snce_seed0.json"
+    payload = json.loads(path.read_text())
+    payload["params"]["encoder"].pop()
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("shape error:") and "encoder network stores 1 layers" in err
+
+
 def test_evaluate_single_seed_zero_std(tmp_path):
     spec = write_spec(tmp_path, seeds=[1])
     assert main(["train", "--config", str(spec)]) == 0

@@ -123,14 +123,6 @@ def test_discretize_degenerate():
         sd.discretize(np.full(5, 3.0), n_bins=4)
 
 
-def test_midpoint_roundtrip_within_bin():
-    rng = np.random.default_rng(3)
-    t = rng.uniform(0, 60, size=200)
-    grid, taus = sd.discretize(t, n_bins=15)
-    width = grid.edges[1] - grid.edges[0]
-    assert np.all(np.abs(grid.midpoint(taus) - t) <= width)
-
-
 # ---------------------------------------------------------------------------
 # split
 # ---------------------------------------------------------------------------

@@ -431,5 +431,3 @@ def test_evaluate_hazards_report_fields():
     assert 0.0 <= report.ddc <= 1.0
     assert 0.0 <= report.dcal_pvalue <= 1.0
     assert set(report.ci_at) == {0.25, 0.5, 0.75}
-    row = report.csv_row()
-    assert len(row) == 4 and row[3] in (0, 1)

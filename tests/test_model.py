@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -174,3 +176,25 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert loaded.config == model.config
     for pa, pb in zip(model.all_params(), loaded.all_params()):
         np.testing.assert_array_equal(pa.values, pb.values)
+
+
+def _saved_checkpoint(tmp_path):
+    path = tmp_path / "model.json"
+    init_model(small_config(), seed=13).save(path)
+    return path, json.loads(path.read_text())
+
+
+def test_load_rejects_a_short_checkpoint(tmp_path):
+    path, payload = _saved_checkpoint(tmp_path)
+    payload["params"]["hazard"].pop()
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ad.ShapeError, match="hazard network stores 1 layers, its config needs 2"):
+        HazardModel.load(path)
+
+
+def test_load_rejects_a_wrong_shaped_layer(tmp_path):
+    path, payload = _saved_checkpoint(tmp_path)
+    payload["params"]["encoder"][1][0] = np.zeros((8, 5)).tolist()  # the config asks for 8 x 8
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ad.ShapeError, match=r"encoder network layer 1 w has shape \(8, 5\)"):
+        HazardModel.load(path)

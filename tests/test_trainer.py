@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from survcontrast import losses
 from survcontrast import trainer as tr
 from survcontrast.autodiff import Tensor
 from survcontrast.data import Batch, prepare
@@ -97,7 +98,7 @@ def test_unknown_variant_rejected():
     data = make_data(n=80)
     model = make_model(data)
     with pytest.raises(ValueError, match="unknown variant"):
-        tr.train_variant(data, model, quick_config(epochs=1), "nll+magic")
+        tr.train(data, model, quick_config(epochs=1), "nll+magic")
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +120,7 @@ def test_contrastive_step_never_touches_hazard_net():
     opt = tr.Adam(model.encoder_params() + model.projection_params(), lr=1e-3)
     hazard_before = [p.values.copy() for p in model.hazard_params()]
     proj_before = [p.values.copy() for p in model.projection_params()]
-    tr.contrastive_step(model, one_batch(data), config, opt, uniform=False, alpha=0.0)
+    tr.contrastive_step(model, one_batch(data), config, opt, "nll+snce", alpha=0.0)
     for p, before in zip(model.hazard_params(), hazard_before):
         np.testing.assert_array_equal(p.values, before)
     assert any(not np.array_equal(p.values, b) for p, b in zip(model.projection_params(), proj_before))
@@ -145,6 +146,44 @@ def test_ranking_step_never_touches_projection():
     tr.ranking_step(model, one_batch(data), quick_config(), opt)
     for p, before in zip(model.projection_params(), proj_before):
         np.testing.assert_array_equal(p.values, before)
+
+
+# ---------------------------------------------------------------------------
+# the auxiliary loss
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("variant", ["nll+nce", "nll+snce", "nll+rank"])
+def test_aux_loss_builds_the_variants_loss(variant):
+    data = make_data(n=200)
+    model = make_model(data)
+    config = quick_config(sigma=2.0)
+    x, tau, delta = data.subset(data.split.validation)
+    views = x + np.random.default_rng(1).normal(scale=0.05, size=x.shape)
+    alpha = 3.0
+    pw = losses.build_pair_weights(tau, delta, config.sigma, alpha)
+    # the margin matters on these outcomes, so a dropped alpha would show
+    assert not np.array_equal(pw.weights, losses.build_pair_weights(tau, delta, config.sigma, 0.0).weights)
+
+    got = tr.aux_loss(model, x, views, tau, delta, variant, config, alpha).item()
+    emb = model.project(model.encode(Tensor(np.vstack([x, views]))))
+    if variant == "nll+nce":
+        want = losses.infonce_loss(emb, config.nu)
+    elif variant == "nll+snce":
+        want = losses.snce_loss(emb, pw, config.nu)
+    else:
+        want = losses.ranking_loss(model.hazard(model.encode(Tensor(x))), tau, delta, config.ranking_kappa)
+    assert got == want.item()
+
+
+def test_non_finite_validation_aux_loss_raises():
+    # beta=0 skips the auxiliary update, so only the validation pass meets
+    # the ranking loss that a vanishing temperature overflows
+    data = make_data(n=100)
+    model = make_model(data)
+    config = quick_config(beta=0.0, ranking_kappa=1e-300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(tr.TrainingDiverged, match="non-finite validation loss at epoch 0"):
+            tr.train(data, model, config, "nll+rank")
 
 
 # ---------------------------------------------------------------------------
