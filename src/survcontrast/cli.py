@@ -7,12 +7,18 @@ Commands:
 * ``ablate``     the four loss variants side by side
 * ``subgroup``   per-subgroup mean survival curves vs Kaplan-Meier
 * ``sweep``      sensitivity table over the margin or the balance weight
-* ``synth``      write a synthetic dataset (CSV + schema, optional truths)
+* ``synth``      write a synthetic dataset (CSV + schema; ``--truth`` adds
+                 the hidden times, paired-exponential kind only)
 * ``margin-study`` censoring-gap vs ground-truth-gap pair table
 
 Experiment specs are JSON or TOML files; every flag mirrors a spec field
-and ``--seed/--variant/--out`` override it. Outputs are plain CSV/JSON with
-stable formatting, so identical specs reproduce identical bytes.
+and ``--seed/--variant/--out`` override it (``ablate`` runs all four
+variants and takes no ``--variant``). A relative output directory, the
+``--out`` of ``synth`` and ``margin-study`` included, goes under
+``$SURVCONTRAST_OUT`` when that is set. Outputs are plain CSV/JSON with
+stable formatting, so identical specs reproduce identical bytes; every CSV
+goes through ``data.write_csv`` (LF line ends, csv-module quoting, floats
+as ``.12g``).
 
 Exit codes, each failure with one ``<kind> error: <message>`` line on stderr:
 
@@ -43,14 +49,9 @@ import numpy as np
 
 from . import metrics as M
 from .autodiff import ShapeError
-from .data import DataError, PreparedData, RawDataset, Schema, load_csv, prepare
+from .data import DataError, PreparedData, RawDataset, Schema, load_csv, prepare, write_csv
 from .model import HazardModel, ModelConfig, init_model, survival_from_hazard
-from .synth import (
-    SynthConfig,
-    generate_discrete_oracle,
-    generate_paired_exponential,
-    margin_study,
-)
+from .synth import GENERATORS, SynthConfig, generate_paired_exponential, margin_study
 from .trainer import VARIANTS, TrainConfig, TrainingDiverged, train
 
 OUT_ROOT_ENV = "SURVCONTRAST_OUT"
@@ -144,15 +145,15 @@ def load_raw(spec: ExperimentSpec) -> RawDataset:
             raise ConfigError(f"dataset spec needs 'csv' and 'schema': missing {exc}") from exc
         except (DataError, FileNotFoundError) as exc:
             raise ConfigError(str(exc)) from exc
-    kw = dict(spec.synthetic)
-    kind = kw.get("kind", "paired_exponential")
+    cfg = synth_config(**spec.synthetic)
+    return GENERATORS[cfg.kind](cfg).to_raw()
+
+
+def synth_config(**kw) -> SynthConfig:
     try:
-        cfg = SynthConfig(**kw)
+        return SynthConfig(**kw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid synthetic config: {exc}") from exc
-    if kind == "discrete_oracle":
-        return generate_discrete_oracle(cfg).to_raw()
-    return generate_paired_exponential(cfg).to_raw()
 
 
 def spec_n_bins(spec: ExperimentSpec) -> int | None:
@@ -231,13 +232,8 @@ AGG_COLUMNS = ["ci_mean", "ci_std", "ibs_mean", "ibs_std", "ddc_mean", "ddc_std"
 
 
 def write_summary(path: Path, rows: list[tuple[str, dict]]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("label,n_seeds," + ",".join(AGG_COLUMNS) + "\n")
-        for label, agg in rows:
-            cells = [label, str(agg["n_seeds"])] + [
-                format(agg[c], ".12g") if isinstance(agg[c], float) else str(agg[c]) for c in AGG_COLUMNS
-            ]
-            fh.write(",".join(cells) + "\n")
+    write_csv(path, ["label", "n_seeds"] + AGG_COLUMNS,
+              ([label, agg["n_seeds"]] + [agg[c] for c in AGG_COLUMNS] for label, agg in rows))
 
 
 def print_summary(rows: list[tuple[str, dict]]) -> None:
@@ -305,14 +301,8 @@ def cmd_subgroup(args) -> int:
             for t in range(data.n_time_bins):
                 curve_rows.append((name, t, mean_curve[t], km.values[t]))
 
-    with open(out / "subgroup_curves.csv", "w") as fh:
-        fh.write("subgroup,t,model_mean,kaplan_meier\n")
-        for name, t, mv, kv in curve_rows:
-            fh.write(f"{name},{t},{format(mv, '.12g')},{format(kv, '.12g')}\n")
-    with open(out / "subgroup_distances.csv", "w") as fh:
-        fh.write("subgroup,n,wasserstein\n")
-        for name, n, d in dist_rows:
-            fh.write(f"{name},{n},{format(d, '.12g')}\n")
+    write_csv(out / "subgroup_curves.csv", ["subgroup", "t", "model_mean", "kaplan_meier"], curve_rows)
+    write_csv(out / "subgroup_distances.csv", ["subgroup", "n", "wasserstein"], dist_rows)
     for name, n, d in dist_rows:
         print(f"{name}: n={n} wasserstein={d:.4f}")
     return 0
@@ -355,28 +345,19 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    out_dir = Path(args.out or os.environ.get(OUT_ROOT_ENV, "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
     kind = args.kind.replace("-", "_")
-    try:
-        cfg = SynthConfig(n_samples=args.n, feature_dim=args.features, seed=args.seed, kind=kind)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if kind == "paired_exponential":
-        data = generate_paired_exponential(cfg)
-        data.write_csv(out_dir / "synth.csv")
-        if args.truth:
-            data.write_truth_csv(out_dir / "synth_truth.csv")
-    else:
-        oracle = generate_discrete_oracle(cfg)
-        raw = oracle.to_raw()
-        with open(out_dir / "synth.csv", "w") as fh:
-            fh.write(",".join(raw.feature_names + ["time", "event"]) + "\n")
-            for i in range(len(raw)):
-                cells = [format(v, ".12g") for v in raw.features[i]]
-                fh.write(",".join(cells + [format(raw.times[i], ".12g"), str(raw.events[i])]) + "\n")
+    if args.truth and kind != "paired_exponential":
+        raise ConfigError("--truth needs --kind paired-exponential")
+    data = GENERATORS[kind](synth_config(n_samples=args.n, feature_dim=args.features, seed=args.seed, kind=kind))
+    raw = data.to_raw()
+    out_dir = resolve_out(".", args.out)
+    write_csv(out_dir / "synth.csv", raw.feature_names + ["time", "event"],
+              ([*f, t, e] for f, t, e in zip(raw.features, raw.times, raw.events)))
+    if args.truth:
+        write_csv(out_dir / "synth_truth.csv", ["true_event_time", "censor_time", "event"],
+                  zip(data.true_event_times, data.censor_times, data.events))
     schema = {
-        "columns": [{"name": f"x{i}", "kind": "real", "role": "feature"} for i in range(args.features)]
+        "columns": [{"name": name, "kind": "real", "role": "feature"} for name in raw.feature_names]
         + [
             {"name": "time", "kind": "real", "role": "time"},
             {"name": "event", "kind": "binary", "role": "event"},
@@ -389,15 +370,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_margin_study(args) -> int:
-    out_dir = Path(args.out or os.environ.get(OUT_ROOT_ENV, "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = SynthConfig(n_samples=args.n, seed=args.seed)
-    data = generate_paired_exponential(cfg)
-    pairs = margin_study(data, n_bins=args.bins)
-    with open(out_dir / "margin_pairs.csv", "w") as fh:
-        fh.write("anchor_tau,censoring_gap,truth_gap\n")
-        for row in pairs:
-            fh.write(f"{row[0]},{row[1]},{row[2]}\n")
+    pairs = margin_study(generate_paired_exponential(synth_config(n_samples=args.n, seed=args.seed)), n_bins=args.bins)
+    write_csv(resolve_out(".", args.out) / "margin_pairs.csv", ["anchor_tau", "censoring_gap", "truth_gap"], pairs)
     if pairs.size:
         c_mean, t_mean = pairs[:, 1].mean(), pairs[:, 2].mean()
         frac = float((pairs[:, 2] >= pairs[:, 1]).mean())
@@ -426,15 +400,16 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_spec_flags(p):
+    def add_spec_flags(p, variant=True):
         p.add_argument("--config", required=True, help="experiment spec (JSON or TOML)")
         p.add_argument("--seed", type=int, nargs="+", help="override spec seeds")
-        p.add_argument("--variant", nargs="+", choices=VARIANTS, help="override spec variants")
+        if variant:
+            p.add_argument("--variant", nargs="+", choices=VARIANTS, help="override spec variants")
         p.add_argument("--out", help=f"output directory (default from spec / ${OUT_ROOT_ENV})")
 
     for name, fn in (("train", cmd_train), ("evaluate", cmd_evaluate), ("ablate", cmd_ablate)):
         p = sub.add_parser(name)
-        add_spec_flags(p)
+        add_spec_flags(p, variant=name != "ablate")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("subgroup")
@@ -449,20 +424,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("synth")
-    p.add_argument("--kind", default="paired-exponential",
-                   choices=["paired-exponential", "discrete-oracle"])
+    p.add_argument("--kind", default="paired-exponential", choices=[k.replace("_", "-") for k in GENERATORS])
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--features", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--truth", action="store_true", help="also write the hidden-truth sidecar")
-    p.add_argument("--out")
+    p.add_argument("--truth", action="store_true", help="also write the hidden-truth sidecar (paired kind only)")
+    p.add_argument("--out", help=f"output directory (default . / ${OUT_ROOT_ENV})")
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("margin-study")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bins", type=int, default=100)
-    p.add_argument("--out")
+    p.add_argument("--out", help=f"output directory (default . / ${OUT_ROOT_ENV})")
     p.set_defaults(fn=cmd_margin_study)
     return parser
 

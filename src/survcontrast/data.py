@@ -160,6 +160,16 @@ def load_csv(path, schema: Schema) -> RawDataset:
     return RawDataset(x, times, events, names, src_cols, src_kinds)
 
 
+def write_csv(path, header, rows) -> None:
+    """The one CSV writer: LF line ends, csv-module quoting, floats (numpy
+    floats too) as ``.12g`` and every other value through ``str``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(v, ".12g") if isinstance(v, (float, np.floating)) else str(v) for v in row])
+
+
 def from_arrays(features, times, events, feature_names=None) -> RawDataset:
     features = np.asarray(features, dtype=np.float64)
     names = feature_names or [f"x{i}" for i in range(features.shape[1])]

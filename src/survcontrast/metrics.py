@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import stats
@@ -250,24 +250,13 @@ class MetricReport:
     dcal_pvalue: float
     ci_at: dict = field(default_factory=dict)
     bs_at: dict = field(default_factory=dict)
-    wasserstein: dict = field(default_factory=dict)
 
     @property
     def dcal_pass(self) -> bool:
         return self.dcal_pvalue > 0.05
 
     def to_dict(self) -> dict:
-        return {
-            "ci_integrated": self.ci_integrated,
-            "ibs": self.ibs,
-            "ddc": self.ddc,
-            "dcal_statistic": self.dcal_statistic,
-            "dcal_pvalue": self.dcal_pvalue,
-            "dcal_pass": self.dcal_pass,
-            "ci_at": self.ci_at,
-            "bs_at": self.bs_at,
-            "wasserstein": self.wasserstein,
-        }
+        return {**asdict(self), "dcal_pass": self.dcal_pass}
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:

@@ -16,14 +16,11 @@ Two generators:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import RawDataset, discretize, from_arrays
-
-GENERATOR_KINDS = ("paired_exponential", "discrete_oracle")
 
 
 @dataclass
@@ -45,7 +42,7 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.kind not in GENERATOR_KINDS:
+        if self.kind not in GENERATORS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.kind == "paired_exponential" and self.feature_dim < 4:
             raise ValueError("paired_exponential needs feature_dim >= 4")
@@ -70,24 +67,6 @@ class PairedExponentialData:
 
     def to_raw(self) -> RawDataset:
         return from_arrays(self.features, self.observed_times, self.events)
-
-    def write_csv(self, path) -> None:
-        names = [f"x{i}" for i in range(self.features.shape[1])]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(names + ["time", "event"])
-            for i in range(len(self)):
-                writer.writerow(
-                    [format(v, ".12g") for v in self.features[i]]
-                    + [format(self.observed_times[i], ".12g"), int(self.events[i])]
-                )
-
-    def write_truth_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["true_event_time", "censor_time", "event"])
-            for t, c, e in zip(self.true_event_times, self.censor_times, self.events):
-                writer.writerow([format(t, ".12g"), format(c, ".12g"), int(e)])
 
 
 def generate_paired_exponential(config: SynthConfig) -> PairedExponentialData:
@@ -199,3 +178,10 @@ def generate_discrete_oracle(config: SynthConfig, time_logits=None) -> OracleDat
         deltas[hit] = 0
 
     return OracleData(x, taus, deltas, hazards)
+
+
+# kind -> generator; every generator's result has ``to_raw()``
+GENERATORS = {
+    "paired_exponential": generate_paired_exponential,
+    "discrete_oracle": generate_discrete_oracle,
+}

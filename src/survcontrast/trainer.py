@@ -14,17 +14,16 @@ parameters exactly and corruption draws can never perturb batch order.
 
 from __future__ import annotations
 
-import csv
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from . import losses
 from .autodiff import Tensor
-from .data import PreparedData, corrupt, iterate_batches
+from .data import PreparedData, corrupt, iterate_batches, write_csv
 from .model import HazardModel
 
 logger = logging.getLogger(__name__)
@@ -94,16 +93,7 @@ class TrainLog:
     wall_time: float = 0.0
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["epoch", "train_nll", "train_aux", "train_total", "val_nll", "val_aux", "val_total"]
-            )
-            for e in self.epochs:
-                writer.writerow(
-                    [e.epoch]
-                    + [format(v, ".12g") for v in (e.train_nll, e.train_aux, e.train_total, e.val_nll, e.val_aux, e.val_total)]
-                )
+        write_csv(path, [f.name for f in fields(EpochStats)], map(astuple, self.epochs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -157,6 +158,15 @@ def test_ablate_emits_four_variant_rows(tmp_path):
     assert labels == ["nll", "nll+nce", "nll+rank", "nll+snce"]
 
 
+def test_ablate_rejects_variant_flag(tmp_path, capsys):
+    spec = write_spec(tmp_path, seeds=[0], train={"epochs": 1})
+    with pytest.raises(SystemExit) as exc:
+        main(["ablate", "--config", str(spec), "--variant", "nll"])
+    assert exc.value.code == 2
+    assert "--variant" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_rows_match_values(tmp_path):
     spec = write_spec(tmp_path, seeds=[0], train={"epochs": 1})
     assert main(["sweep", "--config", str(spec), "--param", "beta", "--values", "0.1,1.0"]) == 0
@@ -231,6 +241,41 @@ def test_subgroup_on_binary_feature(tmp_path):
     assert len(curves) == 1 + 2 * 8
 
 
+def test_subgroup_quotes_a_categorical_level_with_a_comma(tmp_path):
+    rng = np.random.default_rng(1)
+    n = 200
+    grade = rng.choice(["low", "mid,high"], size=n)
+    with open(tmp_path / "data.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x0", "grade", "time", "event"])
+        for i in range(n):
+            writer.writerow([rng.uniform(), grade[i], rng.uniform(1, 30), rng.integers(0, 2)])
+    (tmp_path / "schema.json").write_text(json.dumps({"columns": [
+        {"name": "x0", "kind": "real", "role": "feature"},
+        {"name": "grade", "kind": "categorical", "role": "feature"},
+        {"name": "time", "kind": "real", "role": "time"},
+        {"name": "event", "kind": "binary", "role": "event"},
+    ]}))
+    spec = {
+        "dataset": {"csv": str(tmp_path / "data.csv"), "schema": str(tmp_path / "schema.json"), "n_bins": 6},
+        "variants": ["nll"],
+        "seeds": [0],
+        "model": {"hidden_dim": 8, "depth": 2, "embedding_dim": 4},
+        "train": {"epochs": 1, "batch_size": 32, "patience": 3},
+        "out": str(tmp_path / "out"),
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["train", "--config", str(spec_path)]) == 0
+    assert main(["subgroup", "--config", str(spec_path), "--feature", "grade"]) == 0
+    with open(tmp_path / "out" / "subgroup_distances.csv", newline="") as fh:
+        dist = list(csv.reader(fh))
+    assert all(len(row) == 3 for row in dist)
+    assert [row[0] for row in dist[1:]] == ["grade=low", "grade=mid,high"]
+    with open(tmp_path / "out" / "subgroup_curves.csv", newline="") as fh:
+        assert all(len(row) == 4 for row in csv.reader(fh))
+
+
 def test_synth_command_writes_dataset(tmp_path):
     assert main(["synth", "--kind", "paired-exponential", "--n", "50", "--seed", "4",
                  "--truth", "--out", str(tmp_path)]) == 0
@@ -255,6 +300,28 @@ def test_margin_study_command(tmp_path, capsys):
     assert len(pairs) > 1
 
 
+def test_margin_study_bad_size_exits_2(tmp_path, capsys):
+    assert main(["margin-study", "--n", "0", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: invalid synthetic config: n_samples must be >= 1\n"
+
+
+def test_synth_truth_needs_paired_kind(tmp_path, capsys):
+    assert main(["synth", "--kind", "discrete-oracle", "--n", "30", "--truth", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: --truth needs --kind paired-exponential\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_written_files_have_lf_line_ends(tmp_path):
+    spec = write_spec(tmp_path, seeds=[0], train={"epochs": 1})
+    assert main(["ablate", "--config", str(spec)]) == 0
+    assert main(["synth", "--n", "30", "--truth", "--out", str(tmp_path / "out" / "paired")]) == 0
+    assert main(["synth", "--kind", "discrete-oracle", "--n", "30", "--out", str(tmp_path / "out" / "oracle")]) == 0
+    assert main(["margin-study", "--n", "100", "--out", str(tmp_path / "out" / "margin")]) == 0
+    files = [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
+    assert len(files) == 19  # 4 checkpoints, 4 logs, 4 reports, summary, 3 + 2 synth files, margin pairs
+    assert [p for p in files if b"\r" in p.read_bytes()] == []
+
+
 def test_out_root_env_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("SURVCONTRAST_OUT", str(tmp_path / "root"))
     spec = write_spec(tmp_path, seeds=[0], train={"epochs": 1})
@@ -263,6 +330,16 @@ def test_out_root_env_variable(tmp_path, monkeypatch):
     spec.write_text(json.dumps(raw))
     assert main(["train", "--config", str(spec)]) == 0
     assert (tmp_path / "root" / "nested" / "exp" / "checkpoints").exists()
+
+
+def test_out_root_env_variable_for_synth_and_margin_study(tmp_path, monkeypatch):
+    monkeypatch.setenv("SURVCONTRAST_OUT", str(tmp_path / "root"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--n", "30", "--out", "data"]) == 0
+    assert main(["margin-study", "--n", "100", "--out", "study"]) == 0
+    assert (tmp_path / "root" / "data" / "synth.csv").exists()
+    assert (tmp_path / "root" / "study" / "margin_pairs.csv").exists()
+    assert not (tmp_path / "data").exists() and not (tmp_path / "study").exists()
 
 
 def test_spec_seed_override(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -431,3 +432,15 @@ def test_evaluate_hazards_report_fields():
     assert 0.0 <= report.ddc <= 1.0
     assert 0.0 <= report.dcal_pvalue <= 1.0
     assert set(report.ci_at) == {0.25, 0.5, 0.75}
+
+
+def test_report_json_keys(tmp_path):
+    rng = np.random.default_rng(12)
+    taus = rng.integers(0, 12, size=120)
+    deltas = np.ones(120, dtype=int)
+    report = M.evaluate_hazards(rng.uniform(0.02, 0.3, size=(120, 12)), taus, deltas)
+    report.to_json(tmp_path / "report.json")
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert set(payload) == {
+        "ci_integrated", "ibs", "ddc", "dcal_statistic", "dcal_pvalue", "dcal_pass", "ci_at", "bs_at",
+    }

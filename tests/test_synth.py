@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from survcontrast.synth import (
+    GENERATORS,
     SynthConfig,
     generate_discrete_oracle,
     generate_paired_exponential,
@@ -62,19 +63,19 @@ def test_rate_parameterization_flips_scale():
 
 
 def test_csv_roundtrip(tmp_path):
-    from survcontrast.data import Schema, ColumnSpec, load_csv
+    from survcontrast.cli import main
+    from survcontrast.data import Schema, load_csv
 
-    data = generate_paired_exponential(SynthConfig(n_samples=50, seed=6))
-    path = tmp_path / "synth.csv"
-    data.write_csv(path)
-    schema = Schema(
-        columns=[ColumnSpec(f"x{i}", "real") for i in range(4)]
-        + [ColumnSpec("time", "real", role="time"), ColumnSpec("event", "binary", role="event")]
-    )
-    raw = load_csv(path, schema)
-    assert len(raw) == 50
-    np.testing.assert_allclose(raw.times, data.observed_times, rtol=1e-10)
-    np.testing.assert_array_equal(raw.events, data.events)
+    for kind in GENERATORS:
+        out = tmp_path / kind
+        assert main(["synth", "--kind", kind.replace("_", "-"), "--n", "50", "--seed", "6", "--out", str(out)]) == 0
+        raw = load_csv(out / "synth.csv", Schema.from_json(out / "schema.json"))
+        truth = GENERATORS[kind](SynthConfig(n_samples=50, seed=6, kind=kind)).to_raw()
+        assert len(raw) == 50
+        assert raw.feature_names == truth.feature_names
+        np.testing.assert_allclose(raw.features, truth.features, rtol=1e-10)
+        np.testing.assert_allclose(raw.times, truth.times, rtol=1e-10)
+        np.testing.assert_array_equal(raw.events, truth.events)
 
 
 # ---------------------------------------------------------------------------
