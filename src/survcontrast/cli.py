@@ -139,10 +139,11 @@ def resolve_out(spec_out: str, flag_out: str | None) -> Path:
 def load_raw(spec: ExperimentSpec) -> RawDataset:
     if spec.dataset is not None:
         try:
-            schema = Schema.from_json(spec.dataset["schema"])
-            return load_csv(spec.dataset["csv"], schema)
+            csv_path, schema_path = spec.dataset["csv"], spec.dataset["schema"]
         except KeyError as exc:
             raise ConfigError(f"dataset spec needs 'csv' and 'schema': missing {exc}") from exc
+        try:
+            return load_csv(csv_path, Schema.from_json(schema_path))
         except (DataError, FileNotFoundError) as exc:
             raise ConfigError(str(exc)) from exc
     cfg = synth_config(**spec.synthetic)

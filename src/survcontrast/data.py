@@ -38,9 +38,20 @@ class Schema:
 
     @classmethod
     def from_json(cls, path) -> "Schema":
+        """Read ``{"columns": [{"name", "kind", "role"}, ...]}`` from a JSON
+        file; a malformed file raises :class:`DataError` naming it."""
         with open(path) as fh:
-            raw = json.load(fh)
-        return cls([ColumnSpec(**col) for col in raw["columns"]])
+            try:
+                raw = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise DataError(f"schema {path} is not JSON: {exc}") from exc
+        if not isinstance(raw, dict) or "columns" not in raw:
+            raise DataError(f"schema {path} has no 'columns' list")
+        try:
+            columns = [ColumnSpec(**col) for col in raw["columns"]]
+        except TypeError as exc:
+            raise DataError(f"schema {path} has a bad column entry: {exc}") from exc
+        return cls(columns)
 
     def __post_init__(self):
         roles = [c.role for c in self.columns]

@@ -10,6 +10,10 @@ time grid.
 
 All functions are pure; predictions enter as (n, t_max+1) arrays of
 per-sample survival or risk curves on the discrete grid.
+
+Cost: both concordance indices come from one pass over the E distinct event
+times that sorts the at-risk risks at each, O(E n log n) time and O(n) extra
+memory; the IBS scores all its horizons in one (n, horizons) array pass.
 """
 
 from __future__ import annotations
@@ -51,39 +55,60 @@ class SurvivalCurve:
     def n_bins(self) -> int:
         return self.values.size
 
-    def at(self, t: int) -> float:
-        """Value at integer time t; times before 0 have survival 1."""
-        if t < 0:
-            return 1.0
-        return float(self.values[min(t, self.values.size - 1)])
+    def at(self, t) -> np.ndarray:
+        """Values at integer times t (scalar or array); times before 0 have
+        survival 1, times past the grid the last value."""
+        t = np.asarray(t, dtype=int)
+        return np.where(t < 0, 1.0, self.values[np.clip(t, 0, self.values.size - 1)])
 
 
 def kaplan_meier(taus, deltas, n_bins: int | None = None) -> SurvivalCurve:
-    """Product-limit estimator on the discrete grid."""
+    """Product-limit estimator on the discrete grid: event and at-risk counts
+    per bin from one ``bincount``, the product by ``cumprod`` in bin order."""
     taus = np.asarray(taus, dtype=int)
     deltas = np.asarray(deltas, dtype=int)
     if taus.size == 0:
         raise MetricError("empty sample")
     bins = n_bins if n_bins is not None else int(taus.max()) + 1
-    values = np.ones(bins)
-    factor = 1.0
-    for t in range(bins):
-        at_risk = int(np.sum(taus >= t))
-        events = int(np.sum((taus == t) & (deltas == 1)))
-        if at_risk > 0 and events > 0:
-            factor *= 1.0 - events / at_risk
-        values[t] = factor
-    return SurvivalCurve(values)
+    at_risk = np.cumsum(np.bincount(taus, minlength=bins)[::-1])[::-1][:bins]
+    events = np.bincount(taus[deltas == 1], minlength=bins)[:bins]
+    hazard = np.divide(events, at_risk, out=np.zeros(bins), where=events > 0)
+    return SurvivalCurve(np.cumprod(1.0 - hazard))
 
 
 # ---------------------------------------------------------------------------
 # concordance
 # ---------------------------------------------------------------------------
 
-def _cross_risks(risks: np.ndarray, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    own = risks[np.arange(taus.size), taus]
-    cross = risks[:, taus].T  # [i, j] -> risk of sample j at tau_i
-    return own, cross
+def _concordance_counts(risks, taus, deltas, t_max: int | None = None) -> np.ndarray:
+    """Per distinct event time s (up to ``t_max``): concordant, tied and new
+    comparable pair counts, as an (E, 3) integer array in time order.
+
+    The anchors are the events at s and the at-risk set is {j: tau_j > s};
+    sorting the at-risk risks at bin s and ``searchsorted``-ing each anchor's
+    own risk counts the strictly lower (concordant) and equal (tied) ones.
+    NaN has no place in a sorted order, so a NaN risk is rejected.
+    """
+    risks = np.atleast_2d(np.asarray(risks, dtype=np.float64))
+    if np.isnan(risks).any():
+        raise MetricError("concordance undefined: NaN in the risks")
+    taus = np.asarray(taus, dtype=int)
+    deltas = np.asarray(deltas, dtype=int)
+    event_times = np.unique(taus[deltas == 1])
+    if t_max is not None:
+        event_times = event_times[event_times <= t_max]
+    order = np.argsort(taus, kind="stable")
+    first_later = np.searchsorted(taus[order], event_times, side="right")
+    counts = np.zeros((event_times.size, 3), dtype=np.int64)
+    for k, s in enumerate(event_times):
+        at_risk = order[first_later[k]:]
+        anchors = np.flatnonzero((taus == s) & (deltas == 1))
+        column = np.sort(risks[at_risk, s])
+        own = risks[anchors, s]
+        below = np.searchsorted(column, own, side="left")
+        not_above = np.searchsorted(column, own, side="right")
+        counts[k] = below.sum(), (not_above - below).sum(), anchors.size * at_risk.size
+    return counts
 
 
 def c_index_td(risks: np.ndarray, taus, deltas, t: int) -> float | None:
@@ -92,34 +117,29 @@ def c_index_td(risks: np.ndarray, taus, deltas, t: int) -> float | None:
     A pair (i, j) is comparable when i had its event by ``t`` and strictly
     before j's observed time; both risks are read at i's event bin and ties
     count one half. Returns None (undefined) when no pair qualifies.
+    Cost: O(E n log n) time for the E distinct event times up to ``t`` (one
+    sort of the at-risk set each) and O(n) extra memory.
     """
-    risks = np.atleast_2d(np.asarray(risks, dtype=np.float64))
-    taus = np.asarray(taus, dtype=int)
-    deltas = np.asarray(deltas, dtype=int)
-    own, cross = _cross_risks(risks, taus)
-    comparable = (deltas[:, None] == 1) & (taus[:, None] <= t) & (taus[:, None] < taus[None, :])
-    n_pairs = comparable.sum()
-    if n_pairs == 0:
+    concordant, tied, pairs = _concordance_counts(risks, taus, deltas, t_max=t).sum(axis=0)
+    if pairs == 0:
         return None
-    concordant = (own[:, None] > cross)[comparable].sum()
-    tied = (own[:, None] == cross)[comparable].sum()
-    return float((concordant + 0.5 * tied) / n_pairs)
+    return float((concordant + 0.5 * tied) / pairs)
 
 
 def c_index_integrated(risks: np.ndarray, taus, deltas) -> float:
     """Average of the time-dependent index over distinct event times,
-    weighted by how many pairs become comparable at each time."""
-    taus = np.asarray(taus, dtype=int)
-    deltas = np.asarray(deltas, dtype=int)
-    event_times = np.unique(taus[deltas == 1])
+    weighted by how many pairs become comparable at each time.
+
+    One pass over the E distinct event times gives every per-time count;
+    the index at each time is read from their cumulative sums. Cost:
+    O(E n log n) time and O(n) extra memory (no n x n array).
+    """
+    counts = _concordance_counts(risks, taus, deltas)
+    concordant, tied, pairs = np.cumsum(counts, axis=0).T
     total, weight_sum = 0.0, 0
-    for t in event_times:
-        new_pairs = int(((deltas[:, None] == 1) & (taus[:, None] == t) & (taus[:, None] < taus[None, :])).sum())
-        if new_pairs == 0:
-            continue
-        value = c_index_td(risks, taus, deltas, int(t))
-        if value is None:
-            continue
+    for k in np.flatnonzero(counts[:, 2]):
+        new_pairs = int(counts[k, 2])
+        value = float((concordant[k] + 0.5 * tied[k]) / pairs[k])
         total += new_pairs * value
         weight_sum += new_pairs
     if weight_sum == 0:
@@ -137,33 +157,38 @@ def censoring_km(taus, deltas, n_bins: int | None = None) -> SurvivalCurve:
     return kaplan_meier(taus, 1 - deltas, n_bins)
 
 
-def brier_score(surv: np.ndarray, taus, deltas, t: int, censor_km: SurvivalCurve) -> float:
-    """IPCW Brier score at horizon ``t``; the censoring weight is floored."""
+def _brier_scores(surv, taus, deltas, horizons, censor_km: SurvivalCurve) -> np.ndarray:
+    """IPCW Brier score at every horizon in one (n, horizons) array pass."""
     surv = np.atleast_2d(np.asarray(surv, dtype=np.float64))
     taus = np.asarray(taus, dtype=int)
     deltas = np.asarray(deltas, dtype=int)
-    n = taus.size
-    s_t = surv[:, min(t, surv.shape[1] - 1)]
-    g_t = max(censor_km.at(t), IPCW_FLOOR)
-    total = 0.0
-    for i in range(n):
-        if taus[i] <= t and deltas[i] == 1:
-            g_tau = max(censor_km.at(int(taus[i]) - 1), IPCW_FLOOR)
-            total += s_t[i] ** 2 / g_tau
-        elif taus[i] > t:
-            total += (1.0 - s_t[i]) ** 2 / g_t
-    return total / n
+    horizons = np.asarray(horizons, dtype=int)
+    s_t = surv[:, np.minimum(horizons, surv.shape[1] - 1)]
+    alive = taus[:, None] > horizons
+    g_t = np.maximum(censor_km.at(horizons), IPCW_FLOOR)
+    g_tau = np.maximum(censor_km.at(taus - 1), IPCW_FLOOR)[:, None]
+    terms = np.where(alive, 1.0 - s_t, s_t) ** 2 / np.where(alive, g_t, g_tau)
+    terms[~alive & (deltas[:, None] != 1)] = 0.0  # censored by the horizon
+    # a running sum in sample order: a horizon's score does not depend on
+    # how many horizons share the call (a plain sum is pairwise for one)
+    return np.cumsum(terms, axis=0)[-1] / taus.size
+
+
+def brier_score(surv: np.ndarray, taus, deltas, t: int, censor_km: SurvivalCurve) -> float:
+    """IPCW Brier score at horizon ``t``; the censoring weight is floored."""
+    return float(_brier_scores(surv, taus, deltas, [t], censor_km)[0])
 
 
 def ibs(surv: np.ndarray, taus, deltas) -> float:
     """Trapezoidal time average of the Brier score up to the 95th percentile
-    of observed times (the sparse tail is unstable under IPCW)."""
+    of observed times (the sparse tail is unstable under IPCW). All horizons
+    are scored in one array pass."""
     taus = np.asarray(taus, dtype=int)
     t_hi = int(np.quantile(taus, IBS_TIME_QUANTILE))
     if t_hi < 1:
         raise MetricError("degenerate integration interval for IBS")
     g = censoring_km(taus, np.asarray(deltas), n_bins=int(taus.max()) + 1)
-    scores = [brier_score(surv, taus, deltas, t, g) for t in range(t_hi + 1)]
+    scores = _brier_scores(surv, taus, deltas, np.arange(t_hi + 1), g)
     return float(np.trapezoid(scores, dx=1.0) / t_hi)
 
 

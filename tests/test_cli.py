@@ -358,6 +358,49 @@ def test_spec_requires_one_data_source(tmp_path, capsys):
     assert main(["train", "--config", str(spec)]) == 2
 
 
+def write_dataset_spec(tmp_path, schema_text, dataset_keys=("csv", "schema")):
+    (tmp_path / "data.csv").write_text("x0,time,event\n0.5,3.0,1\n0.2,5.0,0\n")
+    (tmp_path / "schema.json").write_text(schema_text)
+    paths = {"csv": str(tmp_path / "data.csv"), "schema": str(tmp_path / "schema.json")}
+    spec = write_spec(tmp_path, seeds=[0])
+    raw = json.loads(spec.read_text())
+    del raw["synthetic"]
+    raw["dataset"] = {key: paths[key] for key in dataset_keys}
+    spec.write_text(json.dumps(raw))
+    return spec
+
+
+GOOD_COLUMNS = [
+    {"name": "x0", "kind": "real"},
+    {"name": "time", "kind": "real", "role": "time"},
+    {"name": "event", "kind": "binary", "role": "event"},
+]
+
+
+@pytest.mark.parametrize(
+    "schema_text",
+    [
+        json.dumps({"columns": [{**GOOD_COLUMNS[0], "extra": 1}, *GOOD_COLUMNS[1:]]}),
+        "{not json",
+        json.dumps({"fields": GOOD_COLUMNS}),
+    ],
+    ids=["unknown-column-key", "not-json", "no-columns"],
+)
+def test_malformed_schema_exits_2_naming_the_schema(tmp_path, capsys, schema_text):
+    spec = write_dataset_spec(tmp_path, schema_text)
+    assert main(["train", "--config", str(spec)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: schema ")
+    assert str(tmp_path / "schema.json") in err[0]
+    assert "dataset spec" not in err[0]
+
+
+def test_dataset_spec_without_csv_blames_the_spec(tmp_path, capsys):
+    spec = write_dataset_spec(tmp_path, json.dumps({"columns": GOOD_COLUMNS}), dataset_keys=("schema",))
+    assert main(["train", "--config", str(spec)]) == 2
+    assert capsys.readouterr().err == "config error: dataset spec needs 'csv' and 'schema': missing 'csv'\n"
+
+
 def test_toml_spec(tmp_path):
     toml = f"""
 variants = ["nll"]

@@ -1,9 +1,13 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from survcontrast import metrics as M
@@ -59,7 +63,22 @@ def ci_integrated_oracle(risks, taus, deltas):
             continue
         total += new * value
         weight += new
-    return total / weight
+    return None if weight == 0 else total / weight
+
+
+def brier_oracle(surv, taus, deltas, t, censor_km):
+    def weight(time):
+        g = 1.0 if time < 0 else censor_km.values[min(time, censor_km.values.size - 1)]
+        return max(g, M.IPCW_FLOOR)
+
+    s_t = surv[:, min(t, surv.shape[1] - 1)]
+    total = 0.0
+    for i in range(len(taus)):
+        if taus[i] <= t and deltas[i] == 1:
+            total += s_t[i] ** 2 / weight(taus[i] - 1)
+        elif taus[i] > t:
+            total += (1.0 - s_t[i]) ** 2 / weight(t)
+    return total / len(taus)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +192,15 @@ def test_ci_integrated_all_undefined_errors():
         M.c_index_integrated(constant_risk_curves([0.1, 0.2, 0.3]), taus, np.ones(3, dtype=int))
 
 
+def test_ci_rejects_nan_risks():
+    taus = np.array([1, 2, 3, 4])
+    risks = constant_risk_curves([0.9, math.nan, 0.5, 0.3])
+    with pytest.raises(M.MetricError):
+        M.c_index_td(risks, taus, np.ones(4, dtype=int), 4)
+    with pytest.raises(M.MetricError):
+        M.c_index_integrated(risks, taus, np.ones(4, dtype=int))
+
+
 def test_ci_rank_invariance_under_monotone_transform():
     rng = np.random.default_rng(5)
     n = 60
@@ -183,6 +211,94 @@ def test_ci_rank_invariance_under_monotone_transform():
     base = M.c_index_td(risks, taus, deltas, 8)
     transformed = M.c_index_td(np.exp(3.0 * risks) - 0.5, taus, deltas, 8)
     assert base == transformed
+
+
+def test_ci_integrated_never_allocates_an_n_by_n_array():
+    rng = np.random.default_rng(13)
+    n, n_bins = 3000, 50
+    taus = rng.integers(0, n_bins, size=n)
+    deltas = rng.integers(0, 2, size=n)
+    risks = np.sort(rng.uniform(size=(n, n_bins)), axis=1)
+    tracemalloc.start()
+    try:
+        M.c_index_integrated(risks, taus, deltas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # numpy reports its buffers to tracemalloc; one n x n float64 matrix is 72 MB
+    assert peak < n * n * 8
+
+
+# ---------------------------------------------------------------------------
+# properties on small instances with heavy ties
+# ---------------------------------------------------------------------------
+
+# three risk levels make tied pairs common, which continuous draws never give
+TIE_LEVELS = (0.1, 0.5, 0.9)
+
+
+@st.composite
+def tied_instances(draw):
+    n = draw(st.integers(2, 12))
+    n_bins = draw(st.integers(1, 6))
+    taus = draw(arrays(np.int64, n, elements=st.integers(0, n_bins - 1)))
+    deltas = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    risks = draw(arrays(np.float64, (n, n_bins), elements=st.sampled_from(TIE_LEVELS)))
+    t = draw(st.integers(-1, n_bins))
+    return risks, taus, deltas, t
+
+
+def ci_integrated_or_none(risks, taus, deltas):
+    try:
+        return M.c_index_integrated(risks, taus, deltas)
+    except M.MetricError:
+        return None
+
+
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY_SETTINGS
+@given(tied_instances())
+def test_ci_equals_pair_loop_with_ties(instance):
+    risks, taus, deltas, t = instance
+    got_td, want_td = M.c_index_td(risks, taus, deltas, t), ci_td_oracle(risks, taus, deltas, t)
+    assert (got_td is None) == (want_td is None)
+    if got_td is not None:
+        assert abs(got_td - want_td) < 1e-12
+    got_int, want_int = ci_integrated_or_none(risks, taus, deltas), ci_integrated_oracle(risks, taus, deltas)
+    assert (got_int is None) == (want_int is None)
+    if got_int is not None:
+        assert abs(got_int - want_int) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(tied_instances())
+def test_ci_in_unit_interval(instance):
+    risks, taus, deltas, t = instance
+    for value in (M.c_index_td(risks, taus, deltas, t), ci_integrated_or_none(risks, taus, deltas)):
+        assert value is None or 0.0 <= value <= 1.0
+
+
+@PROPERTY_SETTINGS
+@given(tied_instances(), st.sampled_from([lambda r: np.exp(3.0 * r) - 0.5, lambda r: 2.0 * r**3 + 7.0, np.log]))
+def test_ci_invariant_under_increasing_transform(instance, transform):
+    risks, taus, deltas, t = instance
+    assert M.c_index_td(transform(risks), taus, deltas, t) == M.c_index_td(risks, taus, deltas, t)
+    assert ci_integrated_or_none(transform(risks), taus, deltas) == ci_integrated_or_none(risks, taus, deltas)
+
+
+@PROPERTY_SETTINGS
+@given(tied_instances())
+def test_brier_equals_per_sample_ipcw_formula(instance):
+    risks, taus, deltas, t = instance
+    surv = 1.0 - risks
+    g = M.censoring_km(taus, deltas)
+    assert abs(M.brier_score(surv, taus, deltas, t, g) - brier_oracle(surv, taus, deltas, t, g)) < 1e-12
+    t_hi = int(np.quantile(taus, M.IBS_TIME_QUANTILE))
+    if t_hi >= 1:
+        scores = [brier_oracle(surv, taus, deltas, h, g) for h in range(t_hi + 1)]
+        assert abs(M.ibs(surv, taus, deltas) - np.trapezoid(scores, dx=1.0) / t_hi) < 1e-12
 
 
 # ---------------------------------------------------------------------------
