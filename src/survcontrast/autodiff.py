@@ -33,8 +33,8 @@ class ShapeError(ValueError):
 class Tensor:
     """A 2-D float64 array plus an optional gradient accumulator.
 
-    ``grad`` is zero-initialized (lazily for non-leaf nodes) and only
-    mutated by :func:`backward`. Non-leaf tensors keep references to their
+    ``grad`` exists only on leaves created with ``requires_grad`` and only
+    :func:`backward` adds to it. Non-leaf tensors keep references to their
     parents and a list of local gradient rules.
     """
 
@@ -68,10 +68,6 @@ class Tensor:
             raise ShapeError(f"item() needs a 1x1 tensor, got {self.shape}")
         return float(self.values[0, 0])
 
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad.fill(0.0)
-
 
 def constant(values) -> Tensor:
     """A no-grad tensor, convenient for masks and fixed coefficients."""
@@ -80,17 +76,13 @@ def constant(values) -> Tensor:
 
 def _make(values: np.ndarray, op: str, parents: Sequence[Tensor], pulls: Sequence[Callable]) -> Tensor:
     out = Tensor(values)
-    tracked = [(p, f) for p, f in zip(parents, pulls) if _tracks(p)]
+    tracked = [(p, f) for p, f in zip(parents, pulls) if p.requires_grad]
     if tracked:
         out.requires_grad = True
         out._parents = tuple(p for p, _ in tracked)
         out._pulls = tuple(f for _, f in tracked)
     out._op = op
     return out
-
-
-def _tracks(t: Tensor) -> bool:
-    return t.requires_grad or bool(t._parents)
 
 
 def _broadcast_check(a: Tensor, b: Tensor, op: str) -> tuple[int, int]:
@@ -306,7 +298,7 @@ def trace(root: Tensor) -> list[Tensor]:
 
 
 def backward(root: Tensor) -> list[Tensor]:
-    """Accumulate d(root)/d(leaf) into every reachable tensor's ``grad``.
+    """Accumulate d(root)/d(leaf) into every reachable leaf's ``grad``.
 
     ``root`` must be 1x1. Each tape node is visited exactly once; fan-out
     contributions sum by construction. Returns the tape.
@@ -319,9 +311,8 @@ def backward(root: Tensor) -> list[Tensor]:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.grad is None:
-            node.grad = np.zeros_like(node.values)
-        node.grad += g
+        if node.grad is not None:
+            node.grad += g
         for parent, pull in zip(node._parents, node._pulls):
             contrib = pull(g)
             acc = grads.get(id(parent))
@@ -334,7 +325,8 @@ def backward(root: Tensor) -> list[Tensor]:
 
 def zero_grads(tensors: Sequence[Tensor]) -> None:
     for t in tensors:
-        t.zero_grad()
+        if t.grad is not None:
+            t.grad.fill(0.0)
 
 
 def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor] | Tensor, h: float = 1e-5) -> float:

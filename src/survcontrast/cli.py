@@ -23,7 +23,7 @@ as ``.12g``).
 Exit codes, each failure with one ``<kind> error: <message>`` line on stderr:
 
 * 0 success
-* 2 bad input: configuration, data or checkpoint shapes
+* 2 bad input: configuration, data files or checkpoints
 * 3 runtime divergence (a non-finite loss)
 * 4 a metric undefined on the test split (e.g. too few events)
 """
@@ -144,7 +144,7 @@ def load_raw(spec: ExperimentSpec) -> RawDataset:
             raise ConfigError(f"dataset spec needs 'csv' and 'schema': missing {exc}") from exc
         try:
             return load_csv(csv_path, Schema.from_json(schema_path))
-        except (DataError, FileNotFoundError) as exc:
+        except (DataError, OSError) as exc:  # OSError: a missing file or a directory
             raise ConfigError(str(exc)) from exc
     cfg = synth_config(**spec.synthetic)
     return GENERATORS[cfg.kind](cfg).to_raw()

@@ -93,18 +93,22 @@ def load_csv(path, schema: Schema) -> RawDataset:
     """Parse a survival CSV against its schema.
 
     Raises :class:`DataError` with the offending row number for unknown
-    columns, non-binary event values, or negative times. Rows with missing
-    time or event are rejected outright.
+    columns, non-binary event values, or negative times, and naming the
+    file when it is not UTF-8 text. Rows with missing time or event are
+    rejected outright.
     """
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError("no records: file is empty")
-        header = set(reader.fieldnames)
-        for col in schema.columns:
-            if col.name not in header:
-                raise DataError(f"unknown column: schema column {col.name!r} missing from header")
-        rows = list(reader)
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise DataError("no records: file is empty")
+            header = set(reader.fieldnames)
+            for col in schema.columns:
+                if col.name not in header:
+                    raise DataError(f"unknown column: schema column {col.name!r} missing from header")
+            rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
     if not rows:
         raise DataError("no records")
 

@@ -15,7 +15,8 @@
 Batch layout for the contrastive losses: ``2M`` embeddings, originals in
 rows ``0..M-1`` and their corrupted views in rows ``M..2M-1``; row ``i``
 pairs with row ``(i + M) % 2M``. Views inherit the survival outcome of
-their originals.
+their originals, so the pair weights are the M x M record block with its
+diagonal (self and own-view pairs) zeroed, tiled four times.
 """
 
 from __future__ import annotations
@@ -72,36 +73,22 @@ class PairWeightMatrix:
     weights: np.ndarray
 
 
-def _structural_mask(m: int) -> np.ndarray:
-    """Allowed negative positions: off-diagonal and not the paired view."""
-    n = 2 * m
-    mask = np.ones((n, n), dtype=bool)
-    idx = np.arange(n)
-    mask[idx, idx] = False
-    mask[idx, (idx + m) % n] = False
-    return mask
-
-
 def build_pair_weights(taus, deltas, sigma: float, alpha: float = 0.0) -> PairWeightMatrix:
     """Pairwise weights for a batch of M records and their M views."""
     taus = np.asarray(taus, dtype=np.float64)
     deltas = np.asarray(deltas)
     if taus.ndim != 1 or taus.shape != deltas.shape:
         raise ValueError("taus and deltas must be matching 1-D arrays")
-    m = taus.size
-    t2 = np.concatenate([taus, taus])
-    d2 = np.concatenate([deltas, deltas])
-    ind = comparability(d2[:, None], d2[None, :], t2[:, None], t2[None, :], alpha)
-    allowed = _structural_mask(m)
-    ind = ind * allowed
-    w = ind * weight(t2[:, None], t2[None, :], sigma)
-    return PairWeightMatrix(indicators=ind, weights=w)
+    ind = comparability(deltas[:, None], deltas[None, :], taus[:, None], taus[None, :], alpha)
+    np.fill_diagonal(ind, 0)  # a record against itself or its own view
+    w = ind * weight(taus[:, None], taus[None, :], sigma)
+    return PairWeightMatrix(indicators=np.tile(ind, (2, 2)), weights=np.tile(w, (2, 2)))
 
 
 def uniform_pair_weights(m: int) -> PairWeightMatrix:
     """Every structurally allowed pair weighted 1 (no outcome information)."""
-    allowed = _structural_mask(m)
-    return PairWeightMatrix(indicators=allowed.astype(np.int64), weights=allowed.astype(np.float64))
+    allowed = 1 - np.eye(m, dtype=np.int64)
+    return PairWeightMatrix(indicators=np.tile(allowed, (2, 2)), weights=np.tile(allowed.astype(np.float64), (2, 2)))
 
 
 def resolve_alpha_percentile(taus, deltas, percentile: float) -> float:
@@ -224,8 +211,6 @@ def snce_loss(embeddings: Tensor, pair_weights: PairWeightMatrix, nu: float) -> 
 
 def infonce_loss(embeddings: Tensor, nu: float) -> Tensor:
     """Contrastive ablation: every allowed negative weighted equally."""
-    if embeddings.rows < 4:
-        raise ValueError("need at least 2 records (4 embeddings)")
     return snce_loss(embeddings, uniform_pair_weights(embeddings.rows // 2), nu)
 
 

@@ -13,7 +13,8 @@ per-sample survival or risk curves on the discrete grid.
 
 Cost: both concordance indices come from one pass over the E distinct event
 times that sorts the at-risk risks at each, O(E n log n) time and O(n) extra
-memory; the IBS scores all its horizons in one (n, horizons) array pass.
+memory; the IBS scores all its horizons in one (n, horizons) array pass. A
+full report makes one counting pass, one censoring KM and one Brier pass.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy import stats
 
-from .model import risk_from_hazard, survival_from_hazard
+from .model import survival_from_hazard
 
 N_CAL_BINS = 10
 IPCW_FLOOR = 1e-3
@@ -80,9 +81,9 @@ def kaplan_meier(taus, deltas, n_bins: int | None = None) -> SurvivalCurve:
 # concordance
 # ---------------------------------------------------------------------------
 
-def _concordance_counts(risks, taus, deltas, t_max: int | None = None) -> np.ndarray:
-    """Per distinct event time s (up to ``t_max``): concordant, tied and new
-    comparable pair counts, as an (E, 3) integer array in time order.
+def _concordance_counts(risks, taus, deltas, t_max: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The E distinct event times s (up to ``t_max``) in order, and for each
+    its concordant, tied and new comparable pair counts as an (E, 3) array.
 
     The anchors are the events at s and the at-risk set is {j: tau_j > s};
     sorting the at-risk risks at bin s and ``searchsorted``-ing each anchor's
@@ -108,7 +109,14 @@ def _concordance_counts(risks, taus, deltas, t_max: int | None = None) -> np.nda
         below = np.searchsorted(column, own, side="left")
         not_above = np.searchsorted(column, own, side="right")
         counts[k] = below.sum(), (not_above - below).sum(), anchors.size * at_risk.size
-    return counts
+    return event_times, counts
+
+
+def _c_index(concordant, tied, pairs) -> float | None:
+    """Concordance from pair counts; None when no pair is comparable."""
+    if pairs == 0:
+        return None
+    return float((concordant + 0.5 * tied) / pairs)
 
 
 def c_index_td(risks: np.ndarray, taus, deltas, t: int) -> float | None:
@@ -120,10 +128,7 @@ def c_index_td(risks: np.ndarray, taus, deltas, t: int) -> float | None:
     Cost: O(E n log n) time for the E distinct event times up to ``t`` (one
     sort of the at-risk set each) and O(n) extra memory.
     """
-    concordant, tied, pairs = _concordance_counts(risks, taus, deltas, t_max=t).sum(axis=0)
-    if pairs == 0:
-        return None
-    return float((concordant + 0.5 * tied) / pairs)
+    return _c_index(*_concordance_counts(risks, taus, deltas, t_max=t)[1].sum(axis=0))
 
 
 def c_index_integrated(risks: np.ndarray, taus, deltas) -> float:
@@ -134,13 +139,15 @@ def c_index_integrated(risks: np.ndarray, taus, deltas) -> float:
     the index at each time is read from their cumulative sums. Cost:
     O(E n log n) time and O(n) extra memory (no n x n array).
     """
-    counts = _concordance_counts(risks, taus, deltas)
-    concordant, tied, pairs = np.cumsum(counts, axis=0).T
+    return _integrated_index(_concordance_counts(risks, taus, deltas)[1])
+
+
+def _integrated_index(counts: np.ndarray) -> float:
+    cumulative = np.cumsum(counts, axis=0)
     total, weight_sum = 0.0, 0
     for k in np.flatnonzero(counts[:, 2]):
         new_pairs = int(counts[k, 2])
-        value = float((concordant[k] + 0.5 * tied[k]) / pairs[k])
-        total += new_pairs * value
+        total += new_pairs * _c_index(*cumulative[k])
         weight_sum += new_pairs
     if weight_sum == 0:
         raise MetricError("concordance undefined: no comparable pairs at any event time")
@@ -185,11 +192,15 @@ def ibs(surv: np.ndarray, taus, deltas) -> float:
     are scored in one array pass."""
     taus = np.asarray(taus, dtype=int)
     t_hi = int(np.quantile(taus, IBS_TIME_QUANTILE))
+    g = censoring_km(taus, deltas)
+    return _integrated_brier(_brier_scores(surv, taus, deltas, np.arange(t_hi + 1), g), t_hi)
+
+
+def _integrated_brier(scores: np.ndarray, t_hi: int) -> float:
+    """Trapezoidal average of the scores at horizons 0..t_hi."""
     if t_hi < 1:
         raise MetricError("degenerate integration interval for IBS")
-    g = censoring_km(taus, np.asarray(deltas), n_bins=int(taus.max()) + 1)
-    scores = _brier_scores(surv, taus, deltas, np.arange(t_hi + 1), g)
-    return float(np.trapezoid(scores, dx=1.0) / t_hi)
+    return float(np.trapezoid(scores[:t_hi + 1], dx=1.0) / t_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -289,25 +300,27 @@ class MetricReport:
 
 
 def evaluate_hazards(hazards: np.ndarray, taus, deltas, time_quantiles=(0.25, 0.5, 0.75)) -> MetricReport:
-    """Full report for predicted hazard curves against observed outcomes."""
+    """Full report for predicted hazard curves; each value is bit-equal to its own function's."""
     hazards = np.atleast_2d(np.asarray(hazards, dtype=np.float64))
     taus = np.asarray(taus, dtype=int)
     deltas = np.asarray(deltas, dtype=int)
     surv = survival_from_hazard(hazards)
-    risks = risk_from_hazard(hazards)
     g = censoring_km(taus, deltas, n_bins=hazards.shape[1])
-    ci_at, bs_at = {}, {}
-    for q in time_quantiles:
-        t = int(np.quantile(taus, q))
-        ci_at[q] = c_index_td(risks, taus, deltas, t)
-        bs_at[q] = brier_score(surv, taus, deltas, t, g)
+    if taus.max() >= hazards.shape[1]:
+        raise MetricError(f"observed time bin {taus.max()} lies outside the {hazards.shape[1]}-bin hazard grid")
+    event_times, counts = _concordance_counts(1.0 - surv, taus, deltas)
+    horizons = {q: int(np.quantile(taus, q)) for q in time_quantiles}
+    ci_at = {q: _c_index(*counts[event_times <= t].sum(axis=0)) for q, t in horizons.items()}
     statistic, p_value = d_calibration(surv, taus, deltas)
+    ci_integrated = _integrated_index(counts)
+    t_hi = int(np.quantile(taus, IBS_TIME_QUANTILE))
+    scores = _brier_scores(surv, taus, deltas, np.arange(max([t_hi, *horizons.values()]) + 1), g)
     return MetricReport(
-        ci_integrated=c_index_integrated(risks, taus, deltas),
-        ibs=ibs(surv, taus, deltas),
+        ci_integrated=ci_integrated,
+        ibs=_integrated_brier(scores, t_hi),
         ddc=ddc(surv, taus, deltas),
         dcal_statistic=statistic,
         dcal_pvalue=p_value,
         ci_at=ci_at,
-        bs_at=bs_at,
+        bs_at={q: float(scores[t]) for q, t in horizons.items()},
     )

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import DataError
 
 ACTIVATIONS = {"relu": ad.relu, "sigmoid": ad.sigmoid}
 
@@ -165,28 +166,34 @@ class HazardModel:
 
     @classmethod
     def load(cls, path) -> "HazardModel":
-        """Rebuild a saved model; raises ShapeError when the stored layers do
-        not match the shapes its config asks for."""
-        with open(path) as fh:
-            payload = json.load(fh)
-        config = ModelConfig(**payload["config"])
-        model = init_model(config, payload["seed"])
-        for net, key in ((model.encoder, "encoder"), (model.projection, "projection"), (model.hazard_net, "hazard")):
-            stored = payload["params"][key]
-            if len(stored) != len(net.layers) or any(len(layer) != 2 for layer in stored):
-                raise ad.ShapeError(
-                    f"{path}: {key} network stores {len(stored)} layers, "
-                    f"its config needs {len(net.layers)} (weights and bias each)"
-                )
-            for i, layer in enumerate(stored):
-                for name, param, values in zip("wb", net.layers[i], layer):
-                    values = np.asarray(values, dtype=np.float64)
-                    if values.shape != param.shape:
-                        raise ad.ShapeError(
-                            f"{path}: {key} network layer {i} {name} has shape {values.shape}, "
-                            f"its config needs {param.shape}"
-                        )
-                    param.values[...] = values
+        """Rebuild a saved model; raises ShapeError when the stored layers do not
+        match the shapes its config asks for, DataError for any other fault."""
+        try:
+            with open(path) as fh:
+                payload = json.load(fh)
+            model = init_model(ModelConfig(**payload["config"]), payload["seed"])
+            for net, key in ((model.encoder, "encoder"), (model.projection, "projection"), (model.hazard_net, "hazard")):
+                stored = payload["params"][key]
+                if len(stored) != len(net.layers) or any(len(layer) != 2 for layer in stored):
+                    raise ad.ShapeError(
+                        f"{path}: {key} network stores {len(stored)} layers, "
+                        f"its config needs {len(net.layers)} (weights and bias each)"
+                    )
+                for i, layer in enumerate(stored):
+                    for name, param, values in zip("wb", net.layers[i], layer):
+                        values = np.asarray(values)
+                        if values.dtype.kind not in "iuf" or not np.isfinite(values).all():
+                            raise ValueError(f"{key} network layer {i} {name} is not all finite numbers")
+                        if values.shape != param.shape:
+                            raise ad.ShapeError(
+                                f"{path}: {key} network layer {i} {name} has shape {values.shape}, "
+                                f"its config needs {param.shape}"
+                            )
+                        param.values[...] = values
+        except ad.ShapeError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"checkpoint {path} is malformed: {type(exc).__name__}: {exc}") from exc
         return model
 
 

@@ -163,10 +163,8 @@ def aux_loss(model, x, views, tau, delta, variant: str, config: TrainConfig, alp
         return losses.ranking_loss(hazards, tau, delta, config.ranking_kappa)
     emb = model.project(model.encode(Tensor(np.vstack([x, views]))))
     if variant == "nll+nce":
-        pw = losses.uniform_pair_weights(x.shape[0])
-    else:
-        pw = losses.build_pair_weights(tau, delta, config.sigma, alpha)
-    return losses.snce_loss(emb, pw, config.nu)
+        return losses.infonce_loss(emb, config.nu)
+    return losses.snce_loss(emb, losses.build_pair_weights(tau, delta, config.sigma, alpha), config.nu)
 
 
 def _aux_step(model, batch, config: TrainConfig, optimizer, variant: str, alpha: float) -> float:

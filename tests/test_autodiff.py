@@ -113,6 +113,17 @@ def test_backward_constant_path():
     assert np.all(x.grad == 0.0)
 
 
+def test_backward_keeps_gradients_on_leaves_only():
+    w = Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
+    x = ad.constant([[2.0, 1.0]])
+    loss = ad.reduce_sum(ad.mul(ad.matmul(x, w), ad.matmul(x, w)))
+    tape = ad.backward(loss)
+    assert all(node.grad is None for node in tape if node._parents)
+    # d/dw sum((x w)^2) = 2 x^T (x w), with x w = [2.5, -1]
+    np.testing.assert_array_equal(w.grad, [[10.0, -4.0], [5.0, -2.0]])
+    assert x.grad is None
+
+
 def test_backward_fanout_accumulates():
     x = Tensor([[3.0]], requires_grad=True)
     ad.backward(ad.add(x, x))

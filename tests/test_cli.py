@@ -131,6 +131,46 @@ def test_malformed_checkpoint_exits_2(tmp_path, capsys):
     assert err.startswith("shape error:") and "encoder network stores 1 layers" in err
 
 
+def _truncate(path):
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+
+
+def _edit_checkpoint(edit):
+    def corrupt(path):
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+
+    return corrupt
+
+
+def _set_first_weight(value):
+    return _edit_checkpoint(lambda payload: payload["params"]["hazard"][0][0][0].__setitem__(0, value))
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _truncate,
+        _edit_checkpoint(lambda payload: payload.pop("params")),
+        _edit_checkpoint(lambda payload: payload["config"].__setitem__("hidden_dim", -1)),
+        _set_first_weight("0.5x"),
+        _set_first_weight(float("nan")),
+    ],
+    ids=["truncated", "no-params", "negative-hidden-dim", "string-weight", "nan-weight"],
+)
+def test_corrupt_checkpoint_exits_2_naming_it(tmp_path, capsys, corrupt):
+    spec = write_spec(tmp_path, seeds=[0])
+    assert main(["train", "--config", str(spec)]) == 0
+    path = tmp_path / "out" / "checkpoints" / "nll_snce_seed0.json"
+    corrupt(path)
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(spec)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"data error: checkpoint {path} ")
+
+
 def test_evaluate_single_seed_zero_std(tmp_path):
     spec = write_spec(tmp_path, seeds=[1])
     assert main(["train", "--config", str(spec)]) == 0
@@ -399,6 +439,35 @@ def test_dataset_spec_without_csv_blames_the_spec(tmp_path, capsys):
     spec = write_dataset_spec(tmp_path, json.dumps({"columns": GOOD_COLUMNS}), dataset_keys=("schema",))
     assert main(["train", "--config", str(spec)]) == 2
     assert capsys.readouterr().err == "config error: dataset spec needs 'csv' and 'schema': missing 'csv'\n"
+
+
+def _non_utf8_csv(tmp_path, spec):
+    (tmp_path / "data.csv").write_bytes(b"x0,time,event\n0.5,3.0,1\n\xff\xfe,5.0,0\n")
+    return tmp_path / "data.csv"
+
+
+def _dataset_path_is_a_directory(key):
+    def point(tmp_path, spec):
+        (tmp_path / "folder").mkdir()
+        raw = json.loads(spec.read_text())
+        raw["dataset"][key] = str(tmp_path / "folder")
+        spec.write_text(json.dumps(raw))
+        return tmp_path / "folder"
+
+    return point
+
+
+@pytest.mark.parametrize(
+    "break_file",
+    [_non_utf8_csv, _dataset_path_is_a_directory("csv"), _dataset_path_is_a_directory("schema")],
+    ids=["csv-not-utf8", "csv-is-a-directory", "schema-is-a-directory"],
+)
+def test_unreadable_dataset_file_exits_2_naming_it(tmp_path, capsys, break_file):
+    spec = write_dataset_spec(tmp_path, json.dumps({"columns": GOOD_COLUMNS}))
+    path = break_file(tmp_path, spec)
+    assert main(["train", "--config", str(spec)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and str(path) in err[0]
 
 
 def test_toml_spec(tmp_path):

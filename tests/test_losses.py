@@ -106,7 +106,12 @@ def test_build_pair_weights_all_events():
     taus = np.array([1, 4, 9])
     deltas = np.ones(3, dtype=int)
     pw = losses.build_pair_weights(taus, deltas, sigma=1.0)
-    allowed = losses._structural_mask(3)
+    # every pair of the 2M = 6 embeddings except each one with itself and
+    # each original with its own view (rows i and i + 3)
+    idx = np.arange(6)
+    allowed = np.ones((6, 6), dtype=bool)
+    allowed[idx, idx] = False
+    allowed[idx, (idx + 3) % 6] = False
     np.testing.assert_array_equal(pw.indicators.astype(bool), allowed)
     assert np.all(pw.weights[allowed] > 0)
 

@@ -549,6 +549,27 @@ def test_evaluate_hazards_report_fields():
     assert 0.0 <= report.dcal_pvalue <= 1.0
     assert set(report.ci_at) == {0.25, 0.5, 0.75}
 
+    # every per-horizon value equals its standalone metric bit for bit; with
+    # no event in bins 0-1 the 5% horizon has no comparable pair
+    deltas[taus <= 1] = 0
+    quantiles = (0.05, 0.25, 0.5, 0.75, 0.99)
+    report = M.evaluate_hazards(hazards, taus, deltas, time_quantiles=quantiles)
+    surv = survival_from_hazard(hazards)
+    g = M.censoring_km(taus, deltas, n_bins=n_bins)
+    assert report.ci_at[0.05] is None
+    for q in quantiles:
+        t = int(np.quantile(taus, q))
+        assert report.ci_at[q] == M.c_index_td(risk_from_hazard(hazards), taus, deltas, t)
+        assert report.bs_at[q].hex() == M.brier_score(surv, taus, deltas, t, g).hex()
+    assert report.ci_integrated.hex() == M.c_index_integrated(risk_from_hazard(hazards), taus, deltas).hex()
+    assert report.ibs.hex() == M.ibs(surv, taus, deltas).hex()
+
+
+def test_evaluate_hazards_rejects_times_past_the_hazard_grid():
+    taus = np.array([0, 2, 5, 7, 9])
+    with pytest.raises(M.MetricError, match="time bin 9 lies outside the 8-bin hazard grid"):
+        M.evaluate_hazards(np.full((5, 8), 0.1), taus, np.zeros(5, dtype=int))
+
 
 def test_report_json_keys(tmp_path):
     rng = np.random.default_rng(12)
