@@ -246,10 +246,11 @@ def print_summary(rows: list[tuple[str, dict]]) -> None:
 def evaluate_variants(raw, spec: ExperimentSpec, out: Path) -> list[tuple[str, dict]]:
     (out / "reports").mkdir(parents=True, exist_ok=True)
     summary = []
+    prepared = {seed: prepare_for_seed(raw, spec, seed) for seed in spec.seeds}
     for variant in spec.variants:
         reports = []
         for seed in spec.seeds:
-            report = score_test_split(prepare_for_seed(raw, spec, seed), load_checkpoint(out, variant, seed))
+            report = score_test_split(prepared[seed], load_checkpoint(out, variant, seed))
             report.to_json(out / "reports" / f"{run_name(variant, seed)}.json")
             reports.append(report)
         summary.append((variant, aggregate_reports(reports)))

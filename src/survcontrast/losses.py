@@ -17,6 +17,11 @@ rows ``0..M-1`` and their corrupted views in rows ``M..2M-1``; row ``i``
 pairs with row ``(i + M) % 2M``. Views inherit the survival outcome of
 their originals, so the pair weights are the M x M record block with its
 diagonal (self and own-view pairs) zeroed, tiled four times.
+
+``snce_loss`` is one tape node. With ``u = e / |e|``, anchor picks ``p`` and
+``P`` the row softmax of ``u u^T / nu + log w``, it pulls ``g`` back as
+``G = g p P`` less ``g p_i`` at (i, partner(i)), ``U = (G / nu) u + ((G / nu)^T u)``,
+``de = U / |e| + 2 e rowsum(-U e / |e|^2) * 0.5 / |e|``, in the op order of the test oracle.
 """
 
 from __future__ import annotations
@@ -82,13 +87,18 @@ def build_pair_weights(taus, deltas, sigma: float, alpha: float = 0.0) -> PairWe
     ind = comparability(deltas[:, None], deltas[None, :], taus[:, None], taus[None, :], alpha)
     np.fill_diagonal(ind, 0)  # a record against itself or its own view
     w = ind * weight(taus[:, None], taus[None, :], sigma)
-    return PairWeightMatrix(indicators=np.tile(ind, (2, 2)), weights=np.tile(w, (2, 2)))
+    return PairWeightMatrix(indicators=_tile4(ind), weights=_tile4(w))
 
 
 def uniform_pair_weights(m: int) -> PairWeightMatrix:
     """Every structurally allowed pair weighted 1 (no outcome information)."""
     allowed = 1 - np.eye(m, dtype=np.int64)
-    return PairWeightMatrix(indicators=np.tile(allowed, (2, 2)), weights=np.tile(allowed.astype(np.float64), (2, 2)))
+    return PairWeightMatrix(indicators=_tile4(allowed), weights=_tile4(allowed.astype(np.float64)))
+
+
+def _tile4(block: np.ndarray) -> np.ndarray:
+    m = block.shape[0]  # the M x M record block repeated 2 x 2, in one copy
+    return np.broadcast_to(block[None, :, None, :], (2, m, 2, m)).reshape(2 * m, 2 * m)
 
 
 def resolve_alpha_percentile(taus, deltas, percentile: float) -> float:
@@ -114,14 +124,6 @@ def resolve_alpha_percentile(taus, deltas, percentile: float) -> float:
 # likelihood
 # ---------------------------------------------------------------------------
 
-def _time_masks(taus: np.ndarray, n_bins: int):
-    t = np.arange(n_bins)
-    at = (t[None, :] == taus[:, None]).astype(np.float64)
-    before = (t[None, :] < taus[:, None]).astype(np.float64)
-    upto = (t[None, :] <= taus[:, None]).astype(np.float64)
-    return at, before, upto
-
-
 def nll_loss(hazards: Tensor, taus, deltas) -> Tensor:
     """Mean negative log-likelihood of the observed outcomes.
 
@@ -135,7 +137,10 @@ def nll_loss(hazards: Tensor, taus, deltas) -> Tensor:
         raise ValueError("empty batch")
     if np.any(taus < 0) or np.any(taus >= n_bins):
         raise ValueError("tau out of range for the hazard grid")
-    at, before, upto = _time_masks(taus, n_bins)
+    t = np.arange(n_bins)
+    at = (t[None, :] == taus[:, None]).astype(np.float64)
+    before = (t[None, :] < taus[:, None]).astype(np.float64)
+    upto = (t[None, :] <= taus[:, None]).astype(np.float64)
 
     log_h = ad.log(hazards)
     log_1mh = ad.log(ad.sub(ad.constant(np.ones((m, n_bins))), hazards))
@@ -155,13 +160,6 @@ def nll_loss(hazards: Tensor, taus, deltas) -> Tensor:
 # contrastive losses
 # ---------------------------------------------------------------------------
 
-def _cosine_similarities(embeddings: Tensor, nu: float) -> Tensor:
-    sq = ad.mul(embeddings, embeddings)
-    norms = ad.sqrt(ad.add(ad.reduce_sum(sq, axis=1), ad.constant(np.full((embeddings.rows, 1), NORM_EPS))))
-    unit = ad.div(embeddings, norms)
-    return ad.scale(ad.matmul(unit, ad.transpose(unit)), 1.0 / nu)
-
-
 def snce_loss(embeddings: Tensor, pair_weights: PairWeightMatrix, nu: float) -> Tensor:
     """Outcome-weighted contrastive loss over all 2M anchors.
 
@@ -169,7 +167,7 @@ def snce_loss(embeddings: Tensor, pair_weights: PairWeightMatrix, nu: float) -> 
     weighted mean of exp(similarity) over the anchor's nonzero-weight
     negatives, so uniformly rescaling the weights changes nothing. Anchors
     without any usable negative are skipped; if the whole batch has none,
-    the loss is zero.
+    the loss is zero. Negative or non-finite weights raise ValueError.
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
@@ -180,33 +178,42 @@ def snce_loss(embeddings: Tensor, pair_weights: PairWeightMatrix, nu: float) -> 
     if w.shape != (n, n):
         raise ValueError(f"pair weights {w.shape} do not match {n} embeddings")
 
-    sum_w = w.sum(axis=1)
+    sum_w = w.sum(axis=1, keepdims=True)
+    if not (w.min() >= 0 and np.isfinite(sum_w).all()):
+        raise ValueError("pair weights must be finite and non-negative")
     contributes = sum_w > 0
     n_contrib = int(contributes.sum())
     if n_contrib == 0:
         logger.warning("snce_loss: no comparable pairs in batch, returning zero loss")
         return ad.constant([[0.0]])
 
-    log_w = np.full_like(w, MASKED_LOG)
-    nz = w > 0
-    log_w[nz] = np.log(w[nz])
-    # log of the weighted-mean denominator needs log(sum of weights) per row
-    log_sum_w = np.zeros((n, 1))
-    log_sum_w[contributes, 0] = np.log(sum_w[contributes])
-
-    m = n // 2
+    z = np.log(w, out=np.full_like(w, MASKED_LOG), where=w > 0)
+    log_sum_w = np.log(sum_w, out=np.zeros_like(sum_w), where=contributes)  # of the weighted-mean denominator
+    picks = contributes / n_contrib
+    e = embeddings.values
+    norms = np.sqrt((e * e).sum(axis=1, keepdims=True) + NORM_EPS)
+    unit = e / norms
+    unit_t = unit.T.copy()  # unit @ unit.T and grad @ unit would take other BLAS paths and other bits
+    sims = unit @ unit_t * (1.0 / nu)
     idx = np.arange(n)
-    partner = np.zeros((n, n))
-    partner[idx, (idx + m) % n] = 1.0
+    partner = (idx + n // 2) % n
+    z += sims  # S + log w; n x n results go in place, as each fresh array costs its page faults
+    top = z.max(axis=1, keepdims=True)
+    ex = np.exp(np.subtract(z, top, out=z), out=z)
+    s = ex.sum(axis=1, keepdims=True)
+    per_anchor = (top + np.log(s) - log_sum_w) - sims[idx, partner][:, None]
 
-    sims = _cosine_similarities(embeddings, nu)
-    pos = ad.reduce_sum(ad.mul(sims, ad.constant(partner)), axis=1)
-    lse = ad.logsumexp(ad.add(sims, ad.constant(log_w)), axis=1)
-    per_anchor = ad.sub(ad.sub(lse, ad.constant(log_sum_w)), pos)
+    def pull(g):
+        gp = g * picks
+        grad = ex / s
+        grad *= gp
+        grad[idx, partner] -= gp[:, 0]
+        grad *= 1.0 / nu
+        g_unit = grad @ unit_t.T + (unit.T @ grad).T
+        g_sq = (-g_unit * e / (norms * norms)).sum(axis=1, keepdims=True) * 0.5 / norms
+        return g_unit / norms + g_sq * e + g_sq * e
 
-    picks = np.zeros((n, 1))
-    picks[contributes, 0] = 1.0 / n_contrib
-    return ad.reduce_sum(ad.mul(per_anchor, ad.constant(picks)))
+    return ad._make((per_anchor * picks).sum(keepdims=True), "snce", (embeddings,), (pull,))
 
 
 def infonce_loss(embeddings: Tensor, nu: float) -> Tensor:

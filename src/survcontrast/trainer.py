@@ -151,20 +151,26 @@ def _check_finite(value: float, step_name: str, epoch: int, batch_idx: int | Non
     return value
 
 
-def aux_loss(model, x, views, tau, delta, variant: str, config: TrainConfig, alpha: float) -> Tensor:
+def pair_weights(tau, delta, variant: str, config: TrainConfig, alpha: float) -> losses.PairWeightMatrix:
+    """Uniform (``nll+nce``) or outcome-weighted (``nll+snce``) negative weights."""
+    if variant == "nll+nce":
+        return losses.uniform_pair_weights(len(tau))
+    return losses.build_pair_weights(tau, delta, config.sigma, alpha)
+
+
+def aux_loss(model, x, views, tau, delta, variant: str, config: TrainConfig, alpha: float, weights=None) -> Tensor:
     """The auxiliary objective of ``variant`` on records ``x`` (unscaled).
 
     ``nll+rank`` scores the records' hazards; the contrastive variants embed
-    the records stacked over their corrupted ``views``, with uniform
-    (``nll+nce``) or outcome-weighted (``nll+snce``) negatives.
+    the records stacked over their corrupted ``views`` and weight the
+    negatives by ``weights``, built by :func:`pair_weights` when not given.
     """
     if variant == "nll+rank":
         hazards = model.hazard(model.encode(Tensor(x)))
         return losses.ranking_loss(hazards, tau, delta, config.ranking_kappa)
+    weights = pair_weights(tau, delta, variant, config, alpha) if weights is None else weights
     emb = model.project(model.encode(Tensor(np.vstack([x, views]))))
-    if variant == "nll+nce":
-        return losses.infonce_loss(emb, config.nu)
-    return losses.snce_loss(emb, losses.build_pair_weights(tau, delta, config.sigma, alpha), config.nu)
+    return losses.snce_loss(emb, weights, config.nu)
 
 
 def _aux_step(model, batch, config: TrainConfig, optimizer, variant: str, alpha: float) -> float:
@@ -250,6 +256,7 @@ def train(
     # signal deterministic and comparable across epochs
     val_views = corrupt(val_x, data.train_marginals, config.corruption_rate, val_rng)
     val_aux_active = variant != "nll" and val_x.shape[0] >= 2
+    val_weights = None if variant in ("nll", "nll+rank") else pair_weights(val_tau, val_delta, variant, config, alpha)
 
     log = TrainLog(variant=variant, alpha_resolved=alpha)
     best_total = np.inf
@@ -276,7 +283,7 @@ def train(
         val_aux = 0.0
         if val_aux_active:
             # keep only the float: a kept Tensor would pin the validation graph through the next epoch
-            val_aux = aux_loss(model, val_x, val_views, val_tau, val_delta, variant, config, alpha).item()
+            val_aux = aux_loss(model, val_x, val_views, val_tau, val_delta, variant, config, alpha, val_weights).item()
             _check_finite(val_aux, "validation", epoch)
         val_total = val_nll + config.beta * val_aux
         train_nll = nll_sum / max(n_batches, 1)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from survcontrast import cli
 from survcontrast.cli import main
 
 BASE_SPEC = {
@@ -99,6 +100,22 @@ def test_evaluate_reports_and_summary(tmp_path):
     cis = [json.loads(p.read_text())["ci_integrated"] for p in reports]
     assert float(row[2]) == pytest.approx(np.mean(cis), abs=1e-10)
     assert int(row[8]) <= 3
+
+
+def test_evaluate_prepares_each_seed_once(tmp_path, monkeypatch):
+    spec = write_spec(tmp_path, seeds=[0, 1], variants=["nll", "nll+snce"], train={"epochs": 1})
+    assert main(["train", "--config", str(spec)]) == 0
+    seeds = []
+    prepare_for_seed = cli.prepare_for_seed
+
+    def counting(raw, spec, seed):
+        seeds.append(seed)
+        return prepare_for_seed(raw, spec, seed)
+
+    monkeypatch.setattr(cli, "prepare_for_seed", counting)
+    assert main(["evaluate", "--config", str(spec)]) == 0
+    assert seeds == [0, 1]
+    assert len(list((tmp_path / "out" / "reports").glob("*_seed*.json"))) == 4
 
 
 def test_evaluate_missing_checkpoint_exits_2(tmp_path, capsys):

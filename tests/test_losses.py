@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survcontrast import autodiff as ad
 from survcontrast import losses
@@ -29,6 +31,39 @@ def snce_oracle(z, w, nu):
         pos = sims[i, (i + m) % n]
         terms.append(math.log(denom) - pos)
     return sum(terms) / len(terms)
+
+
+def snce_composite(embeddings, pw, nu):
+    """The contrastive loss as a graph of autodiff ops (the pre-fusion code).
+
+    ``losses.snce_loss`` is one tape node whose pullback evaluates this
+    graph's chain rule in the same order, so the two agree bit for bit.
+    """
+    w = pw.weights
+    n = embeddings.rows
+    sum_w = w.sum(axis=1)
+    contributes = sum_w > 0
+    n_contrib = int(contributes.sum())
+    if n_contrib == 0:
+        return ad.constant([[0.0]])
+    log_w = np.full_like(w, losses.MASKED_LOG)
+    log_w[w > 0] = np.log(w[w > 0])
+    log_sum_w = np.zeros((n, 1))
+    log_sum_w[contributes, 0] = np.log(sum_w[contributes])
+    idx = np.arange(n)
+    partner = np.zeros((n, n))
+    partner[idx, (idx + n // 2) % n] = 1.0
+
+    sq = ad.mul(embeddings, embeddings)
+    norms = ad.sqrt(ad.add(ad.reduce_sum(sq, axis=1), ad.constant(np.full((n, 1), losses.NORM_EPS))))
+    unit = ad.div(embeddings, norms)
+    sims = ad.scale(ad.matmul(unit, ad.transpose(unit)), 1.0 / nu)
+    pos = ad.reduce_sum(ad.mul(sims, ad.constant(partner)), axis=1)
+    lse = ad.logsumexp(ad.add(sims, ad.constant(log_w)), axis=1)
+    per_anchor = ad.sub(ad.sub(lse, ad.constant(log_sum_w)), pos)
+    picks = np.zeros((n, 1))
+    picks[contributes, 0] = 1.0 / n_contrib
+    return ad.reduce_sum(ad.mul(per_anchor, ad.constant(picks)))
 
 
 def ranking_oracle(hazards, taus, deltas, kappa):
@@ -308,6 +343,79 @@ def test_snce_all_skipped_returns_zero(caplog):
         out = losses.snce_loss(z, pw, nu=1.0)
     assert out.item() == 0.0
     assert "no comparable pairs" in caplog.text
+
+
+@pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+def test_snce_rejects_negative_or_non_finite_weights(bad):
+    rng = np.random.default_rng(13)
+    z = Tensor(rng.normal(size=(8, 3)))
+    pw = losses.build_pair_weights(np.array([1, 3, 5, 2]), np.array([1, 0, 1, 1]), sigma=0.75)
+    assert np.isfinite(losses.snce_loss(z, pw, nu=0.5).item())
+    pw.weights = pw.weights.copy()
+    pw.weights[0, 1] = bad  # an allowed pair, not the anchor's own view
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        losses.snce_loss(z, pw, nu=0.5)
+
+
+def _snce_value_and_grad(loss_fn, z, pw, nu):
+    leaf = Tensor(z, requires_grad=True)
+    loss = loss_fn(leaf, pw, nu)
+    ad.backward(loss)
+    return loss.item(), leaf.grad
+
+
+@st.composite
+def snce_batches(draw):
+    m = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1e-3, 1.0, 20.0]))
+    z = np.asarray(draw(st.lists(st.floats(-1, 1), min_size=2 * m * d, max_size=2 * m * d))).reshape(2 * m, d)
+    z = z * scale + np.eye(2 * m, d)  # no all-zero rows
+    # few distinct times, so ties are common; all-censored batches included
+    taus = np.asarray(draw(st.lists(st.integers(0, draw(st.integers(0, 6))), min_size=m, max_size=m)))
+    deltas = np.asarray(draw(st.lists(st.sampled_from([0, 0, 1]), min_size=m, max_size=m)))
+    kind = draw(st.sampled_from(["tiled", "rescaled", "hand", "all-censored"]))
+    if kind == "all-censored":
+        deltas[:] = 0  # the zero-loss path
+    pw = losses.build_pair_weights(taus, deltas, sigma=draw(st.floats(0.1, 5)), alpha=draw(st.integers(0, 3)))
+    if kind == "rescaled":
+        pw.weights = pw.weights * draw(st.floats(1e-3, 1e3))
+    elif kind == "hand":
+        # independent 2M x 2M weights, sparse so some anchors have no negative
+        raw = np.asarray(draw(st.lists(st.floats(0, 2), min_size=4 * m * m, max_size=4 * m * m)))
+        w = raw.reshape(2 * m, 2 * m) * (raw.reshape(2 * m, 2 * m) > 1.2)
+        pw = losses.PairWeightMatrix(indicators=(w > 0).astype(np.int64), weights=w)
+    return z, pw, draw(st.sampled_from([0.07, 0.5, 1.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(snce_batches())
+def test_snce_fused_matches_composite(batch):
+    z, pw, nu = batch
+    value, grad = _snce_value_and_grad(losses.snce_loss, z, pw, nu)
+    want_value, want_grad = _snce_value_and_grad(snce_composite, z, pw, nu)
+    assert abs(value - want_value) <= 1e-12 * max(1.0, abs(want_value))
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
+
+
+def test_snce_fused_bitwise_on_model_batch():
+    model, x, views, taus, deltas, pw = _toy_problem(14)
+    params = model.all_params()
+    results = []
+    for loss_fn in (losses.snce_loss, snce_composite):
+        ad.zero_grads(params)
+        loss = loss_fn(model.project(model.encode(Tensor(np.vstack([x, views])))), pw, 0.5)
+        ad.backward(ad.scale(loss, 0.7))
+        results.append([loss.values.tobytes()] + [p.grad.tobytes() for p in params])
+    assert results[0] == results[1]
+
+
+def test_snce_is_one_tape_node():
+    rng = np.random.default_rng(15)
+    leaf = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+    pw = losses.build_pair_weights(np.array([1, 3, 5, 2]), np.array([1, 0, 1, 1]), sigma=0.75)
+    assert len(ad.backward(losses.snce_loss(leaf, pw, nu=0.5))) == 2  # the leaf and the loss
+    assert len(ad.backward(snce_composite(leaf, pw, nu=0.5))) == 17
 
 
 def test_infonce_permutation_of_negatives():

@@ -148,6 +148,18 @@ def test_ranking_step_never_touches_projection():
         np.testing.assert_array_equal(p.values, before)
 
 
+def test_contrastive_step_tape_has_the_fused_loss(monkeypatch):
+    data = make_data(n=100)
+    model = make_model(data, hidden_dim=32, depth=3, embedding_dim=16)
+    opt = tr.Adam(model.encoder_params() + model.projection_params(), lr=1e-3)
+    tapes = []
+    backward = tr.ad.backward
+    monkeypatch.setattr(tr.ad, "backward", lambda root: tapes.append(backward(root)) or tapes[-1])
+    tr.contrastive_step(model, one_batch(data), quick_config(), opt, "nll+snce", alpha=0.0)
+    # 40 nodes, leaves included, while the loss was 16 autodiff ops; fused, it is one node
+    assert len(tapes) == 1 and len(tapes[0]) <= 40 - 15
+
+
 # ---------------------------------------------------------------------------
 # the auxiliary loss
 # ---------------------------------------------------------------------------
@@ -173,6 +185,19 @@ def test_aux_loss_builds_the_variants_loss(variant):
     else:
         want = losses.ranking_loss(model.hazard(model.encode(Tensor(x))), tau, delta, config.ranking_kappa)
     assert got == want.item()
+
+
+@pytest.mark.parametrize("variant,builder", [("nll+snce", "build_pair_weights"), ("nll+nce", "uniform_pair_weights")])
+def test_validation_pair_weights_built_once(monkeypatch, variant, builder):
+    data = make_data(n=200)
+    calls = []
+    original = getattr(losses, builder)
+    monkeypatch.setattr(losses, builder, lambda *a, **k: calls.append(a) or original(*a, **k))
+    config = quick_config(epochs=3)
+    _, log = tr.train(data, make_model(data), config, variant)
+    n_train = len(data.split.train)
+    n_steps = len(log.epochs) * (len(range(0, n_train, config.batch_size)) - (n_train % config.batch_size == 1))
+    assert len(calls) == n_steps + 1  # one per training step, one for validation
 
 
 def test_non_finite_validation_aux_loss_raises():
