@@ -178,13 +178,19 @@ def log(a: Tensor) -> Tensor:
     reported through the module logger instead of silently producing NaN.
     The local gradient is zero wherever the floor was active.
     """
-    x = a.values
+    out, clamped, inside = floored_log(a.values)
+    return _make(out, "log", (a,), (lambda g: g * inside / clamped,))
+
+
+def floored_log(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays behind :func:`log`: ``(log(clamped), clamped, inside)``,
+    with ``clamped = max(x, LOG_FLOOR)`` and ``inside = x > LOG_FLOOR``;
+    fused ops that take logs call it so that they floor and warn alike."""
     n_bad = int(np.count_nonzero(x <= 0.0))
     if n_bad:
         logger.warning("log() clamped %d non-positive input(s) to %.0e", n_bad, LOG_FLOOR)
     clamped = np.maximum(x, LOG_FLOOR)
-    inside = x > LOG_FLOOR
-    return _make(np.log(clamped), "log", (a,), (lambda g: g * inside / clamped,))
+    return np.log(clamped), clamped, x > LOG_FLOOR
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -199,11 +205,9 @@ def sigmoid(a: Tensor) -> Tensor:
     the gradient is zero on clamped coordinates.
     """
     x = a.values
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.minimum(x, -x))  # exp(-|x|), never overflows; -abs would flip a NaN's sign bit
+    d = 1.0 + e
+    out = np.where(x >= 0, 1.0 / d, e / d)
     inside = (out > SIGMOID_LO) & (out < SIGMOID_HI)
     out = np.clip(out, SIGMOID_LO, SIGMOID_HI)
     return _make(out, "sigmoid", (a,), (lambda g: g * inside * out * (1.0 - out),))
@@ -228,6 +232,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         "matmul",
         (a, b),
         (lambda g: g @ b.values.T, lambda g: a.values.T @ g),
+    )
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node, with the pullbacks of ``add(matmul(x, w), b)``."""
+    if x.cols != w.rows:
+        raise ShapeError(f"linear: inner dims differ, {x.shape} @ {w.shape}")
+    if b.shape != (1, w.cols):
+        raise ShapeError(f"linear: bias {b.shape} does not match {w.shape}")
+    return _make(
+        x.values @ w.values + b.values,
+        "linear",
+        (x, w, b),
+        (lambda g: g @ w.values.T, lambda g: x.values.T @ g, lambda g: g.sum(axis=0, keepdims=True)),
     )
 
 

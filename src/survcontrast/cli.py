@@ -185,8 +185,8 @@ def checkpoint_path(out: Path, variant: str, seed: int) -> Path:
 # commands
 # ---------------------------------------------------------------------------
 
-def run_one(raw, spec: ExperimentSpec, variant: str, seed: int, out: Path, **train_overrides):
-    data = prepare_for_seed(raw, spec, seed)
+def run_one(data: PreparedData, spec: ExperimentSpec, variant: str, seed: int, out: Path, **train_overrides):
+    """Train one (variant, seed) run on ``data``, prepared for ``seed``, and write its files."""
     model = init_model(spec.model_config(data.n_features, data.n_time_bins), seed)
     config = spec.train_config(seed, **train_overrides)
     model, log = train(data, model, config, variant)
@@ -194,16 +194,17 @@ def run_one(raw, spec: ExperimentSpec, variant: str, seed: int, out: Path, **tra
     (out / "logs").mkdir(parents=True, exist_ok=True)
     model.save(checkpoint_path(out, variant, seed))
     log.to_csv(out / "logs" / f"{run_name(variant, seed)}.csv")
-    return data, model, log
+    return model, log
 
 
 def cmd_train(args) -> int:
     spec = load_spec(args.config, spec_overrides(args))
     out = resolve_out(spec.out, args.out)
     raw = load_raw(spec)
+    prepared = {seed: prepare_for_seed(raw, spec, seed) for seed in spec.seeds}
     for variant in spec.variants:
         for seed in spec.seeds:
-            run_one(raw, spec, variant, seed, out)
+            run_one(prepared[seed], spec, variant, seed, out)
             print(f"trained {run_name(variant, seed)}")
     return 0
 
@@ -327,6 +328,7 @@ def cmd_sweep(args) -> int:
     variant = spec.variants[0]
     percentile_mode = spec.train.get("alpha_percentile") is not None
 
+    prepared = {seed: prepare_for_seed(raw, spec, seed) for seed in spec.seeds}
     rows = []
     for value in values:
         if args.param == "beta":
@@ -338,8 +340,8 @@ def cmd_sweep(args) -> int:
         sub = out / f"{args.param}_{format(value, 'g')}"
         reports = []
         for seed in spec.seeds:
-            data, model, _ = run_one(raw, spec, variant, seed, sub, **overrides)
-            reports.append(score_test_split(data, model))
+            model, _ = run_one(prepared[seed], spec, variant, seed, sub, **overrides)
+            reports.append(score_test_split(prepared[seed], model))
         rows.append((f"{args.param}={format(value, 'g')}", aggregate_reports(reports)))
     write_summary(out / "sweep.csv", rows)
     print_summary(rows)

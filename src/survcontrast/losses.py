@@ -18,6 +18,12 @@ pairs with row ``(i + M) % 2M``. Views inherit the survival outcome of
 their originals, so the pair weights are the M x M record block with its
 diagonal (self and own-view pairs) zeroed, tiled four times.
 
+``nll_loss`` is one tape node. With ``g_pmf = -g delta / M`` and
+``g_1mh = g_pmf [t < tau] + (-g (1 - delta) / M) [t <= tau]``, it pulls ``g``
+back to the hazards as ``g_pmf [t = tau] in_h / clamp_h - g_1mh in_1mh / clamp_1mh``,
+where ``clamp`` is the floored log argument and ``in`` marks where the floor
+was not active.
+
 ``snce_loss`` is one tape node. With ``u = e / |e|``, anchor picks ``p`` and
 ``P`` the row softmax of ``u u^T / nu + log w``, it pulls ``g`` back as
 ``G = g p P`` less ``g p_i`` at (i, partner(i)), ``U = (G / nu) u + ((G / nu)^T u)``,
@@ -125,10 +131,12 @@ def resolve_alpha_percentile(taus, deltas, percentile: float) -> float:
 # ---------------------------------------------------------------------------
 
 def nll_loss(hazards: Tensor, taus, deltas) -> Tensor:
-    """Mean negative log-likelihood of the observed outcomes.
+    """Mean negative log-likelihood of the observed outcomes, as one tape node.
 
     ``hazards`` is an (M, t_max+1) tensor of per-bin hazards in (0, 1);
-    the sigmoid clamp upstream keeps every log finite.
+    the sigmoid clamp upstream keeps every log finite. The logs are floored
+    as :func:`autodiff.log` floors them, and the pullback is zero wherever a
+    floor was active (formula in the module docstring).
     """
     taus = np.asarray(taus, dtype=int)
     deltas = np.asarray(deltas, dtype=np.float64).reshape(-1, 1)
@@ -142,18 +150,21 @@ def nll_loss(hazards: Tensor, taus, deltas) -> Tensor:
     before = (t[None, :] < taus[:, None]).astype(np.float64)
     upto = (t[None, :] <= taus[:, None]).astype(np.float64)
 
-    log_h = ad.log(hazards)
-    log_1mh = ad.log(ad.sub(ad.constant(np.ones((m, n_bins))), hazards))
-    log_pmf = ad.add(
-        ad.reduce_sum(ad.mul(log_h, ad.constant(at)), axis=1),
-        ad.reduce_sum(ad.mul(log_1mh, ad.constant(before)), axis=1),
-    )
-    log_surv = ad.reduce_sum(ad.mul(log_1mh, ad.constant(upto)), axis=1)
-    per_sample = ad.add(
-        ad.mul(ad.constant(deltas), log_pmf),
-        ad.mul(ad.constant(1.0 - deltas), log_surv),
-    )
-    return ad.scale(ad.reduce_mean(per_sample), -1.0)
+    h = hazards.values
+    log_h, clamp_h, in_h = ad.floored_log(h)
+    log_1mh, clamp_1mh, in_1mh = ad.floored_log(1.0 - h)
+    log_pmf = (log_h * at).sum(axis=1, keepdims=True) + (log_1mh * before).sum(axis=1, keepdims=True)
+    log_surv = (log_1mh * upto).sum(axis=1, keepdims=True)
+    per_sample = deltas * log_pmf + (1.0 - deltas) * log_surv
+    inv_m = 1.0 / m
+
+    def pull(g):
+        g_mean = g * -1.0 * inv_m
+        g_pmf = g_mean * deltas
+        g_1mh = g_pmf * before + g_mean * (1.0 - deltas) * upto
+        return g_pmf * at * in_h / clamp_h + g_1mh * in_1mh / clamp_1mh * -1.0
+
+    return ad._make(per_sample.sum(keepdims=True) * inv_m * -1.0, "nll", (hazards,), (pull,))
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ class Mlp:
         h = x
         last = len(self.layers) - 1
         for i, (w, b) in enumerate(self.layers):
-            h = ad.add(ad.matmul(h, w), b)
+            h = ad.linear(h, w, b)
             if i != last:
                 h = act(h)
         return h
@@ -100,7 +100,14 @@ class Mlp:
 
 
 class HazardModel:
-    """Encoder + projection head + hazard network with shared latent space."""
+    """Encoder + projection head + hazard network with shared latent space.
+
+    All parameters live in one flat buffer, laid out ``projection | encoder |
+    hazard``, and every leaf's ``values`` and ``grad`` are views into it and
+    into its gradient twin. So the encoder with either head is one
+    contiguous slice (:meth:`trainable`), which an optimizer updates in one
+    vectorized step.
+    """
 
     def __init__(self, config: ModelConfig, encoder: Mlp, projection: Mlp, hazard_net: Mlp, seed: int):
         self.config = config
@@ -108,6 +115,17 @@ class HazardModel:
         self.projection = projection
         self.hazard_net = hazard_net
         self.seed = seed
+        leaves = self.projection_params() + self.encoder_params() + self.hazard_params()
+        self.params = Tensor(np.concatenate([p.values.reshape(-1) for p in leaves])[None, :], requires_grad=True)
+        start = 0
+        for p in leaves:
+            stop = start + p.values.size
+            p.values = self.params.values[0, start:stop].reshape(p.shape)
+            p.grad = self.params.grad[0, start:stop].reshape(p.shape)
+            start = stop
+        n_projection = sum(p.values.size for p in self.projection_params())
+        n_hazard = sum(p.values.size for p in self.hazard_params())
+        self._heads = {"projection": slice(0, stop - n_hazard), "hazard": slice(n_projection, stop)}
 
     def encode(self, x: Tensor) -> Tensor:
         if x.cols != self.config.input_dim:
@@ -142,12 +160,19 @@ class HazardModel:
     def all_params(self) -> list[Tensor]:
         return self.encoder_params() + self.projection_params() + self.hazard_params()
 
-    def snapshot(self) -> list[np.ndarray]:
-        return [p.values.copy() for p in self.all_params()]
+    def trainable(self, head: str) -> Tensor:
+        """The encoder and ``head`` ("projection" or "hazard") as one tensor
+        whose ``values`` and ``grad`` are a contiguous slice of the buffer."""
+        cols = self._heads[head]
+        part = Tensor(self.params.values[:, cols], requires_grad=True)
+        part.grad = self.params.grad[:, cols]
+        return part
 
-    def restore(self, snapshot: list[np.ndarray]) -> None:
-        for p, v in zip(self.all_params(), snapshot):
-            p.values[...] = v
+    def snapshot(self) -> np.ndarray:
+        return self.params.values.copy()
+
+    def restore(self, snapshot: np.ndarray) -> None:
+        self.params.values[...] = snapshot
 
     # -- persistence -------------------------------------------------------
 

@@ -101,43 +101,45 @@ class TrainLog:
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Standard first/second-moment optimizer with bias correction."""
+    """Standard first/second-moment optimizer with bias correction.
 
-    def __init__(self, params: list[Tensor], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = params
+    ``param`` is one tensor, in training the :meth:`HazardModel.trainable`
+    slice of a model's flat buffer, so a step is one vectorized update.
+    """
+
+    def __init__(self, param: Tensor, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.param = param
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = [np.zeros_like(p.values) for p in params]
-        self.v = [np.zeros_like(p.values) for p in params]
+        self.m = np.zeros_like(param.values)
+        self.v = np.zeros_like(param.values)
         self.t = 0
 
     def step(self) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.values -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        g, m, v = self.param.grad, self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        self.param.values -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
 class Sgd:
-    def __init__(self, params: list[Tensor], lr: float):
-        self.params = params
+    def __init__(self, param: Tensor, lr: float):
+        self.param = param
         self.lr = lr
 
     def step(self) -> None:
-        for p in self.params:
-            p.values -= self.lr * p.grad
+        self.param.values -= self.lr * self.param.grad
 
 
-def make_optimizer(kind: str, params: list[Tensor], lr: float):
-    return Adam(params, lr) if kind == "adam" else Sgd(params, lr)
+def make_optimizer(kind: str, param: Tensor, lr: float):
+    return Adam(param, lr) if kind == "adam" else Sgd(param, lr)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +179,7 @@ def _aux_step(model, batch, config: TrainConfig, optimizer, variant: str, alpha:
     # the optimized objective carries the balance factor; the returned value
     # is the unscaled loss for logging
     raw = aux_loss(model, batch.x, batch.x_view, batch.tau, batch.delta, variant, config, alpha)
-    ad.zero_grads(model.all_params())
+    ad.zero_grads([model.params])
     ad.backward(ad.scale(raw, config.beta))
     optimizer.step()
     return raw.item()
@@ -200,7 +202,7 @@ def likelihood_step(model, batch, optimizer) -> float:
     """Likelihood step on encoder + hazard network; projection untouched."""
     hazards = model.hazard(model.encode(Tensor(batch.x)))
     loss = losses.nll_loss(hazards, batch.tau, batch.delta)
-    ad.zero_grads(model.all_params())
+    ad.zero_grads([model.params])
     ad.backward(loss)
     optimizer.step()
     return loss.item()
@@ -242,14 +244,11 @@ def train(
         logger.info("alpha percentile %.1f resolved to %.3f bins", config.alpha_percentile, alpha)
 
     aux_active = config.beta > 0 and variant != "nll"
-    opt_like = make_optimizer(config.optimizer, model.encoder_params() + model.hazard_params(), config.lr_nll)
+    opt_like = make_optimizer(config.optimizer, model.trainable("hazard"), config.lr_nll)
     opt_aux = None
     if aux_active:
-        if variant == "nll+rank":
-            aux_params = model.encoder_params() + model.hazard_params()
-        else:
-            aux_params = model.encoder_params() + model.projection_params()
-        opt_aux = make_optimizer(config.optimizer, aux_params, config.lr_contrastive)
+        aux_head = "hazard" if variant == "nll+rank" else "projection"
+        opt_aux = make_optimizer(config.optimizer, model.trainable(aux_head), config.lr_contrastive)
 
     val_x, val_tau, val_delta = data.subset(val_idx)
     # one fixed corruption of the validation set keeps the early-stopping

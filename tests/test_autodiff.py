@@ -3,8 +3,33 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
 from survcontrast import autodiff as ad
 from survcontrast.autodiff import Tensor
+
+
+# ---------------------------------------------------------------------------
+# pre-fusion forms of the fused ops, kept as oracles
+# ---------------------------------------------------------------------------
+
+def linear_composite(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
+
+
+def sigmoid_masked(a):
+    """The sigmoid with boolean masks for the two signs (the pre-fusion code)."""
+    x = a.values
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    inside = (out > ad.SIGMOID_LO) & (out < ad.SIGMOID_HI)
+    out = np.clip(out, ad.SIGMOID_LO, ad.SIGMOID_HI)
+    return ad._make(out, "sigmoid", (a,), (lambda g: g * inside * out * (1.0 - out),))
 
 
 def test_matmul_identity():
@@ -43,6 +68,50 @@ def test_matmul_backward():
 
 def test_sigmoid_at_zero():
     assert ad.sigmoid(Tensor([[0.0]])).item() == 0.5
+
+
+SIGMOID_EDGES = [np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 40.0, -40.0, 5e-324, -5e-324, 800.0, -800.0, 15.9, -16.2]
+
+
+@pytest.mark.parametrize("shape", [(1, len(SIGMOID_EDGES)), (64, 30), (512, 30)])
+def test_sigmoid_bitwise_equals_masked_form(shape):
+    rng = np.random.default_rng(shape[0])
+    x = np.array([SIGMOID_EDGES]) if shape[0] == 1 else rng.standard_cauchy(size=shape) * 5.0
+    g = rng.normal(size=shape)
+    with np.errstate(invalid="ignore"):
+        got, want = ad.sigmoid(Tensor(x, requires_grad=True)), sigmoid_masked(Tensor(x, requires_grad=True))
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got._pulls[0](g).tobytes() == want._pulls[0](g).tobytes()
+
+
+@st.composite
+def linear_operands(draw):
+    m, k, n = (draw(st.integers(1, 6)) for _ in range(3))
+    values = st.floats(-1e3, 1e3)
+    return tuple(draw(arrays(np.float64, shape, elements=values)) for shape in ((m, k), (k, n), (1, n), (m, n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_operands())
+def test_linear_matches_composite(operands):
+    *inputs, coeffs = operands
+    results = []
+    for op in (ad.linear, linear_composite):
+        leaves = [Tensor(v, requires_grad=True) for v in inputs]
+        out = op(*leaves)
+        ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(coeffs))))
+        results.append([out.values] + [leaf.grad for leaf in leaves])
+    for got, want in zip(*results):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_linear_is_one_node_and_checks_shapes():
+    x, w, b = (Tensor(np.ones(shape), requires_grad=True) for shape in ((2, 3), (3, 4), (1, 4)))
+    assert len(ad.backward(ad.reduce_sum(ad.linear(x, w, b)))) == 5  # three leaves, linear, sum
+    with pytest.raises(ad.ShapeError):
+        ad.linear(x, Tensor(np.ones((2, 4))), b)
+    with pytest.raises(ad.ShapeError):
+        ad.linear(x, w, Tensor(np.ones((2, 4))))
 
 
 def test_log_exp_inverse_pair():

@@ -118,6 +118,21 @@ def test_evaluate_prepares_each_seed_once(tmp_path, monkeypatch):
     assert len(list((tmp_path / "out" / "reports").glob("*_seed*.json"))) == 4
 
 
+def test_train_prepares_each_seed_once(tmp_path, monkeypatch):
+    spec = write_spec(tmp_path, seeds=[0, 1], variants=["nll", "nll+snce"], train={"epochs": 1})
+    seeds = []
+    prepare_for_seed = cli.prepare_for_seed
+
+    def counting(raw, spec, seed):
+        seeds.append(seed)
+        return prepare_for_seed(raw, spec, seed)
+
+    monkeypatch.setattr(cli, "prepare_for_seed", counting)
+    assert main(["train", "--config", str(spec)]) == 0
+    assert seeds == [0, 1]
+    assert len(list((tmp_path / "out" / "checkpoints").glob("*_seed*.json"))) == 4
+
+
 def test_evaluate_missing_checkpoint_exits_2(tmp_path, capsys):
     spec = write_spec(tmp_path)
     assert main(["evaluate", "--config", str(spec)]) == 2

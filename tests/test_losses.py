@@ -9,6 +9,7 @@ from survcontrast import autodiff as ad
 from survcontrast import losses
 from survcontrast.autodiff import Tensor
 from survcontrast.model import ModelConfig, init_model
+from test_autodiff import linear_composite, sigmoid_masked
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +65,34 @@ def snce_composite(embeddings, pw, nu):
     picks = np.zeros((n, 1))
     picks[contributes, 0] = 1.0 / n_contrib
     return ad.reduce_sum(ad.mul(per_anchor, ad.constant(picks)))
+
+
+def nll_composite(hazards, taus, deltas):
+    """The likelihood as a graph of autodiff ops (the pre-fusion code).
+
+    ``losses.nll_loss`` is one tape node whose pullback evaluates this
+    graph's chain rule in the same order, so the two agree bit for bit.
+    """
+    taus = np.asarray(taus, dtype=int)
+    deltas = np.asarray(deltas, dtype=np.float64).reshape(-1, 1)
+    m, n_bins = hazards.shape
+    t = np.arange(n_bins)
+    at = (t[None, :] == taus[:, None]).astype(np.float64)
+    before = (t[None, :] < taus[:, None]).astype(np.float64)
+    upto = (t[None, :] <= taus[:, None]).astype(np.float64)
+
+    log_h = ad.log(hazards)
+    log_1mh = ad.log(ad.sub(ad.constant(np.ones((m, n_bins))), hazards))
+    log_pmf = ad.add(
+        ad.reduce_sum(ad.mul(log_h, ad.constant(at)), axis=1),
+        ad.reduce_sum(ad.mul(log_1mh, ad.constant(before)), axis=1),
+    )
+    log_surv = ad.reduce_sum(ad.mul(log_1mh, ad.constant(upto)), axis=1)
+    per_sample = ad.add(
+        ad.mul(ad.constant(deltas), log_pmf),
+        ad.mul(ad.constant(1.0 - deltas), log_surv),
+    )
+    return ad.scale(ad.reduce_mean(per_sample), -1.0)
 
 
 def ranking_oracle(hazards, taus, deltas, kappa):
@@ -230,6 +259,56 @@ def test_nll_mean_of_contributions():
     lam = np.full((2, 4), 0.5)
     out = losses.nll_loss(hazards_tensor(lam), taus=[0, 1], deltas=[1, 0])
     assert out.item() == pytest.approx((math.log(2.0) + math.log(4.0)) / 2, rel=1e-12)
+
+
+@st.composite
+def nll_batches(draw):
+    m = draw(st.integers(1, 10))
+    n_bins = draw(st.integers(1, 8))
+    taus = np.asarray(draw(st.lists(st.integers(0, n_bins - 1), min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        taus[0] = n_bins - 1  # an outcome in the last bin
+    deltas = np.asarray(draw(st.lists(st.sampled_from([0, 1]), min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        deltas[:] = 0  # all censored
+    if draw(st.booleans()):
+        # logits through the sigmoid; +-40 and beyond hit its clamp
+        extremes = st.sampled_from([40.0, -40.0, 1e4, -1e4, 0.0, -0.0])
+        values = draw(st.lists(st.floats(-50, 50) | extremes, min_size=m * n_bins, max_size=m * n_bins))
+        return "logits", np.asarray(values).reshape(m, n_bins), taus, deltas
+    # hazards as the leaf, with 0 and 1 where the log floor is active
+    values = draw(st.lists(st.floats(0, 1) | st.sampled_from([0.0, 1.0, 1e-13]), min_size=m * n_bins, max_size=m * n_bins))
+    return "hazards", np.asarray(values).reshape(m, n_bins), taus, deltas
+
+
+def _nll_value_and_grad(loss_fn, kind, values, taus, deltas):
+    leaf = Tensor(values, requires_grad=True)
+    loss = loss_fn(ad.sigmoid(leaf) if kind == "logits" else leaf, taus, deltas)
+    ad.backward(loss)
+    return loss.item(), leaf.grad
+
+
+@settings(max_examples=300, deadline=None)
+@given(nll_batches())
+def test_nll_fused_matches_composite(batch):
+    value, grad = _nll_value_and_grad(losses.nll_loss, *batch)
+    want_value, want_grad = _nll_value_and_grad(nll_composite, *batch)
+    assert abs(value - want_value) <= 1e-12 * max(1.0, abs(want_value))
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
+
+
+def test_nll_gradient_is_zero_where_the_floor_is_active():
+    # an event whose hazard at its bin is 0, a censored sample with hazard 1 before its bin
+    leaf = Tensor([[0.5, 0.5, 0.0], [0.5, 1.0, 0.5]], requires_grad=True)
+    ad.backward(losses.nll_loss(leaf, taus=[2, 2], deltas=[1, 0]))
+    floored = np.array([[False, False, True], [False, True, False]])
+    assert np.all(leaf.grad[floored] == 0.0) and np.all(leaf.grad[~floored] != 0.0)
+
+
+def test_nll_is_one_tape_node():
+    leaf = Tensor(np.full((3, 4), 0.3), requires_grad=True)
+    assert len(ad.backward(losses.nll_loss(leaf, [0, 2, 3], [1, 0, 1]))) == 2  # the leaf and the loss
+    assert len(ad.backward(nll_composite(leaf, [0, 2, 3], [1, 0, 1]))) == 17
 
 
 def test_nll_descends_under_gradient_step():
@@ -467,9 +546,9 @@ def test_ranking_no_pairs_zero(caplog):
 # total loss and gradients
 # ---------------------------------------------------------------------------
 
-def _toy_problem(seed):
+def _toy_problem(seed, activation="relu"):
     rng = np.random.default_rng(seed)
-    config = ModelConfig(input_dim=5, n_time_bins=7, hidden_dim=6, depth=2, embedding_dim=4)
+    config = ModelConfig(input_dim=5, n_time_bins=7, hidden_dim=6, depth=2, embedding_dim=4, activation=activation)
     model = init_model(config, seed=seed)
     m = 4
     x = rng.uniform(size=(m, 5))
@@ -478,6 +557,38 @@ def _toy_problem(seed):
     deltas = np.array([1, 0, 1, 1])
     pw = losses.build_pair_weights(taus, deltas, sigma=0.75, alpha=0.0)
     return model, x, views, taus, deltas, pw
+
+
+def composite_mlp(net, x, composite_linear, composite_sigmoid):
+    """``net``'s forward pass with its layers (and sigmoid activations)
+    optionally built from the pre-fusion ops."""
+    act = {"relu": ad.relu, "sigmoid": sigmoid_masked if composite_sigmoid else ad.sigmoid}[net.config.activation]
+    h = x
+    for i, (w, b) in enumerate(net.layers):
+        h = linear_composite(h, w, b) if composite_linear else ad.linear(h, w, b)
+        if i != len(net.layers) - 1:
+            h = act(h)
+    return h
+
+
+@pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+@pytest.mark.parametrize("composite", [("linear",), ("sigmoid",), ("nll",), ("linear", "sigmoid", "nll")])
+def test_fused_likelihood_bitwise_on_model_batch(composite, activation):
+    model, x, _, taus, deltas, _ = _toy_problem(16, activation=activation)
+    params = model.all_params()
+    results = []
+    for parts in ((), composite):
+        ad.zero_grads(params)
+        if parts:
+            h = composite_mlp(model.encoder, Tensor(x), "linear" in parts, "sigmoid" in parts)
+            logits = composite_mlp(model.hazard_net, h, "linear" in parts, "sigmoid" in parts)
+            hazards = (sigmoid_masked if "sigmoid" in parts else ad.sigmoid)(logits)
+        else:
+            hazards = model.hazard(model.encode(Tensor(x)))
+        loss = (nll_composite if "nll" in parts else losses.nll_loss)(hazards, taus, deltas)
+        ad.backward(loss)
+        results.append([loss.values.tobytes(), hazards.values.tobytes()] + [p.grad.tobytes() for p in params])
+    assert results[0] == results[1]
 
 
 def test_total_gradient_is_linear_combination():

@@ -1,7 +1,11 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +116,19 @@ def test_km_matches_brute_force_all_censoring_patterns():
             deltas = np.array(pattern)
             got = M.kaplan_meier(taus, deltas, n_bins=3).values
             np.testing.assert_allclose(got, km_oracle(taus, deltas, 3), atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8).flatmap(lambda n_bins: st.tuples(
+    st.just(n_bins),
+    st.lists(st.tuples(st.integers(0, n_bins - 1), st.integers(0, 1)), min_size=1, max_size=30),
+)))
+def test_km_non_increasing_and_equals_product_limit_loop(instance):
+    n_bins, records = instance
+    taus, deltas = (np.array(column) for column in zip(*records))
+    got = M.kaplan_meier(taus, deltas, n_bins=n_bins).values
+    assert np.all(np.diff(got) <= 0.0) and got[0] <= 1.0
+    np.testing.assert_allclose(got, km_oracle(taus, deltas, n_bins), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +440,18 @@ def test_dcal_single_bin_statistic():
 
 def test_dcal_chi2_spot_value():
     assert stats.chi2.sf(16.92, 9) == pytest.approx(0.05, abs=1e-3)
+    rng = np.random.default_rng(3)
+    for values in (np.full(40, 0.55), rng.uniform(size=200), rng.beta(2.0, 5.0, size=500)):
+        statistic, p = M.d_calibration(*curves_with_event_survival(values))
+        assert p == stats.chi2.sf(statistic, M.N_CAL_BINS - 1)
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    code = "import sys, survcontrast, survcontrast.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(M.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_dcal_needs_ten_events():

@@ -2,10 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from survcontrast import autodiff as ad
 from survcontrast.autodiff import Tensor
 from survcontrast.model import (
+    Mlp,
     ModelConfig,
     HazardModel,
     init_model,
@@ -135,6 +139,16 @@ def test_pmf_survival_normalization_identity():
     np.testing.assert_allclose(total, 1.0, atol=1e-10)
 
 
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 60)),
+              elements=st.floats(-60, 60) | st.sampled_from([40.0, -40.0, 0.0, -0.0])))
+def test_pmf_survival_normalization_on_sigmoid_hazards(logits):
+    # the logits +-40 and beyond land on the sigmoid's clamp extremes
+    lam = ad.sigmoid(Tensor(logits)).values
+    total = pmf_from_hazard(lam).sum(axis=1) + survival_from_hazard(lam)[:, -1]
+    assert np.abs(total - 1.0).max() <= 1e-12
+
+
 def test_risk_survival_complement_exact():
     lam = np.random.default_rng(11).uniform(size=(10, 8))
     np.testing.assert_array_equal(risk_from_hazard(lam) + survival_from_hazard(lam), np.ones((10, 8)))
@@ -155,6 +169,41 @@ def test_init_he_scaling():
         if w.values.size >= 256:
             expected = np.sqrt(2.0 / w.rows)
             assert abs(w.values.std() - expected) / expected < 0.10
+
+
+def test_parameters_are_views_of_one_flat_buffer():
+    model = init_model(small_config(), seed=12)
+    flat, grads = model.params.values[0], model.params.grad[0]
+    start = 0
+    for p in model.projection_params() + model.encoder_params() + model.hazard_params():
+        stop = start + p.values.size
+        assert np.shares_memory(p.values, flat[start:stop]) and np.shares_memory(p.grad, grads[start:stop])
+        start = stop
+    assert start == flat.size
+    # each optimizer's networks are one contiguous slice: projection | encoder | hazard
+    n_proj = sum(p.values.size for p in model.projection_params())
+    n_haz = sum(p.values.size for p in model.hazard_params())
+    for head, cols in (("projection", slice(0, flat.size - n_haz)), ("hazard", slice(n_proj, flat.size))):
+        part = model.trainable(head)
+        assert np.shares_memory(part.values, flat[cols]) and part.values.size == flat[cols].size
+        assert np.shares_memory(part.grad, grads[cols]) and part.grad.size == grads[cols].size
+    # the buffer keeps Mlp.init's draws from the three spawned streams
+    streams = (np.random.default_rng(s) for s in np.random.SeedSequence(12).spawn(3))
+    config = small_config()
+    for net, want in zip((model.encoder, model.projection, model.hazard_net),
+                         (Mlp.init(c, r) for c, r in zip((config.encoder(), config.projection(), config.hazard_net()), streams))):
+        for p, q in zip(net.parameters(), want.parameters()):
+            np.testing.assert_array_equal(p.values, q.values)
+
+
+def test_snapshot_restore_roundtrip():
+    model = init_model(small_config(), seed=15)
+    saved = model.snapshot()
+    model.encoder.layers[0][0].values += 1.0
+    assert not np.array_equal(model.snapshot(), saved)
+    model.restore(saved)
+    np.testing.assert_array_equal(model.snapshot(), saved)
+    np.testing.assert_array_equal(model.snapshot(), init_model(small_config(), seed=15).snapshot())
 
 
 def test_depth_equals_weight_matrix_count():

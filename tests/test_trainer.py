@@ -34,7 +34,7 @@ def quick_config(**kw):
 
 def test_adam_zero_gradient_leaves_params():
     p = Tensor([[1.0, -2.0]], requires_grad=True)
-    opt = tr.Adam([p], lr=0.1)
+    opt = tr.Adam(p, lr=0.1)
     p.grad[...] = 0.0
     before = p.values.copy()
     opt.step()
@@ -43,7 +43,7 @@ def test_adam_zero_gradient_leaves_params():
 
 def test_adam_constant_gradient_limit_is_signed_lr():
     p = Tensor([[0.0, 0.0]], requires_grad=True)
-    opt = tr.Adam([p], lr=0.01)
+    opt = tr.Adam(p, lr=0.01)
     g = np.array([[3.0, -0.002]])
     for _ in range(400):
         p.grad[...] = g
@@ -57,7 +57,7 @@ def test_adam_first_step_magnitude_is_lr():
     # first step is lr * g / (|g| + eps), within eps/|g| of lr itself
     for scale in (1e-4, 1.0, 1e6):
         p = Tensor([[0.0]], requires_grad=True)
-        opt = tr.Adam([p], lr=0.05)
+        opt = tr.Adam(p, lr=0.05)
         p.grad[...] = scale
         opt.step()
         assert abs(abs(p.values[0, 0]) - 0.05) < 0.05 * 2e-4
@@ -65,7 +65,7 @@ def test_adam_first_step_magnitude_is_lr():
 
 def test_sgd_step():
     p = Tensor([[1.0]], requires_grad=True)
-    opt = tr.Sgd([p], lr=0.1)
+    opt = tr.Sgd(p, lr=0.1)
     p.grad[...] = 2.0
     opt.step()
     assert p.values[0, 0] == pytest.approx(0.8)
@@ -117,7 +117,7 @@ def test_contrastive_step_never_touches_hazard_net():
     data = make_data(n=100)
     model = make_model(data)
     config = quick_config()
-    opt = tr.Adam(model.encoder_params() + model.projection_params(), lr=1e-3)
+    opt = tr.Adam(model.trainable("projection"), lr=1e-3)
     hazard_before = [p.values.copy() for p in model.hazard_params()]
     proj_before = [p.values.copy() for p in model.projection_params()]
     tr.contrastive_step(model, one_batch(data), config, opt, "nll+snce", alpha=0.0)
@@ -129,7 +129,7 @@ def test_contrastive_step_never_touches_hazard_net():
 def test_likelihood_step_never_touches_projection():
     data = make_data(n=100)
     model = make_model(data)
-    opt = tr.Adam(model.encoder_params() + model.hazard_params(), lr=1e-3)
+    opt = tr.Adam(model.trainable("hazard"), lr=1e-3)
     proj_before = [p.values.copy() for p in model.projection_params()]
     hazard_before = [p.values.copy() for p in model.hazard_params()]
     tr.likelihood_step(model, one_batch(data), opt)
@@ -141,7 +141,7 @@ def test_likelihood_step_never_touches_projection():
 def test_ranking_step_never_touches_projection():
     data = make_data(n=100)
     model = make_model(data)
-    opt = tr.Adam(model.encoder_params() + model.hazard_params(), lr=1e-3)
+    opt = tr.Adam(model.trainable("hazard"), lr=1e-3)
     proj_before = [p.values.copy() for p in model.projection_params()]
     tr.ranking_step(model, one_batch(data), quick_config(), opt)
     for p, before in zip(model.projection_params(), proj_before):
@@ -151,13 +151,49 @@ def test_ranking_step_never_touches_projection():
 def test_contrastive_step_tape_has_the_fused_loss(monkeypatch):
     data = make_data(n=100)
     model = make_model(data, hidden_dim=32, depth=3, embedding_dim=16)
-    opt = tr.Adam(model.encoder_params() + model.projection_params(), lr=1e-3)
+    opt = tr.Adam(model.trainable("projection"), lr=1e-3)
     tapes = []
     backward = tr.ad.backward
     monkeypatch.setattr(tr.ad, "backward", lambda root: tapes.append(backward(root)) or tapes[-1])
     tr.contrastive_step(model, one_batch(data), quick_config(), opt, "nll+snce", alpha=0.0)
-    # 40 nodes, leaves included, while the loss was 16 autodiff ops; fused, it is one node
-    assert len(tapes) == 1 and len(tapes[0]) <= 40 - 15
+    # leaves included: 40 nodes with the loss as 16 autodiff ops and each layer
+    # as matmul + add; 20 with the loss and each layer one node
+    assert len(tapes) == 1 and len(tapes[0]) == 20
+
+
+def test_likelihood_step_tape_has_the_fused_ops(monkeypatch):
+    data = make_data(n=100)
+    model = make_model(data, hidden_dim=32, depth=3, embedding_dim=16)
+    opt = tr.Adam(model.trainable("hazard"), lr=1e-3)
+    tapes = []
+    backward = tr.ad.backward
+    monkeypatch.setattr(tr.ad, "backward", lambda root: tapes.append(backward(root)) or tapes[-1])
+    tr.likelihood_step(model, one_batch(data), opt)
+    # 45 nodes with the loss as 16 autodiff ops and each layer as matmul + add:
+    # 12 leaves, 6 layers, 4 relus, the sigmoid and the loss
+    assert len(tapes) == 1 and len(tapes[0]) == 24
+
+
+def test_flat_slice_step_equals_per_tensor_adam():
+    # the pre-flattening update, one tensor at a time, as the oracle
+    data = make_data(n=100)
+    model, oracle = make_model(data, seed=4), make_model(data, seed=4)
+    opt = tr.Adam(model.trainable("hazard"), lr=1e-2)
+    leaves = oracle.encoder_params() + oracle.hazard_params()
+    moments = [(np.zeros_like(p.values), np.zeros_like(p.values)) for p in leaves]
+    rng = np.random.default_rng(4)
+    for t in range(1, 6):
+        for p, q in zip(model.all_params(), oracle.all_params()):
+            p.grad[...] = q.grad[...] = rng.normal(size=p.shape)
+        opt.step()
+        for p, (m, v) in zip(leaves, moments):
+            m *= 0.9
+            m += (1.0 - 0.9) * p.grad
+            v *= 0.999
+            v += (1.0 - 0.999) * p.grad * p.grad
+            p.values -= 1e-2 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+    assert model.snapshot().tobytes() == oracle.snapshot().tobytes()
+    assert not np.array_equal(model.snapshot(), make_model(data, seed=4).snapshot())
 
 
 # ---------------------------------------------------------------------------
