@@ -113,6 +113,12 @@ def load_spec(path, overrides: dict | None = None) -> ExperimentSpec:
         raise ConfigError(f"config file not found: {path}") from None
     except (json.JSONDecodeError, ValueError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"spec {path} must be an object at the top level, not {type(raw).__name__}")
+    if not _list_of(raw.get("variants", []), str):
+        raise ConfigError("'variants' must be a list of strings")
+    if not _list_of(raw.get("seeds", []), int):
+        raise ConfigError("'seeds' must be a list of ints")
     for key, value in (overrides or {}).items():
         if value is not None:
             raw[key] = value
@@ -120,6 +126,10 @@ def load_spec(path, overrides: dict | None = None) -> ExperimentSpec:
         return ExperimentSpec(**raw)
     except TypeError as exc:
         raise ConfigError(f"bad spec field: {exc}") from exc
+
+
+def _list_of(value, kind) -> bool:
+    return isinstance(value, list) and all(isinstance(v, kind) and not isinstance(v, bool) for v in value)
 
 
 def resolve_out(spec_out: str, flag_out: str | None) -> Path:

@@ -15,8 +15,12 @@
 Batch layout for the contrastive losses: ``2M`` embeddings, originals in
 rows ``0..M-1`` and their corrupted views in rows ``M..2M-1``; row ``i``
 pairs with row ``(i + M) % 2M``. Views inherit the survival outcome of
-their originals, so the pair weights are the M x M record block with its
-diagonal (self and own-view pairs) zeroed, tiled four times.
+their originals, so the 2M x 2M weights would be the M x M record block,
+diagonal (self and own-view pairs) zeroed, repeated 2 x 2. The block is all
+that is ever built: ``snce_loss`` takes ``log`` of the block and adds it into
+the four quadrants of the logits in place. Each anchor's weight sum is taken
+over the block's row laid twice end to end, in the order of the 2M-long row,
+because numpy's pairwise summation rounds ``2 * rowsum(block)`` differently.
 
 ``nll_loss`` is one tape node. With ``g_pmf = -g delta / M`` and
 ``g_1mh = g_pmf [t < tau] + (-g (1 - delta) / M) [t <= tau]``, it pulls ``g``
@@ -74,10 +78,13 @@ def comparability(delta_i, delta_j, tau_i, tau_j, alpha: float = 0.0):
 
 @dataclass
 class PairWeightMatrix:
-    """Comparability indicators and negative weights over a 2M batch.
+    """Comparability indicators and negative weights of M records, M x M.
 
-    The diagonal and each original<->own-view pair are masked out of the
-    negative set; ``weights = indicators * weight(...)`` elementwise.
+    Entry (i, j) holds for every anchor and negative copy of records i and j
+    (original or view): the batch's 2M x 2M weights are this block repeated
+    2 x 2 and are never materialised. The diagonal (a record against itself
+    or its own view) is zero; ``weights = indicators * weight(...)``
+    elementwise.
     """
 
     indicators: np.ndarray
@@ -93,18 +100,13 @@ def build_pair_weights(taus, deltas, sigma: float, alpha: float = 0.0) -> PairWe
     ind = comparability(deltas[:, None], deltas[None, :], taus[:, None], taus[None, :], alpha)
     np.fill_diagonal(ind, 0)  # a record against itself or its own view
     w = ind * weight(taus[:, None], taus[None, :], sigma)
-    return PairWeightMatrix(indicators=_tile4(ind), weights=_tile4(w))
+    return PairWeightMatrix(indicators=ind, weights=w)
 
 
 def uniform_pair_weights(m: int) -> PairWeightMatrix:
     """Every structurally allowed pair weighted 1 (no outcome information)."""
     allowed = 1 - np.eye(m, dtype=np.int64)
-    return PairWeightMatrix(indicators=_tile4(allowed), weights=_tile4(allowed.astype(np.float64)))
-
-
-def _tile4(block: np.ndarray) -> np.ndarray:
-    m = block.shape[0]  # the M x M record block repeated 2 x 2, in one copy
-    return np.broadcast_to(block[None, :, None, :], (2, m, 2, m)).reshape(2 * m, 2 * m)
+    return PairWeightMatrix(indicators=allowed, weights=allowed.astype(np.float64))
 
 
 def resolve_alpha_percentile(taus, deltas, percentile: float) -> float:
@@ -178,18 +180,23 @@ def snce_loss(embeddings: Tensor, pair_weights: PairWeightMatrix, nu: float) -> 
     weighted mean of exp(similarity) over the anchor's nonzero-weight
     negatives, so uniformly rescaling the weights changes nothing. Anchors
     without any usable negative are skipped; if the whole batch has none,
-    the loss is zero. Negative or non-finite weights raise ValueError.
+    the loss is zero. ``pair_weights`` holds the (M, M) record block of the
+    2M embeddings; another shape, or negative or non-finite weights, raise
+    ValueError.
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
     n = embeddings.rows
     if n < 4 or n % 2 != 0:
         raise ValueError("need an even number of embeddings covering at least 2 records")
+    m = n // 2
     w = pair_weights.weights
-    if w.shape != (n, n):
-        raise ValueError(f"pair weights {w.shape} do not match {n} embeddings")
+    if w.shape != (m, m):
+        raise ValueError(f"pair weights {w.shape} do not match {n} embeddings: expected the ({m}, {m}) record block")
 
-    sum_w = w.sum(axis=1, keepdims=True)
+    # a row of the 2M x 2M weights is the block's row twice, summed in that order:
+    # 2 * w.sum(axis=1) splits numpy's pairwise sum elsewhere and rounds differently
+    sum_w = np.tile(np.hstack([w, w]).sum(axis=1, keepdims=True), (2, 1))
     if not (w.min() >= 0 and np.isfinite(sum_w).all()):
         raise ValueError("pair weights must be finite and non-negative")
     contributes = sum_w > 0
@@ -198,21 +205,24 @@ def snce_loss(embeddings: Tensor, pair_weights: PairWeightMatrix, nu: float) -> 
         logger.warning("snce_loss: no comparable pairs in batch, returning zero loss")
         return ad.constant([[0.0]])
 
-    z = np.log(w, out=np.full_like(w, MASKED_LOG), where=w > 0)
+    log_w = np.log(w, out=np.full_like(w, MASKED_LOG), where=w > 0)
     log_sum_w = np.log(sum_w, out=np.zeros_like(sum_w), where=contributes)  # of the weighted-mean denominator
     picks = contributes / n_contrib
     e = embeddings.values
     norms = np.sqrt((e * e).sum(axis=1, keepdims=True) + NORM_EPS)
     unit = e / norms
     unit_t = unit.T.copy()  # unit @ unit.T and grad @ unit would take other BLAS paths and other bits
-    sims = unit @ unit_t * (1.0 / nu)
+    z = unit @ unit_t
+    z *= 1.0 / nu  # S; n x n results go in place, as each fresh array costs its page faults
     idx = np.arange(n)
-    partner = (idx + n // 2) % n
-    z += sims  # S + log w; n x n results go in place, as each fresh array costs its page faults
+    partner = (idx + m) % n
+    pos = z[idx, partner][:, None]
+    quadrants = z.reshape(2, m, 2, m)
+    np.add(quadrants, log_w[None, :, None, :], out=quadrants)  # S + log w, the block in each quadrant
     top = z.max(axis=1, keepdims=True)
     ex = np.exp(np.subtract(z, top, out=z), out=z)
     s = ex.sum(axis=1, keepdims=True)
-    per_anchor = (top + np.log(s) - log_sum_w) - sims[idx, partner][:, None]
+    per_anchor = (top + np.log(s) - log_sum_w) - pos
 
     def pull(g):
         gp = g * picks

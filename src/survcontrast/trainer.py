@@ -154,7 +154,11 @@ def _check_finite(value: float, step_name: str, epoch: int, batch_idx: int | Non
 
 
 def pair_weights(tau, delta, variant: str, config: TrainConfig, alpha: float) -> losses.PairWeightMatrix:
-    """Uniform (``nll+nce``) or outcome-weighted (``nll+snce``) negative weights."""
+    """Uniform (``nll+nce``) or outcome-weighted (``nll+snce``) negative weights.
+
+    The M x M record block: ``snce_loss`` broadcasts its log into the four
+    quadrants of the 2M x 2M logits, so no 2M x 2M weights are built.
+    """
     if variant == "nll+nce":
         return losses.uniform_pair_weights(len(tau))
     return losses.build_pair_weights(tau, delta, config.sigma, alpha)

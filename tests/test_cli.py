@@ -430,6 +430,27 @@ def test_spec_requires_one_data_source(tmp_path, capsys):
     assert main(["train", "--config", str(spec)]) == 2
 
 
+@pytest.mark.parametrize("extra", [[], ["--seed", "1"]], ids=["no-override", "seed-override"])
+@pytest.mark.parametrize(
+    "raw,message",
+    [
+        ([1, 2], "must be an object at the top level, not list"),
+        ("x", "must be an object at the top level, not str"),
+        ({**BASE_SPEC, "variants": "nll"}, "'variants' must be a list of strings"),
+        ({**BASE_SPEC, "variants": ["nll", 3]}, "'variants' must be a list of strings"),
+        ({**BASE_SPEC, "seeds": 0}, "'seeds' must be a list of ints"),
+        ({**BASE_SPEC, "seeds": [0, "1"]}, "'seeds' must be a list of ints"),
+        ({**BASE_SPEC, "seeds": [True]}, "'seeds' must be a list of ints"),
+    ],
+)
+def test_malformed_spec_shape_exits_2(tmp_path, capsys, raw, message, extra):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(raw))
+    assert main(["evaluate", "--config", str(spec), *extra]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and message in err[0]
+
+
 def write_dataset_spec(tmp_path, schema_text, dataset_keys=("csv", "schema")):
     (tmp_path / "data.csv").write_text("x0,time,event\n0.5,3.0,1\n0.2,5.0,0\n")
     (tmp_path / "schema.json").write_text(schema_text)

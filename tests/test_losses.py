@@ -16,9 +16,15 @@ from test_autodiff import linear_composite, sigmoid_masked
 # scalar oracles (independent re-implementations used to pin expected values)
 # ---------------------------------------------------------------------------
 
-def snce_oracle(z, w, nu):
+def tiled(block):
+    """The 2M x 2M weights of a batch: its M x M record block repeated 2 x 2."""
+    return np.tile(block, (2, 2))
+
+
+def snce_oracle(z, block, nu):
     """Loop evaluation of the contrastive loss over a 2M x d embedding array."""
     z = np.asarray(z, dtype=np.float64)
+    w = tiled(block)
     n = z.shape[0]
     m = n // 2
     unit = z / np.linalg.norm(z, axis=1, keepdims=True)
@@ -38,9 +44,10 @@ def snce_composite(embeddings, pw, nu):
     """The contrastive loss as a graph of autodiff ops (the pre-fusion code).
 
     ``losses.snce_loss`` is one tape node whose pullback evaluates this
-    graph's chain rule in the same order, so the two agree bit for bit.
+    graph's chain rule in the same order, so the two agree bit for bit. It
+    takes the record block and works on the tiled 2M x 2M weights.
     """
-    w = pw.weights
+    w = tiled(pw.weights)
     n = embeddings.rows
     sum_w = w.sum(axis=1)
     contributes = sum_w > 0
@@ -170,14 +177,16 @@ def test_build_pair_weights_all_events():
     taus = np.array([1, 4, 9])
     deltas = np.ones(3, dtype=int)
     pw = losses.build_pair_weights(taus, deltas, sigma=1.0)
-    # every pair of the 2M = 6 embeddings except each one with itself and
-    # each original with its own view (rows i and i + 3)
+    # every pair of the M = 3 records but each one with itself
+    np.testing.assert_array_equal(pw.indicators.astype(bool), ~np.eye(3, dtype=bool))
+    # tiled: every pair of the 2M = 6 embeddings except each one with itself
+    # and each original with its own view (rows i and i + 3)
     idx = np.arange(6)
     allowed = np.ones((6, 6), dtype=bool)
     allowed[idx, idx] = False
     allowed[idx, (idx + 3) % 6] = False
-    np.testing.assert_array_equal(pw.indicators.astype(bool), allowed)
-    assert np.all(pw.weights[allowed] > 0)
+    np.testing.assert_array_equal(tiled(pw.indicators).astype(bool), allowed)
+    assert np.all(tiled(pw.weights)[allowed] > 0)
 
 
 def test_build_pair_weights_all_censored():
@@ -193,6 +202,8 @@ def test_build_pair_weights_matches_elementwise_oracle():
     deltas = rng.integers(0, 2, size=m)
     sigma, alpha = 0.75, 2.0
     pw = losses.build_pair_weights(taus, deltas, sigma, alpha)
+    assert pw.weights.shape == pw.indicators.shape == (m, m)
+    w = tiled(pw.weights)
 
     t2 = np.concatenate([taus, taus])
     d2 = np.concatenate([deltas, deltas])
@@ -205,7 +216,7 @@ def test_build_pair_weights_matches_elementwise_oracle():
                 expected = losses.comparability(d2[i], d2[j], t2[i], t2[j], alpha) * losses.weight(
                     t2[i], t2[j], sigma
                 )
-            assert pw.weights[i, j] == pytest.approx(float(expected), abs=1e-15)
+            assert w[i, j] == pytest.approx(float(expected), abs=1e-15)
 
 
 def test_pair_weight_invariants():
@@ -214,8 +225,9 @@ def test_pair_weight_invariants():
     pw = losses.build_pair_weights(taus, rng.integers(0, 2, 8), sigma=0.5, alpha=1)
     assert np.all(np.diag(pw.indicators) == 0)
     assert np.all((pw.weights >= 0) & (pw.weights < 1))
+    np.testing.assert_array_equal(pw.weights, pw.indicators * losses.weight(taus[:, None], taus[None, :], 0.5))
     t2 = np.concatenate([taus, taus])
-    np.testing.assert_array_equal(pw.weights, pw.indicators * losses.weight(t2[:, None], t2[None, :], 0.5))
+    np.testing.assert_array_equal(tiled(pw.weights), tiled(pw.indicators) * losses.weight(t2[:, None], t2[None, :], 0.5))
 
 
 def test_resolve_alpha_percentile():
@@ -391,12 +403,13 @@ def test_snce_weight_scaling_invariance():
 
 
 def test_snce_excluded_samples_are_absent():
-    # only anchor 0 has usable negatives: record 2 (original and view copies)
+    # only record 0 (anchor 0 and its view m) has usable negatives: record 2
+    # (original and view copies)
     rng = np.random.default_rng(7)
     m = 4
     z = rng.normal(size=(2 * m, 3))
-    w = np.zeros((2 * m, 2 * m))
-    w[0, 2] = w[0, 2 + m] = 0.6
+    w = np.zeros((m, m))
+    w[0, 2] = 0.6
     pw = losses.PairWeightMatrix(indicators=(w > 0).astype(int), weights=w)
     base = losses.snce_loss(Tensor(z), pw, nu=1.0).item()
 
@@ -408,8 +421,8 @@ def test_snce_excluded_samples_are_absent():
 
     # and the value equals the same loss on the reduced two-record batch
     reduced = Tensor(z[[0, 2, m, 2 + m]])
-    wr = np.zeros((4, 4))
-    wr[0, 1] = wr[0, 3] = 0.6
+    wr = np.zeros((2, 2))
+    wr[0, 1] = 0.6
     pr = losses.PairWeightMatrix(indicators=(wr > 0).astype(int), weights=wr)
     assert losses.snce_loss(reduced, pr, nu=1.0).item() == pytest.approx(base, abs=1e-12)
 
@@ -460,9 +473,10 @@ def snce_batches(draw):
     if kind == "rescaled":
         pw.weights = pw.weights * draw(st.floats(1e-3, 1e3))
     elif kind == "hand":
-        # independent 2M x 2M weights, sparse so some anchors have no negative
-        raw = np.asarray(draw(st.lists(st.floats(0, 2), min_size=4 * m * m, max_size=4 * m * m)))
-        w = raw.reshape(2 * m, 2 * m) * (raw.reshape(2 * m, 2 * m) > 1.2)
+        # an arbitrary M x M block: sparse so some anchors have no negative,
+        # asymmetric, and with self and own-view pairs allowed on its diagonal
+        raw = np.asarray(draw(st.lists(st.floats(0, 2), min_size=m * m, max_size=m * m))).reshape(m, m)
+        w = raw * (raw > 1.2)
         pw = losses.PairWeightMatrix(indicators=(w > 0).astype(np.int64), weights=w)
     return z, pw, draw(st.sampled_from([0.07, 0.5, 1.0]))
 
@@ -487,6 +501,35 @@ def test_snce_fused_bitwise_on_model_batch():
         ad.backward(ad.scale(loss, 0.7))
         results.append([loss.values.tobytes()] + [p.grad.tobytes() for p in params])
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 13, 64, 100, 257])
+@pytest.mark.parametrize("builder", ["build_pair_weights", "uniform_pair_weights"])
+def test_snce_block_bitwise_equals_tiled_composite(builder, m):
+    # the weight sums must follow the 2M-long tiled row: 2 * rowsum(block)
+    # rounds differently under numpy's pairwise summation, and the loss
+    # shows it on some batches only, so each size runs several
+    for batch in range(8):
+        rng = np.random.default_rng([m, batch])
+        z = rng.normal(size=(2 * m, 5))
+        if builder == "uniform_pair_weights":
+            pw = losses.uniform_pair_weights(m)
+        else:
+            deltas = rng.integers(0, 2, size=m)
+            deltas[0] = 1
+            pw = losses.build_pair_weights(rng.integers(0, 40, size=m), deltas, sigma=2.3, alpha=1.0)
+        value, grad = _snce_value_and_grad(losses.snce_loss, z, pw, 0.3)
+        want_value, want_grad = _snce_value_and_grad(snce_composite, z, pw, 0.3)
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes(), batch
+        assert grad.tobytes() == want_grad.tobytes(), batch
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (4, 5)])
+def test_snce_rejects_weights_that_are_not_the_record_block(shape):
+    z = Tensor(np.random.default_rng(18).normal(size=(8, 3)))
+    pw = losses.PairWeightMatrix(indicators=np.ones(shape, dtype=np.int64), weights=np.ones(shape))
+    with pytest.raises(ValueError, match=r"expected the \(4, 4\) record block"):
+        losses.snce_loss(z, pw, nu=0.5)
 
 
 def test_snce_is_one_tape_node():
