@@ -38,7 +38,7 @@ class Tensor:
     parents and a list of local gradient rules.
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_pulls", "_op")
+    __slots__ = ("values", "grad", "requires_grad", "_parents", "_pulls")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.atleast_2d(np.asarray(values, dtype=np.float64))
@@ -49,7 +49,6 @@ class Tensor:
         self.grad = np.zeros_like(arr) if requires_grad else None
         self._parents: tuple[Tensor, ...] = ()
         self._pulls: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
-        self._op = "leaf"
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -74,14 +73,13 @@ def constant(values) -> Tensor:
     return Tensor(values, requires_grad=False)
 
 
-def _make(values: np.ndarray, op: str, parents: Sequence[Tensor], pulls: Sequence[Callable]) -> Tensor:
+def _make(values: np.ndarray, parents: Sequence[Tensor], pulls: Sequence[Callable]) -> Tensor:
     out = Tensor(values)
     tracked = [(p, f) for p, f in zip(parents, pulls) if p.requires_grad]
     if tracked:
         out.requires_grad = True
         out._parents = tuple(p for p, _ in tracked)
         out._pulls = tuple(f for _, f in tracked)
-    out._op = op
     return out
 
 
@@ -114,7 +112,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a, b, "add")
     return _make(
         a.values + b.values,
-        "add",
         (a, b),
         (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape)),
     )
@@ -124,7 +121,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a, b, "sub")
     return _make(
         a.values - b.values,
-        "sub",
         (a, b),
         (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape) * -1.0),
     )
@@ -134,7 +130,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a, b, "mul")
     return _make(
         a.values * b.values,
-        "mul",
         (a, b),
         (
             lambda g: _unbroadcast(g * b.values, a.shape),
@@ -148,7 +143,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     bv = b.values
     return _make(
         a.values / bv,
-        "div",
         (a, b),
         (
             lambda g: _unbroadcast(g / bv, a.shape),
@@ -163,12 +157,12 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _make(a.values * c, "scale", (a,), (lambda g: g * c,))
+    return _make(a.values * c, (a,), (lambda g: g * c,))
 
 
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.values)
-    return _make(out, "exp", (a,), (lambda g: g * out,))
+    return _make(out, (a,), (lambda g: g * out,))
 
 
 def log(a: Tensor) -> Tensor:
@@ -179,7 +173,7 @@ def log(a: Tensor) -> Tensor:
     The local gradient is zero wherever the floor was active.
     """
     out, clamped, inside = floored_log(a.values)
-    return _make(out, "log", (a,), (lambda g: g * inside / clamped,))
+    return _make(out, (a,), (lambda g: g * inside / clamped,))
 
 
 def floored_log(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -195,7 +189,7 @@ def floored_log(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def sqrt(a: Tensor) -> Tensor:
     out = np.sqrt(a.values)
-    return _make(out, "sqrt", (a,), (lambda g: g * 0.5 / out,))
+    return _make(out, (a,), (lambda g: g * 0.5 / out,))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -210,14 +204,14 @@ def sigmoid(a: Tensor) -> Tensor:
     out = np.where(x >= 0, 1.0 / d, e / d)
     inside = (out > SIGMOID_LO) & (out < SIGMOID_HI)
     out = np.clip(out, SIGMOID_LO, SIGMOID_HI)
-    return _make(out, "sigmoid", (a,), (lambda g: g * inside * out * (1.0 - out),))
+    return _make(out, (a,), (lambda g: g * inside * out * (1.0 - out),))
 
 
 def relu(a: Tensor) -> Tensor:
     x = a.values
     pos = x > 0
     # np.maximum (unlike where) propagates NaN instead of hiding it as 0
-    return _make(np.maximum(x, 0.0), "relu", (a,), (lambda g: g * pos,))
+    return _make(np.maximum(x, 0.0), (a,), (lambda g: g * pos,))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +223,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     return _make(
         a.values @ b.values,
-        "matmul",
         (a, b),
         (lambda g: g @ b.values.T, lambda g: a.values.T @ g),
     )
@@ -243,14 +236,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear: bias {b.shape} does not match {w.shape}")
     return _make(
         x.values @ w.values + b.values,
-        "linear",
         (x, w, b),
         (lambda g: g @ w.values.T, lambda g: x.values.T @ g, lambda g: g.sum(axis=0, keepdims=True)),
     )
 
 
 def transpose(a: Tensor) -> Tensor:
-    return _make(a.values.T.copy(), "transpose", (a,), (lambda g: g.T,))
+    return _make(a.values.T.copy(), (a,), (lambda g: g.T,))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +259,7 @@ def _check_axis(a: Tensor, axis) -> None:
 def reduce_sum(a: Tensor, axis=None) -> Tensor:
     _check_axis(a, axis)
     out = a.values.sum(axis=axis, keepdims=True)
-    return _make(out, "sum", (a,), (lambda g: np.broadcast_to(g, a.shape).copy(),))
+    return _make(out, (a,), (lambda g: np.broadcast_to(g, a.shape).copy(),))
 
 
 def reduce_mean(a: Tensor, axis=None) -> Tensor:
@@ -287,7 +279,7 @@ def logsumexp(a: Tensor, axis=None) -> Tensor:
     e = np.exp(x - m)
     s = e.sum(axis=axis, keepdims=True)
     soft = e / s
-    return _make(m + np.log(s), "logsumexp", (a,), (lambda g: g * soft,))
+    return _make(m + np.log(s), (a,), (lambda g: g * soft,))
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,16 @@ class ExperimentSpec:
             raise ConfigError(f"invalid model config: {exc}") from exc
 
 
+# file-level shape of the ExperimentSpec fields that are not lists
+SPEC_FIELD_KINDS = (
+    ("dataset", (dict, type(None)), "an object"),
+    ("synthetic", (dict, type(None)), "an object"),
+    ("model", dict, "an object"),
+    ("train", dict, "an object"),
+    ("out", str, "a string"),
+)
+
+
 def load_spec(path, overrides: dict | None = None) -> ExperimentSpec:
     path = Path(path)
     if path.suffix == ".toml" and tomllib is None:
@@ -119,6 +129,15 @@ def load_spec(path, overrides: dict | None = None) -> ExperimentSpec:
         raise ConfigError("'variants' must be a list of strings")
     if not _list_of(raw.get("seeds", []), int):
         raise ConfigError("'seeds' must be a list of ints")
+    for key in ("variants", "seeds"):
+        if raw.get(key) == []:
+            raise ConfigError(f"'{key}' must not be empty")
+    for key, kinds, noun in SPEC_FIELD_KINDS:
+        if key in raw and not isinstance(raw[key], kinds):
+            raise ConfigError(f"'{key}' must be {noun}, not {type(raw[key]).__name__}")
+    for key, n_bins in (("n_bins", raw.get("n_bins")), ("dataset.n_bins", (raw.get("dataset") or {}).get("n_bins"))):
+        if n_bins is not None and (isinstance(n_bins, bool) or not isinstance(n_bins, int)):
+            raise ConfigError(f"'{key}' must be an int or null")
     for key, value in (overrides or {}).items():
         if value is not None:
             raw[key] = value

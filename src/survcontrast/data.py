@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,6 +24,33 @@ FEATURE_KINDS = ("real", "binary", "categorical")
 
 class DataError(ValueError):
     """Malformed input data or schema."""
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return _is_int(v) or (isinstance(v, (float, np.floating)) and math.isfinite(v))
+
+
+# dataclass annotation, a string under postponed evaluation -> (accepts the value, what it must be)
+FIELD_CHECKS = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_real, "a finite number"),
+    "float | None": (lambda v: v is None or _is_real(v), "a finite number or null"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def check_field_types(config) -> None:
+    """Raise TypeError naming the first field of the dataclass ``config``
+    whose value does not fit its annotation; values are never converted."""
+    for f in fields(config):
+        accepts, noun = FIELD_CHECKS[f.type]
+        value = getattr(config, f.name)
+        if not accepts(value):
+            raise TypeError(f"{f.name} must be {noun}, got {value!r}")
 
 
 @dataclass
@@ -81,8 +109,6 @@ class RawDataset:
     times: np.ndarray  # (n,) float raw times
     events: np.ndarray  # (n,) int {0, 1}
     feature_names: list[str]
-    # maps one-hot/raw columns back to the schema feature they came from
-    source_columns: list[str]
     source_kinds: list[str]
 
     def __len__(self) -> int:
@@ -120,17 +146,14 @@ def load_csv(path, schema: Schema) -> RawDataset:
             categories[col.name] = seen
 
     names: list[str] = []
-    src_cols: list[str] = []
     src_kinds: list[str] = []
     for col in feats:
         if col.kind == "categorical":
             for level in categories[col.name]:
                 names.append(f"{col.name}={level}")
-                src_cols.append(col.name)
                 src_kinds.append("categorical")
         else:
             names.append(col.name)
-            src_cols.append(col.name)
             src_kinds.append(col.kind)
 
     n = len(rows)
@@ -172,7 +195,7 @@ def load_csv(path, schema: Schema) -> RawDataset:
                     if col.kind == "binary" and x[i, j] not in (0.0, 1.0):
                         raise DataError(f"row {lineno}: binary column {col.name!r} has value {val!r}")
                 j += 1
-    return RawDataset(x, times, events, names, src_cols, src_kinds)
+    return RawDataset(x, times, events, names, src_kinds)
 
 
 def write_csv(path, header, rows) -> None:
@@ -192,7 +215,6 @@ def from_arrays(features, times, events, feature_names=None) -> RawDataset:
         features,
         np.asarray(times, dtype=np.float64),
         np.asarray(events, dtype=int),
-        list(names),
         list(names),
         ["real"] * features.shape[1],
     )

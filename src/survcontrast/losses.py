@@ -166,7 +166,7 @@ def nll_loss(hazards: Tensor, taus, deltas) -> Tensor:
         g_1mh = g_pmf * before + g_mean * (1.0 - deltas) * upto
         return g_pmf * at * in_h / clamp_h + g_1mh * in_1mh / clamp_1mh * -1.0
 
-    return ad._make(per_sample.sum(keepdims=True) * inv_m * -1.0, "nll", (hazards,), (pull,))
+    return ad._make(per_sample.sum(keepdims=True) * inv_m * -1.0, (hazards,), (pull,))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,7 @@ def snce_loss(embeddings: Tensor, pair_weights: PairWeightMatrix, nu: float) -> 
         g_sq = (-g_unit * e / (norms * norms)).sum(axis=1, keepdims=True) * 0.5 / norms
         return g_unit / norms + g_sq * e + g_sq * e
 
-    return ad._make((per_anchor * picks).sum(keepdims=True), "snce", (embeddings,), (pull,))
+    return ad._make((per_anchor * picks).sum(keepdims=True), (embeddings,), (pull,))
 
 
 def infonce_loss(embeddings: Tensor, nu: float) -> Tensor:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import DataError
+from .data import DataError, check_field_types
 
 ACTIVATIONS = {"relu": ad.relu, "sigmoid": ad.sigmoid}
 
@@ -34,6 +34,7 @@ class MlpConfig:
     activation: str = "relu"
 
     def __post_init__(self):
+        check_field_types(self)
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
         for name in ("input_dim", "hidden_dim", "output_dim"):
@@ -58,6 +59,11 @@ class ModelConfig:
     embedding_dim: int = 16
     projection_depth: int = 2
     activation: str = "relu"
+
+    def __post_init__(self):
+        check_field_types(self)
+        for network in (self.encoder, self.projection, self.hazard_net):
+            network()  # MlpConfig checks the network's shape
 
     def encoder(self) -> MlpConfig:
         return MlpConfig(self.input_dim, self.hidden_dim, self.depth, self.hidden_dim, self.activation)

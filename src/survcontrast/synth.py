@@ -7,11 +7,14 @@ Two generators:
   first four features; a sample is censored when its censoring time comes
   first. The unobserved true event time is kept for every row, which makes
   it possible to compare censoring-based time gaps against ground-truth
-  gaps (the margin study).
+  gaps (the margin study). The study's pairs, an event anchor and a
+  partner censored later, are the ones ``losses.comparability`` admits at
+  margin 0, so it measures the rule the contrastive loss applies.
 * ``discrete_oracle``: a known discrete hazard, logistic in features and
-  time, sampled exactly on the grid. Because the generating hazard is
-  returned alongside the data, calibration metrics can be validated against
-  a model that is right by construction.
+  time, sampled exactly on the grid: each row's event bin is the first
+  whose cumulative ``model.pmf_from_hazard`` reaches a uniform draw. Because
+  the generating hazard is returned alongside the data, calibration metrics
+  can be validated against a model that is right by construction.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RawDataset, discretize, from_arrays
+from .data import RawDataset, check_field_types, discretize, from_arrays
+from .losses import comparability
+from .model import pmf_from_hazard
 
 
 @dataclass
@@ -40,6 +45,7 @@ class SynthConfig:
     censor_rate: float = 0.0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if self.kind not in GENERATORS:
@@ -99,14 +105,14 @@ def margin_study(data: PairedExponentialData, n_bins: int = 100) -> np.ndarray:
     true_taus = grid.to_bin(data.true_event_times)
     anchors = np.flatnonzero(data.events == 1)
     censored = np.flatnonzero(data.events == 0)
-    rows = []
-    for i in anchors:
-        partners = censored[taus[censored] > taus[i]]
-        for j in partners:
-            rows.append((taus[i], taus[j] - taus[i], true_taus[j] - taus[i]))
-    if not rows:
-        return np.empty((0, 3), dtype=int)
-    out = np.array(rows, dtype=int)
+    comparable = comparability(
+        data.events[anchors][:, None], data.events[censored][None, :], taus[anchors][:, None], taus[censored][None, :]
+    )
+    # nonzero walks the block row by row, so within one anchor bin the stable
+    # sort keeps pairs in anchor, then partner, index order
+    i, j = np.nonzero(comparable)
+    a, c = anchors[i], censored[j]
+    out = np.stack([taus[a], taus[c] - taus[a], true_taus[c] - taus[a]], axis=1)
     return out[np.argsort(out[:, 0], kind="stable")]
 
 
@@ -154,21 +160,13 @@ def generate_discrete_oracle(config: SynthConfig, time_logits=None) -> OracleDat
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     x = rng.uniform(size=(config.n_samples, config.feature_dim))
     hazards = oracle_hazards(config, x, time_logits)
-    surv = np.cumprod(1.0 - hazards, axis=1)
-    pmf = hazards * np.concatenate([np.ones((len(x), 1)), surv[:, :-1]], axis=1)
-    cdf = np.cumsum(pmf, axis=1)
+    cdf = np.cumsum(pmf_from_hazard(hazards), axis=1)
 
     u = rng.uniform(size=len(x))
-    taus = np.empty(len(x), dtype=int)
-    deltas = np.empty(len(x), dtype=int)
-    for i in range(len(x)):
-        k = int(np.searchsorted(cdf[i], u[i]))
-        if k >= config.n_bins:  # event beyond the horizon
-            taus[i] = config.n_bins - 1
-            deltas[i] = 0
-        else:
-            taus[i] = k
-            deltas[i] = 1
+    k = (cdf < u[:, None]).sum(axis=1)  # searchsorted on each non-decreasing row
+    beyond = k >= config.n_bins  # event beyond the horizon
+    taus = np.where(beyond, config.n_bins - 1, k)
+    deltas = (~beyond).astype(int)
 
     if config.censor_rate > 0:
         censor_mask = rng.uniform(size=len(x)) < config.censor_rate

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import losses
 from .autodiff import Tensor
-from .data import PreparedData, corrupt, iterate_batches, write_csv
+from .data import PreparedData, check_field_types, corrupt, iterate_batches, write_csv
 from .model import HazardModel
 
 logger = logging.getLogger(__name__)
@@ -53,6 +53,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.lr_contrastive <= 0 or self.lr_nll <= 0:
             raise ValueError("learning rates must be positive")
         if self.patience < 1:
@@ -71,6 +72,10 @@ class TrainConfig:
             raise ValueError("corruption_rate must be in [0, 1]")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.ranking_kappa <= 0:
+            raise ValueError("ranking_kappa must be positive")
+        if self.alpha_percentile is not None and not 0.0 <= self.alpha_percentile <= 100.0:
+            raise ValueError("alpha_percentile must be in [0, 100]")
 
 
 @dataclass

@@ -430,6 +430,9 @@ def test_spec_requires_one_data_source(tmp_path, capsys):
     assert main(["train", "--config", str(spec)]) == 2
 
 
+DATASET_SPEC = {key: value for key, value in BASE_SPEC.items() if key != "synthetic"}
+
+
 @pytest.mark.parametrize("extra", [[], ["--seed", "1"]], ids=["no-override", "seed-override"])
 @pytest.mark.parametrize(
     "raw,message",
@@ -441,6 +444,17 @@ def test_spec_requires_one_data_source(tmp_path, capsys):
         ({**BASE_SPEC, "seeds": 0}, "'seeds' must be a list of ints"),
         ({**BASE_SPEC, "seeds": [0, "1"]}, "'seeds' must be a list of ints"),
         ({**BASE_SPEC, "seeds": [True]}, "'seeds' must be a list of ints"),
+        ({**BASE_SPEC, "seeds": []}, "'seeds' must not be empty"),
+        ({**BASE_SPEC, "variants": []}, "'variants' must not be empty"),
+        ({**BASE_SPEC, "out": 5}, "'out' must be a string, not int"),
+        ({**BASE_SPEC, "n_bins": "x"}, "'n_bins' must be an int or null"),
+        ({**BASE_SPEC, "n_bins": True}, "'n_bins' must be an int or null"),
+        ({**BASE_SPEC, "synthetic": [1]}, "'synthetic' must be an object, not list"),
+        ({**BASE_SPEC, "model": None}, "'model' must be an object, not NoneType"),
+        ({**BASE_SPEC, "train": 5}, "'train' must be an object, not int"),
+        ({**DATASET_SPEC, "dataset": "x"}, "'dataset' must be an object, not str"),
+        ({**DATASET_SPEC, "dataset": {"csv": "d.csv", "schema": "s.json", "n_bins": "x"}},
+         "'dataset.n_bins' must be an int or null"),
     ],
 )
 def test_malformed_spec_shape_exits_2(tmp_path, capsys, raw, message, extra):
@@ -449,6 +463,33 @@ def test_malformed_spec_shape_exits_2(tmp_path, capsys, raw, message, extra):
     assert main(["evaluate", "--config", str(spec), *extra]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ") and message in err[0]
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"model": {"depth": 0}},
+        {"model": {"hidden_dim": 0}},
+        {"model": {"activation": "tanh"}},
+        {"model": {"hidden_dim": 2.5}},
+        {"train": {"epochs": 1.5}},
+        {"train": {"batch_size": 2.5}},
+        {"train": {"ranking_kappa": 0}, "variants": ["nll+rank"]},
+        {"train": {"alpha_percentile": 150}},
+        {"train": {"sigma": float("nan")}},
+        {"train": {"beta": float("nan")}},
+        {"train": {"alpha": float("nan")}},
+        {"synthetic": {"feature_dim": 4.5}},
+    ],
+    ids=lambda changes: json.dumps(changes),
+)
+def test_bad_config_value_exits_2_without_traceback(tmp_path, capsys, changes):
+    spec = write_spec(tmp_path, seeds=[0], **changes)
+    assert main(["train", "--config", str(spec)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert captured.out == ""
 
 
 def write_dataset_spec(tmp_path, schema_text, dataset_keys=("csv", "schema")):
@@ -549,3 +590,12 @@ patience = 3
     path.write_text(toml)
     assert main(["train", "--config", str(path)]) == 0
     assert (tmp_path / "out_toml" / "checkpoints" / "nll_seed0.json").exists()
+
+
+def test_toml_spec_without_a_toml_parser_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "tomllib", None)
+    path = tmp_path / "spec.toml"
+    path.write_text('variants = ["nll"]\n')
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: TOML specs need python >= 3.11 or the tomli package; use JSON instead"]

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from survcontrast import data as sd
+from survcontrast.trainer import TrainConfig
 
 
 def write_csv(path, header, rows):
@@ -298,3 +299,18 @@ def test_batch_views_inherit_outcomes():
 def test_batch_size_validation():
     with pytest.raises(ValueError):
         batches_for(10, 1)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [{"epochs": True}, {"epochs": 2.0}, {"patience": "3"}, {"sigma": float("inf")}, {"beta": None},
+     {"alpha_percentile": float("nan")}, {"optimizer": 1}],
+)
+def test_config_field_types_rejected(kw):
+    with pytest.raises(TypeError, match=next(iter(kw))):
+        TrainConfig(**kw)
+
+
+def test_config_field_types_accept_numpy_ints_and_keep_values():
+    config = TrainConfig(epochs=np.int64(3), beta=1, alpha_percentile=None)
+    assert type(config.epochs) is np.int64 and type(config.beta) is int

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from survcontrast.data import discretize
 from survcontrast.synth import (
     GENERATORS,
+    OracleData,
     SynthConfig,
     generate_discrete_oracle,
     generate_paired_exponential,
@@ -103,6 +107,41 @@ def test_margin_study_empty_without_censoring():
     assert margin_study(data, n_bins=50).shape == (0, 3)
 
 
+def assert_same_array(a, b):
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+def margin_study_loop(data, n_bins):
+    """Reference: every (event anchor, later-censored partner) pair by a
+    double loop, in anchor then partner index order."""
+    grid, taus = discretize(data.observed_times, n_bins)
+    true_taus = grid.to_bin(data.true_event_times)
+    censored = np.flatnonzero(data.events == 0)
+    rows = []
+    for i in np.flatnonzero(data.events == 1):
+        for j in censored[taus[censored] > taus[i]]:
+            rows.append((taus[i], taus[j] - taus[i], true_taus[j] - taus[i]))
+    if not rows:
+        return np.empty((0, 3), dtype=int)
+    out = np.array(rows, dtype=int)
+    return out[np.argsort(out[:, 0], kind="stable")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    seed=st.integers(0, 2**32 - 1),
+    n_bins=st.integers(2, 12),
+    events=st.sampled_from(["drawn", "all-event", "all-censored"]),
+)
+def test_margin_study_matches_pair_loop(n, seed, n_bins, events):
+    data = generate_paired_exponential(SynthConfig(n_samples=n, seed=seed))
+    if events != "drawn":
+        data.events[:] = events == "all-event"
+    assert_same_array(margin_study(data, n_bins), margin_study_loop(data, n_bins))
+
+
 # ---------------------------------------------------------------------------
 # discrete oracle
 # ---------------------------------------------------------------------------
@@ -114,6 +153,50 @@ def test_oracle_deterministic():
     np.testing.assert_array_equal(a.taus, b.taus)
     np.testing.assert_array_equal(a.deltas, b.deltas)
     np.testing.assert_array_equal(a.true_hazards, b.true_hazards)
+
+
+def discrete_oracle_loop(config):
+    """Reference: one ``searchsorted`` draw per row on the inline pmf, with
+    the generator's RNG draw order (features, event draws, censoring)."""
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    x = rng.uniform(size=(config.n_samples, config.feature_dim))
+    hazards = oracle_hazards(config, x)
+    surv = np.cumprod(1.0 - hazards, axis=1)
+    pmf = hazards * np.concatenate([np.ones((len(x), 1)), surv[:, :-1]], axis=1)
+    cdf = np.cumsum(pmf, axis=1)
+    u = rng.uniform(size=len(x))
+    taus = np.empty(len(x), dtype=int)
+    deltas = np.empty(len(x), dtype=int)
+    for i in range(len(x)):
+        k = int(np.searchsorted(cdf[i], u[i]))
+        if k >= config.n_bins:  # event beyond the horizon
+            taus[i], deltas[i] = config.n_bins - 1, 0
+        else:
+            taus[i], deltas[i] = k, 1
+    if config.censor_rate > 0:
+        censor_mask = rng.uniform(size=len(x)) < config.censor_rate
+        c = rng.integers(0, config.n_bins, size=len(x))
+        hit = censor_mask & (c < taus)
+        taus[hit] = c[hit]
+        deltas[hit] = 0
+    return OracleData(x, taus, deltas, hazards)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    n_bins=st.integers(2, 8),
+    censor_rate=st.sampled_from([0.0, 0.3, 1.0]),
+    # -30 puts every event past the horizon (all censored), 30 every event in bin 0
+    intercept=st.sampled_from([-30.0, -3.0, 0.0, 30.0]),
+)
+def test_discrete_oracle_matches_row_loop(n, seed, n_bins, censor_rate, intercept):
+    cfg = SynthConfig(n_samples=n, kind="discrete_oracle", seed=seed, n_bins=n_bins,
+                      censor_rate=censor_rate, hazard_intercept=intercept)
+    got, want = generate_discrete_oracle(cfg), discrete_oracle_loop(cfg)
+    for name in ("features", "taus", "deltas", "true_hazards"):
+        assert_same_array(getattr(got, name), getattr(want, name))
 
 
 def test_oracle_forced_terminal_event():
