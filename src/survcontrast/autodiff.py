@@ -83,6 +83,27 @@ def _make(values: np.ndarray, parents: Sequence[Tensor], pulls: Sequence[Callabl
     return out
 
 
+def _make_joint(values: np.ndarray, parents: Sequence[Tensor], pull_all: Callable) -> Tensor:
+    """A node whose parents' gradients all come from one ``pull_all(g)`` call,
+    returned in ``parents`` order (anything for a parent that is not tracked).
+
+    :func:`backward` hands each pull of a node the same ``g`` array, so the
+    first pull computes every gradient and the others read them. The memo
+    holds that ``g``, so a later backward pass, whose ``g`` is a new array,
+    computes them afresh.
+    """
+    memo: list = [None, ()]
+
+    def pull_of(k):
+        def pull(g):
+            if memo[0] is not g:
+                memo[:] = [g, pull_all(g)]
+            return memo[1][k]
+        return pull
+
+    return _make(values, parents, [pull_of(k) for k in range(len(parents))])
+
+
 def _broadcast_check(a: Tensor, b: Tensor, op: str) -> tuple[int, int]:
     ra, ca = a.shape
     rb, cb = b.shape
@@ -198,20 +219,31 @@ def sigmoid(a: Tensor) -> Tensor:
     The clamp keeps downstream log() calls finite for saturated hazards;
     the gradient is zero on clamped coordinates.
     """
-    x = a.values
+    out, pull = sigmoid_parts(a.values)
+    return _make(out, (a,), (pull,))
+
+
+def relu(a: Tensor) -> Tensor:
+    out, pull = relu_parts(a.values)
+    return _make(out, (a,), (pull,))
+
+
+def sigmoid_parts(x: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """The value and pullback behind :func:`sigmoid`; fused nodes that apply the
+    activation (``model.Mlp``) call it, as they call :func:`floored_log`."""
     e = np.exp(np.minimum(x, -x))  # exp(-|x|), never overflows; -abs would flip a NaN's sign bit
     d = 1.0 + e
     out = np.where(x >= 0, 1.0 / d, e / d)
     inside = (out > SIGMOID_LO) & (out < SIGMOID_HI)
     out = np.clip(out, SIGMOID_LO, SIGMOID_HI)
-    return _make(out, (a,), (lambda g: g * inside * out * (1.0 - out),))
+    return out, lambda g: g * inside * out * (1.0 - out)
 
 
-def relu(a: Tensor) -> Tensor:
-    x = a.values
+def relu_parts(x: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """The value and pullback behind :func:`relu`, shared like :func:`sigmoid_parts`."""
     pos = x > 0
     # np.maximum (unlike where) propagates NaN instead of hiding it as 0
-    return _make(np.maximum(x, 0.0), (a,), (lambda g: g * pos,))
+    return np.maximum(x, 0.0), lambda g: g * pos
 
 
 # ---------------------------------------------------------------------------
@@ -225,19 +257,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         a.values @ b.values,
         (a, b),
         (lambda g: g @ b.values.T, lambda g: a.values.T @ g),
-    )
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` as one node, with the pullbacks of ``add(matmul(x, w), b)``."""
-    if x.cols != w.rows:
-        raise ShapeError(f"linear: inner dims differ, {x.shape} @ {w.shape}")
-    if b.shape != (1, w.cols):
-        raise ShapeError(f"linear: bias {b.shape} does not match {w.shape}")
-    return _make(
-        x.values @ w.values + b.values,
-        (x, w, b),
-        (lambda g: g @ w.values.T, lambda g: x.values.T @ g, lambda g: g.sum(axis=0, keepdims=True)),
     )
 
 

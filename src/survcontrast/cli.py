@@ -138,6 +138,10 @@ def load_spec(path, overrides: dict | None = None) -> ExperimentSpec:
     for key, n_bins in (("n_bins", raw.get("n_bins")), ("dataset.n_bins", (raw.get("dataset") or {}).get("n_bins"))):
         if n_bins is not None and (isinstance(n_bins, bool) or not isinstance(n_bins, int)):
             raise ConfigError(f"'{key}' must be an int or null")
+    for key, value in (raw.get("dataset") or {}).items():
+        # open() would take an int path as a file descriptor (0 reads stdin)
+        if key in ("csv", "schema") and not isinstance(value, str):
+            raise ConfigError(f"'dataset.{key}' must be a string, not {type(value).__name__}")
     for key, value in (overrides or {}).items():
         if value is not None:
             raw[key] = value

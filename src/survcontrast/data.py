@@ -250,7 +250,9 @@ class TimeGrid:
 
 
 def discretize(raw_times, n_bins: int) -> tuple[TimeGrid, np.ndarray]:
-    """Equal-width binning; the bin map is monotone in raw time."""
+    """Equal-width binning of ``[0, max(raw_times)]``; the bin map is monotone
+    in raw time. :func:`prepare` passes every row's time, so the grid's end
+    is the largest time over all splits."""
     t = np.asarray(raw_times, dtype=np.float64)
     if n_bins < 2:
         raise DataError("n_bins must be >= 2")
@@ -366,7 +368,13 @@ class PreparedData:
 
 
 def prepare(raw: RawDataset, seed: int, n_bins: int | None = None) -> PreparedData:
-    """Split, impute from the train split, min-max normalize, discretize."""
+    """Split, impute from the train split, min-max normalize, discretize.
+
+    Imputation and normalization are fit on the training split alone; the
+    time grid (and the default bin count) is built from every row's time,
+    so a validation or test row holding the largest time sets the grid's
+    end (README, "CLI").
+    """
     split = split_dataset(raw.events, seed)
     x = raw.features.copy()
     train_rows = x[split.train]

@@ -32,6 +32,13 @@ was not active.
 ``P`` the row softmax of ``u u^T / nu + log w``, it pulls ``g`` back as
 ``G = g p P`` less ``g p_i`` at (i, partner(i)), ``U = (G / nu) u + ((G / nu)^T u)``,
 ``de = U / |e| + 2 e rowsum(-U e / |e|^2) * 0.5 / |e|``, in the op order of the test oracle.
+
+``ranking_loss`` is one tape node. With ``S = exp(log(1 - h) U)`` (``U`` the
+upper-triangular ones), ``r = 1 - S``, ``at`` the one-hot of ``tau`` and ``A``
+the acceptable pairs over their count, it pulls ``g`` back as
+``D = g A exp(-(r_i(tau_i) - r_j(tau_i)) / kappa) (-1 / kappa)``,
+``R = rowsum(D) at - (at^T D)^T`` and ``dh = -(((-R S) U^T) in / clamp)``, where
+``clamp`` and ``in`` are the floored log's, in the op order of the test oracle.
 """
 
 from __future__ import annotations
@@ -251,8 +258,8 @@ def ranking_loss(hazards: Tensor, taus, deltas, kappa: float = 0.1) -> Tensor:
 
     For each acceptable pair (anchor had its event first), both risks are
     evaluated at the anchor's event bin and exp(-(r_i - r_j)/kappa) is
-    averaged over the pairs. Zero with a warning when no pair is
-    acceptable.
+    averaged over the pairs, as one tape node (pullback in the module
+    docstring). Zero with a warning when no pair is acceptable.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
@@ -266,15 +273,23 @@ def ranking_loss(hazards: Tensor, taus, deltas, kappa: float = 0.1) -> Tensor:
         logger.warning("ranking_loss: no acceptable pairs in batch, returning zero loss")
         return ad.constant([[0.0]])
 
-    # cumulative products via log-space cumulative sums (upper-tri matmul)
+    # survival through log-space cumulative sums (an upper-triangular matmul)
     upper = np.triu(np.ones((n_bins, n_bins)))
-    log_1mh = ad.log(ad.sub(ad.constant(np.ones((m, n_bins))), hazards))
-    surv = ad.exp(ad.matmul(log_1mh, ad.constant(upper)))
-    risk = ad.sub(ad.constant(np.ones((m, n_bins))), surv)
-
+    log_1mh, clamped, inside = ad.floored_log(1.0 - hazards.values)
+    surv = np.exp(log_1mh @ upper)
+    risk = 1.0 - surv
     at = (np.arange(n_bins)[None, :] == taus[:, None]).astype(np.float64)
-    own = ad.reduce_sum(ad.mul(risk, ad.constant(at)), axis=1)  # r_i at tau_i
-    cross = ad.matmul(ad.constant(at), ad.transpose(risk))  # [i, j] -> r_j at tau_i
-    diff = ad.sub(own, cross)
-    terms = ad.exp(ad.scale(diff, -1.0 / kappa))
-    return ad.reduce_sum(ad.mul(terms, ad.constant(acceptable / n_pairs)))
+    own = (risk * at).sum(axis=1, keepdims=True)  # r_i at tau_i
+    cross = at @ risk.T  # [i, j] -> r_j at tau_i, a one-hot pick: exact in any summation order
+    c = -1.0 / kappa
+    terms = np.exp((own - cross) * c)
+    pair_w = acceptable / n_pairs
+
+    def pull(g):
+        g_diff = g * pair_w * terms * c
+        g_risk = g_diff.sum(axis=1, keepdims=True) * at
+        g_risk += (at.T @ (g_diff * -1.0)).T
+        g_log = (g_risk * -1.0 * surv) @ upper.T
+        return g_log * inside / clamped * -1.0
+
+    return ad._make((terms * pair_w).sum(keepdims=True), (hazards,), (pull,))

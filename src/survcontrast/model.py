@@ -22,7 +22,9 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import DataError, check_field_types
 
+# the per-layer ops by name; Mlp applies their math (ACTIVATION_PARTS) inside its one node
 ACTIVATIONS = {"relu": ad.relu, "sigmoid": ad.sigmoid}
+ACTIVATION_PARTS = {"relu": ad.relu_parts, "sigmoid": ad.sigmoid_parts}
 
 
 @dataclass
@@ -76,11 +78,18 @@ class ModelConfig:
 
 
 class Mlp:
-    """Stack of linear layers with the configured activation between them."""
+    """Stack of linear layers with the configured activation between them.
+
+    The layers' weights and biases are views into one 1 x n leaf, ``flat``,
+    laid out ``w0 b0 w1 b1 ...``; a forward pass is one tape node whose
+    parents are the input and ``flat``.
+    """
 
     def __init__(self, config: MlpConfig, params: list[tuple[Tensor, Tensor]]):
         self.config = config
         self.layers = params  # [(weights in_dim x out_dim, bias 1 x out_dim), ...]
+        values = np.concatenate([p.values.reshape(-1) for p in self.parameters()])[None, :]
+        self.bind(values, np.zeros_like(values))
 
     @classmethod
     def init(cls, config: MlpConfig, rng: np.random.Generator) -> "Mlp":
@@ -91,15 +100,48 @@ class Mlp:
             params.append((Tensor(w, requires_grad=True), Tensor(np.zeros((1, fan_out)), requires_grad=True)))
         return cls(config, params)
 
+    def bind(self, values: np.ndarray, grad: np.ndarray) -> None:
+        """Make ``flat`` the 1 x n arrays ``values`` and ``grad`` (views kept)
+        and every layer's ``w``/``b`` a view into them."""
+        self.flat = Tensor(values)
+        self.flat.requires_grad = True
+        self.flat.grad = grad
+        start = 0
+        for p in self.parameters():
+            stop = start + p.values.size
+            p.values = values[0, start:stop].reshape(p.shape)
+            p.grad = grad[0, start:stop].reshape(p.shape)
+            start = stop
+
     def __call__(self, x: Tensor) -> Tensor:
-        act = ACTIVATIONS[self.config.activation]
-        h = x
+        """The network as one node. Its pullback walks the layers in reverse
+        with the per-layer formulas: the activation's local gradient, then
+        ``x^T g`` and ``colsum(g)`` for the layer's ``w`` and ``b``, and
+        ``g w^T`` for its input (skipped at an untracked network input)."""
+        if x.cols != self.config.input_dim:
+            raise ad.ShapeError(f"expected {self.config.input_dim} input columns, got {x.cols}")
+        act = ACTIVATION_PARTS[self.config.activation]
         last = len(self.layers) - 1
+        inputs, act_pulls = [], []
+        h = x.values
         for i, (w, b) in enumerate(self.layers):
-            h = ad.linear(h, w, b)
+            inputs.append(h)
+            h = h @ w.values + b.values
             if i != last:
-                h = act(h)
-        return h
+                h, pull = act(h)
+                act_pulls.append(pull)
+        need_x = x.requires_grad
+
+        def pull_all(g):
+            parts = []
+            for i in range(last, -1, -1):
+                if i != last:
+                    g = act_pulls[i](g)
+                parts += [g.sum(axis=0, keepdims=True), inputs[i].T @ g]
+                g = g @ self.layers[i][0].values.T if i or need_x else None
+            return g, np.concatenate([p.reshape(1, -1) for p in reversed(parts)], axis=1)
+
+        return ad._make_joint(h, (x, self.flat), pull_all)
 
     def parameters(self) -> list[Tensor]:
         return [t for pair in self.layers for t in pair]
@@ -109,8 +151,9 @@ class HazardModel:
     """Encoder + projection head + hazard network with shared latent space.
 
     All parameters live in one flat buffer, laid out ``projection | encoder |
-    hazard``, and every leaf's ``values`` and ``grad`` are views into it and
-    into its gradient twin. So the encoder with either head is one
+    hazard``, and every leaf's ``values`` and ``grad`` (each network's
+    ``flat`` and its layers' ``w``/``b``) are views into it and into its
+    gradient twin. So the encoder with either head is one
     contiguous slice (:meth:`trainable`), which an optimizer updates in one
     vectorized step.
     """
@@ -121,17 +164,14 @@ class HazardModel:
         self.projection = projection
         self.hazard_net = hazard_net
         self.seed = seed
-        leaves = self.projection_params() + self.encoder_params() + self.hazard_params()
-        self.params = Tensor(np.concatenate([p.values.reshape(-1) for p in leaves])[None, :], requires_grad=True)
+        nets = (projection, encoder, hazard_net)
+        self.params = Tensor(np.concatenate([net.flat.values for net in nets], axis=1), requires_grad=True)
+        sizes = [net.flat.cols for net in nets]
         start = 0
-        for p in leaves:
-            stop = start + p.values.size
-            p.values = self.params.values[0, start:stop].reshape(p.shape)
-            p.grad = self.params.grad[0, start:stop].reshape(p.shape)
-            start = stop
-        n_projection = sum(p.values.size for p in self.projection_params())
-        n_hazard = sum(p.values.size for p in self.hazard_params())
-        self._heads = {"projection": slice(0, stop - n_hazard), "hazard": slice(n_projection, stop)}
+        for net, size in zip(nets, sizes):
+            net.bind(self.params.values[:, start : start + size], self.params.grad[:, start : start + size])
+            start += size
+        self._heads = {"projection": slice(0, sum(sizes[:2])), "hazard": slice(sizes[0], start)}
 
     def encode(self, x: Tensor) -> Tensor:
         if x.cols != self.config.input_dim:
@@ -193,7 +233,7 @@ class HazardModel:
             },
         }
         with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            fh.write(json.dumps(payload, sort_keys=True))  # json.dump would run the pure-Python encoder
 
     @classmethod
     def load(cls, path) -> "HazardModel":

@@ -3,10 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
-
 from survcontrast import autodiff as ad
 from survcontrast.autodiff import Tensor
 
@@ -84,34 +80,26 @@ def test_sigmoid_bitwise_equals_masked_form(shape):
         assert got._pulls[0](g).tobytes() == want._pulls[0](g).tobytes()
 
 
-@st.composite
-def linear_operands(draw):
-    m, k, n = (draw(st.integers(1, 6)) for _ in range(3))
-    values = st.floats(-1e3, 1e3)
-    return tuple(draw(arrays(np.float64, shape, elements=values)) for shape in ((m, k), (k, n), (1, n), (m, n)))
+def test_joint_node_pulls_once_per_backward():
+    x = Tensor([[1.0, -2.0]], requires_grad=True)
+    y = Tensor([[3.0, 0.5]], requires_grad=True)
+    calls = []
 
+    def pull_all(g):  # d(x * y): y g for x, x g for y
+        calls.append(g)
+        return g * y.values, g * x.values
 
-@settings(max_examples=200, deadline=None)
-@given(linear_operands())
-def test_linear_matches_composite(operands):
-    *inputs, coeffs = operands
-    results = []
-    for op in (ad.linear, linear_composite):
-        leaves = [Tensor(v, requires_grad=True) for v in inputs]
-        out = op(*leaves)
-        ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(coeffs))))
-        results.append([out.values] + [leaf.grad for leaf in leaves])
-    for got, want in zip(*results):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-
-def test_linear_is_one_node_and_checks_shapes():
-    x, w, b = (Tensor(np.ones(shape), requires_grad=True) for shape in ((2, 3), (3, 4), (1, 4)))
-    assert len(ad.backward(ad.reduce_sum(ad.linear(x, w, b)))) == 5  # three leaves, linear, sum
-    with pytest.raises(ad.ShapeError):
-        ad.linear(x, Tensor(np.ones((2, 4))), b)
-    with pytest.raises(ad.ShapeError):
-        ad.linear(x, w, Tensor(np.ones((2, 4))))
+    loss = ad.reduce_sum(ad._make_joint(x.values * y.values, (x, y), pull_all))
+    grads = []
+    # the same root twice, then another root over the same node
+    for root in (loss, loss, ad.scale(loss, 3.0)):
+        ad.zero_grads([x, y])
+        ad.backward(root)
+        grads.append((x.grad.copy(), y.grad.copy()))
+    assert len(calls) == 3
+    for got, k in zip(grads, (1.0, 1.0, 3.0)):
+        np.testing.assert_array_equal(got[0], [[3.0 * k, 0.5 * k]])
+        np.testing.assert_array_equal(got[1], [[1.0 * k, -2.0 * k]])
 
 
 def test_log_exp_inverse_pair():

@@ -455,6 +455,13 @@ DATASET_SPEC = {key: value for key, value in BASE_SPEC.items() if key != "synthe
         ({**DATASET_SPEC, "dataset": "x"}, "'dataset' must be an object, not str"),
         ({**DATASET_SPEC, "dataset": {"csv": "d.csv", "schema": "s.json", "n_bins": "x"}},
          "'dataset.n_bins' must be an int or null"),
+        ({**DATASET_SPEC, "dataset": {"csv": 0, "schema": "s.json"}}, "'dataset.csv' must be a string, not int"),
+        ({**DATASET_SPEC, "dataset": {"csv": 1.5, "schema": "s.json"}}, "'dataset.csv' must be a string, not float"),
+        ({**DATASET_SPEC, "dataset": {"csv": ["d.csv"], "schema": "s.json"}}, "'dataset.csv' must be a string, not list"),
+        ({**DATASET_SPEC, "dataset": {"csv": "d.csv", "schema": 0}}, "'dataset.schema' must be a string, not int"),
+        ({**DATASET_SPEC, "dataset": {"csv": "d.csv", "schema": 1.5}}, "'dataset.schema' must be a string, not float"),
+        ({**DATASET_SPEC, "dataset": {"csv": "d.csv", "schema": ["s.json"]}},
+         "'dataset.schema' must be a string, not list"),
     ],
 )
 def test_malformed_spec_shape_exits_2(tmp_path, capsys, raw, message, extra):

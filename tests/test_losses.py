@@ -9,7 +9,8 @@ from survcontrast import autodiff as ad
 from survcontrast import losses
 from survcontrast.autodiff import Tensor
 from survcontrast.model import ModelConfig, init_model
-from test_autodiff import linear_composite, sigmoid_masked
+from test_autodiff import sigmoid_masked
+from test_model import mlp_composite
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +113,31 @@ def ranking_oracle(hazards, taus, deltas, kappa):
                 total += math.exp(-(risk[i, taus[i]] - risk[j, taus[i]]) / kappa)
                 count += 1
     return total / count
+
+
+def ranking_composite(hazards, taus, deltas, kappa):
+    """The ranking loss as a graph of autodiff ops (the pre-fusion code).
+
+    ``losses.ranking_loss`` is one tape node whose pullback evaluates this
+    graph's chain rule in the same order, so the two agree bit for bit.
+    """
+    taus = np.asarray(taus, dtype=int)
+    deltas = np.asarray(deltas)
+    m, n_bins = hazards.shape
+    acceptable = ((deltas[:, None] == 1) & (taus[:, None] < taus[None, :])).astype(np.float64)
+    np.fill_diagonal(acceptable, 0.0)
+    n_pairs = acceptable.sum()
+    if n_pairs == 0:
+        return ad.constant([[0.0]])
+    upper = np.triu(np.ones((n_bins, n_bins)))
+    log_1mh = ad.log(ad.sub(ad.constant(np.ones((m, n_bins))), hazards))
+    surv = ad.exp(ad.matmul(log_1mh, ad.constant(upper)))
+    risk = ad.sub(ad.constant(np.ones((m, n_bins))), surv)
+    at = (np.arange(n_bins)[None, :] == taus[:, None]).astype(np.float64)
+    own = ad.reduce_sum(ad.mul(risk, ad.constant(at)), axis=1)  # r_i at tau_i
+    cross = ad.matmul(ad.constant(at), ad.transpose(risk))  # [i, j] -> r_j at tau_i
+    terms = ad.exp(ad.scale(ad.sub(own, cross), -1.0 / kappa))
+    return ad.reduce_sum(ad.mul(terms, ad.constant(acceptable / n_pairs)))
 
 
 def hazards_tensor(values):
@@ -495,9 +521,13 @@ def test_snce_fused_bitwise_on_model_batch():
     model, x, views, taus, deltas, pw = _toy_problem(14)
     params = model.all_params()
     results = []
-    for loss_fn in (losses.snce_loss, snce_composite):
+    both = Tensor(np.vstack([x, views]))
+    for loss_fn, embed in (
+        (losses.snce_loss, lambda: model.project(model.encode(both))),
+        (snce_composite, lambda: mlp_composite(model.projection, mlp_composite(model.encoder, both))),
+    ):
         ad.zero_grads(params)
-        loss = loss_fn(model.project(model.encode(Tensor(np.vstack([x, views])))), pw, 0.5)
+        loss = loss_fn(embed(), pw, 0.5)
         ad.backward(ad.scale(loss, 0.7))
         results.append([loss.values.tobytes()] + [p.grad.tobytes() for p in params])
     assert results[0] == results[1]
@@ -585,6 +615,59 @@ def test_ranking_no_pairs_zero(caplog):
     assert "no acceptable pairs" in caplog.text
 
 
+@st.composite
+def ranking_batches(draw):
+    m = draw(st.integers(1, 10))
+    n_bins = draw(st.integers(1, 8))
+    # few distinct bins, so tied times are common
+    taus = np.asarray(draw(st.lists(st.integers(0, min(n_bins - 1, draw(st.integers(0, 3)))), min_size=m, max_size=m)))
+    deltas = np.asarray(draw(st.lists(st.sampled_from([0, 1]), min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        deltas[:] = 0  # no acceptable pair: the zero-loss path
+    # logits through the sigmoid; +-40 and beyond hit its clamp
+    extremes = st.sampled_from([40.0, -40.0, 1e4, -1e4, 0.0, -0.0])
+    logits = draw(st.lists(st.floats(-20, 20) | extremes, min_size=m * n_bins, max_size=m * n_bins))
+    return np.asarray(logits).reshape(m, n_bins), taus, deltas, draw(st.sampled_from([0.05, 0.1, 1.0]))
+
+
+def _ranking_value_and_grad(loss_fn, logits, taus, deltas, kappa):
+    leaf = Tensor(logits, requires_grad=True)
+    loss = loss_fn(ad.sigmoid(leaf), taus, deltas, kappa)
+    ad.backward(loss)
+    return loss.item(), leaf.grad
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranking_batches())
+def test_ranking_fused_matches_composite(batch):
+    value, grad = _ranking_value_and_grad(losses.ranking_loss, *batch)
+    want_value, want_grad = _ranking_value_and_grad(ranking_composite, *batch)
+    assert abs(value - want_value) <= 1e-12 * max(1.0, abs(want_value))
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 13, 64, 257])
+def test_ranking_bitwise_equals_composite(m):
+    # batch sizes of training and validation, with many tied times: the
+    # pullback sums each bin's rows, whose order must follow the graph's
+    for batch in range(4):
+        rng = np.random.default_rng([m, batch])
+        logits = rng.normal(scale=3.0, size=(m, 30))
+        taus, deltas = rng.integers(0, 12, size=m), rng.integers(0, 2, size=m)
+        deltas[0], taus[0] = 1, 0
+        value, grad = _ranking_value_and_grad(losses.ranking_loss, logits, taus, deltas, 0.1)
+        want_value, want_grad = _ranking_value_and_grad(ranking_composite, logits, taus, deltas, 0.1)
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes(), batch
+        assert grad.tobytes() == want_grad.tobytes(), batch
+
+
+def test_ranking_is_one_tape_node():
+    leaf = Tensor(np.full((3, 4), 0.3), requires_grad=True)
+    taus, deltas = [0, 2, 3], [1, 0, 1]
+    assert len(ad.backward(losses.ranking_loss(leaf, taus, deltas))) == 2  # the leaf and the loss
+    assert len(ad.backward(ranking_composite(leaf, taus, deltas, 0.1))) == 15
+
+
 # ---------------------------------------------------------------------------
 # total loss and gradients
 # ---------------------------------------------------------------------------
@@ -602,36 +685,61 @@ def _toy_problem(seed, activation="relu"):
     return model, x, views, taus, deltas, pw
 
 
-def composite_mlp(net, x, composite_linear, composite_sigmoid):
-    """``net``'s forward pass with its layers (and sigmoid activations)
-    optionally built from the pre-fusion ops."""
-    act = {"relu": ad.relu, "sigmoid": sigmoid_masked if composite_sigmoid else ad.sigmoid}[net.config.activation]
-    h = x
-    for i, (w, b) in enumerate(net.layers):
-        h = linear_composite(h, w, b) if composite_linear else ad.linear(h, w, b)
-        if i != len(net.layers) - 1:
-            h = act(h)
-    return h
+def _hazards(model, x, composite):
+    """The model's hazards, with its networks as per-layer graphs when
+    ``"mlp"`` is in ``composite`` and every sigmoid in its masked pre-fusion
+    form when ``"sigmoid"`` is (a fused network applies its own)."""
+    sigmoid = sigmoid_masked if "sigmoid" in composite else ad.sigmoid
+    if "mlp" not in composite:
+        return sigmoid(model.hazard_net(model.encode(x)))
+    act = sigmoid_masked if "sigmoid" in composite and model.config.activation == "sigmoid" else None
+    return sigmoid(mlp_composite(model.hazard_net, mlp_composite(model.encoder, x, act), act))
 
 
 @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
-@pytest.mark.parametrize("composite", [("linear",), ("sigmoid",), ("nll",), ("linear", "sigmoid", "nll")])
+@pytest.mark.parametrize("composite", [("mlp",), ("sigmoid",), ("nll",), ("mlp", "sigmoid", "nll")])
 def test_fused_likelihood_bitwise_on_model_batch(composite, activation):
     model, x, _, taus, deltas, _ = _toy_problem(16, activation=activation)
     params = model.all_params()
     results = []
     for parts in ((), composite):
         ad.zero_grads(params)
-        if parts:
-            h = composite_mlp(model.encoder, Tensor(x), "linear" in parts, "sigmoid" in parts)
-            logits = composite_mlp(model.hazard_net, h, "linear" in parts, "sigmoid" in parts)
-            hazards = (sigmoid_masked if "sigmoid" in parts else ad.sigmoid)(logits)
-        else:
-            hazards = model.hazard(model.encode(Tensor(x)))
+        hazards = _hazards(model, Tensor(x), parts)
         loss = (nll_composite if "nll" in parts else losses.nll_loss)(hazards, taus, deltas)
         ad.backward(loss)
         results.append([loss.values.tobytes(), hazards.values.tobytes()] + [p.grad.tobytes() for p in params])
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+@pytest.mark.parametrize("seed", [16, 17, 18])
+def test_fused_ranking_bitwise_on_model_batch(seed, activation):
+    model, x, _, taus, deltas, _ = _toy_problem(seed, activation=activation)
+    params = model.all_params()
+    results = []
+    for parts, loss_fn in (((), losses.ranking_loss), (("mlp", "sigmoid"), ranking_composite)):
+        ad.zero_grads(params)
+        loss = loss_fn(_hazards(model, Tensor(x), parts), taus, deltas, 0.1)
+        ad.backward(ad.scale(loss, 0.7))
+        results.append([loss.values.tobytes()] + [p.grad.tobytes() for p in params])
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("which", ["nll", "snce", "rank"])
+def test_backward_twice_on_one_graph_gives_the_same_gradients(which):
+    model, x, views, taus, deltas, pw = _toy_problem(19)
+    if which == "snce":
+        loss = losses.snce_loss(model.project(model.encode(Tensor(np.vstack([x, views])))), pw, 0.5)
+    else:
+        hazards = model.hazard(model.encode(Tensor(x)))
+        loss = losses.nll_loss(hazards, taus, deltas) if which == "nll" else losses.ranking_loss(hazards, taus, deltas)
+    grads = []
+    for root in (loss, loss, ad.scale(loss, 2.0)):  # a second root over the same graph pulls anew
+        ad.zero_grads([model.params])
+        ad.backward(root)
+        grads.append(model.params.grad.copy())
+    assert grads[0].tobytes() == grads[1].tobytes() and np.any(grads[0] != 0.0)
+    assert (grads[0] * 2.0).tobytes() == grads[2].tobytes()
 
 
 def test_total_gradient_is_linear_combination():

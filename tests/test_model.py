@@ -9,7 +9,9 @@ from hypothesis.extra.numpy import arrays
 from survcontrast import autodiff as ad
 from survcontrast.autodiff import Tensor
 from survcontrast.model import (
+    ACTIVATIONS,
     Mlp,
+    MlpConfig,
     ModelConfig,
     HazardModel,
     init_model,
@@ -17,12 +19,26 @@ from survcontrast.model import (
     risk_from_hazard,
     survival_from_hazard,
 )
+from test_autodiff import linear_composite
 
 
 def small_config(**kw):
     base = dict(input_dim=6, n_time_bins=11, hidden_dim=8, depth=2, embedding_dim=4)
     base.update(kw)
     return ModelConfig(**base)
+
+
+def mlp_composite(net, x, act=None):
+    """``net``'s forward pass as the per-layer graph (the pre-fusion code):
+    ``add(matmul(h, w), b)`` for each layer and an activation node between
+    layers, ``act`` or the network's op from ``ACTIVATIONS``."""
+    act = act or ACTIVATIONS[net.config.activation]
+    h = x
+    for i, (w, b) in enumerate(net.layers):
+        h = linear_composite(h, w, b)
+        if i != len(net.layers) - 1:
+            h = act(h)
+    return h
 
 
 def test_encode_zeroed_final_layer_gives_bias():
@@ -213,6 +229,53 @@ def test_depth_equals_weight_matrix_count():
     assert len(model.projection.layers) == 2
 
 
+@st.composite
+def mlp_cases(draw):
+    activation = draw(st.sampled_from(["relu", "sigmoid"]))
+    depth = draw(st.integers(1, 4))
+    rows, input_dim, hidden_dim, output_dim = (draw(st.integers(1, 6)) for _ in range(4))
+    config = MlpConfig(input_dim, hidden_dim, depth, output_dim, activation)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    net = Mlp.init(config, rng)
+    # weights of scale 1e3 push hidden sigmoids onto their clamp
+    net.flat.values[...] = rng.normal(size=net.flat.shape) * draw(st.sampled_from([1.0, 1e3]))
+    x = rng.uniform(-3, 3, size=(rows, input_dim))
+    if draw(st.booleans()):
+        # a zero weight column and bias put a unit exactly on the ReLU kink for every row
+        w, b = net.layers[draw(st.integers(0, depth - 1))]
+        col = draw(st.integers(0, w.cols - 1))
+        w.values[:, col] = 0.0
+        b.values[0, col] = 0.0
+    if draw(st.booleans()):
+        x[0] = 0.0  # a zero input row: layer 0's pre-activation is exactly its bias
+    return net, x, rng.normal(size=(rows, output_dim)), draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(mlp_cases())
+def test_mlp_node_matches_per_layer_composite(case):
+    net, x, coeffs, track_x = case
+    results = []
+    for forward in (net, lambda leaf: mlp_composite(net, leaf)):
+        leaf = Tensor(x, requires_grad=track_x)
+        ad.zero_grads(net.parameters())
+        out = forward(leaf)
+        ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(coeffs))))
+        results.append([out.values, net.flat.grad.copy()] + ([leaf.grad] if track_x else []))
+    for got, want in zip(*results):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_mlp_is_one_node_and_checks_shapes():
+    net = init_model(small_config(depth=3), seed=0).encoder
+    x = Tensor(np.ones((2, 6)), requires_grad=True)
+    assert len(ad.backward(ad.reduce_sum(net(x)))) == 4  # the input, the network's leaf, the network, the sum
+    # the input, 6 leaves, 3 x (matmul, add), 2 relus and the sum
+    assert len(ad.backward(ad.reduce_sum(mlp_composite(net, x)))) == 16
+    with pytest.raises(ad.ShapeError, match="expected 6 input columns, got 5"):
+        net(Tensor(np.ones((2, 5))))
+
+
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     model = init_model(small_config(), seed=13)
     # perturb away from init so the roundtrip is non-trivial
@@ -225,6 +288,18 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert loaded.config == model.config
     for pa, pb in zip(model.all_params(), loaded.all_params()):
         np.testing.assert_array_equal(pa.values, pb.values)
+
+
+def test_checkpoint_bytes_equal_json_dump(tmp_path):
+    model = init_model(small_config(), seed=16)
+    model.params.values[0, :4] = [-0.0, 5e-324, 1e300, 1.0 / 3.0]
+    path = tmp_path / "model.json"
+    model.save(path)
+    written = path.read_bytes()
+    # repr round-trips every float, so the parsed payload is the one save() built
+    with open(tmp_path / "dumped.json", "w") as fh:
+        json.dump(json.loads(written), fh, sort_keys=True)
+    assert written == (tmp_path / "dumped.json").read_bytes()
 
 
 def _saved_checkpoint(tmp_path):

@@ -157,8 +157,9 @@ def test_contrastive_step_tape_has_the_fused_loss(monkeypatch):
     monkeypatch.setattr(tr.ad, "backward", lambda root: tapes.append(backward(root)) or tapes[-1])
     tr.contrastive_step(model, one_batch(data), quick_config(), opt, "nll+snce", alpha=0.0)
     # leaves included: 40 nodes with the loss as 16 autodiff ops and each layer
-    # as matmul + add; 20 with the loss and each layer one node
-    assert len(tapes) == 1 and len(tapes[0]) == 20
+    # as matmul + add, 20 with the loss and each layer one node; 6 with each
+    # network one node: two network leaves, two networks, the loss and its scale
+    assert len(tapes) == 1 and len(tapes[0]) == 6
 
 
 def test_likelihood_step_tape_has_the_fused_ops(monkeypatch):
@@ -169,9 +170,23 @@ def test_likelihood_step_tape_has_the_fused_ops(monkeypatch):
     backward = tr.ad.backward
     monkeypatch.setattr(tr.ad, "backward", lambda root: tapes.append(backward(root)) or tapes[-1])
     tr.likelihood_step(model, one_batch(data), opt)
-    # 45 nodes with the loss as 16 autodiff ops and each layer as matmul + add:
-    # 12 leaves, 6 layers, 4 relus, the sigmoid and the loss
-    assert len(tapes) == 1 and len(tapes[0]) == 24
+    # 45 nodes with the loss as 16 autodiff ops and each layer as matmul + add;
+    # 24 with 12 leaves, 6 layers, 4 relus, the sigmoid and the loss; 6 with
+    # each network one node: two network leaves, two networks, the sigmoid and the loss
+    assert len(tapes) == 1 and len(tapes[0]) == 6
+
+
+def test_ranking_step_tape_has_the_fused_ops(monkeypatch):
+    data = make_data(n=100)
+    model = make_model(data, hidden_dim=32, depth=3, embedding_dim=16)
+    opt = tr.Adam(model.trainable("hazard"), lr=1e-3)
+    tapes = []
+    backward = tr.ad.backward
+    monkeypatch.setattr(tr.ad, "backward", lambda root: tapes.append(backward(root)) or tapes[-1])
+    tr.ranking_step(model, one_batch(data), quick_config(), opt)
+    # 38 nodes with the loss as 15 autodiff ops and each layer one node; 7 with
+    # the loss and each network one node: the likelihood step's 6 and the scale
+    assert len(tapes) == 1 and len(tapes[0]) == 7
 
 
 def test_flat_slice_step_equals_per_tensor_adam():
