@@ -49,7 +49,7 @@ import numpy as np
 
 from . import metrics as M
 from .autodiff import ShapeError
-from .data import DataError, PreparedData, RawDataset, Schema, load_csv, prepare, write_csv
+from .data import DataError, PreparedData, RawDataset, Schema, check_field_types, load_csv, prepare, write_csv
 from .model import HazardModel, ModelConfig, init_model, survival_from_hazard
 from .synth import GENERATORS, SynthConfig, generate_paired_exponential, margin_study
 from .trainer import VARIANTS, TrainConfig, TrainingDiverged, train
@@ -62,9 +62,29 @@ class ConfigError(ValueError):
     pass
 
 
+def configure(cls, what: str, given: dict, **derived):
+    """``cls(**given, **derived)``, with any construction error (a bad value,
+    an unknown key, or a key that ``derived`` also sets) as a ConfigError."""
+    try:
+        return cls(**given, **derived)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
+
+
+@dataclass
+class DatasetSpec:
+    # paths must be strings: open() takes an int as a file descriptor (0 reads stdin)
+    csv: str
+    schema: str
+    n_bins: int | None = None
+
+    def __post_init__(self):
+        check_field_types(self, "dataset.")
+
+
 @dataclass
 class ExperimentSpec:
-    dataset: dict | None = None  # {"csv": ..., "schema": ..., "n_bins": ...}
+    dataset: dict | None = None  # DatasetSpec fields; a DatasetSpec once constructed
     synthetic: dict | None = None  # SynthConfig fields
     variants: list[str] = field(default_factory=lambda: ["nll+snce"])
     seeds: list[int] = field(default_factory=lambda: list(DEFAULT_SEEDS))
@@ -74,41 +94,26 @@ class ExperimentSpec:
     out: str = "runs/experiment"
 
     def __post_init__(self):
+        check_field_types(self)
         if (self.dataset is None) == (self.synthetic is None):
-            raise ConfigError("spec needs exactly one of 'dataset' or 'synthetic'")
+            raise ValueError("exactly one of 'dataset' or 'synthetic' must be given")
+        for key in ("variants", "seeds"):
+            if not getattr(self, key):
+                raise ValueError(f"'{key}' must not be empty")
         if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("seeds must be distinct")
+            raise ValueError("seeds must be distinct")
+        if min(self.seeds) < 0:
+            raise ValueError("seeds must be non-negative")
         for v in self.variants:
             if v not in VARIANTS:
-                raise ConfigError(f"unknown variant {v!r}; expected one of {VARIANTS}")
-
-    def train_config(self, seed: int, **overrides) -> TrainConfig:
-        kw = dict(self.train)
-        kw.update(overrides)
-        kw["seed"] = seed
-        try:
-            return TrainConfig(**kw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid train config: {exc}") from exc
-
-    def model_config(self, input_dim: int, n_time_bins: int) -> ModelConfig:
-        try:
-            return ModelConfig(input_dim=input_dim, n_time_bins=n_time_bins, **self.model)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid model config: {exc}") from exc
-
-
-# file-level shape of the ExperimentSpec fields that are not lists
-SPEC_FIELD_KINDS = (
-    ("dataset", (dict, type(None)), "an object"),
-    ("synthetic", (dict, type(None)), "an object"),
-    ("model", dict, "an object"),
-    ("train", dict, "an object"),
-    ("out", str, "a string"),
-)
+                raise ValueError(f"unknown variant {v!r}; expected one of {VARIANTS}")
+        if self.dataset is not None:
+            self.dataset = DatasetSpec(**self.dataset)
 
 
 def load_spec(path, overrides: dict | None = None) -> ExperimentSpec:
+    """The spec in ``path`` with the fields in ``overrides`` replaced; the
+    file is checked as written first, so a flag cannot hide a bad field."""
     path = Path(path)
     if path.suffix == ".toml" and tomllib is None:
         raise ConfigError("TOML specs need python >= 3.11 or the tomli package; use JSON instead")
@@ -125,34 +130,8 @@ def load_spec(path, overrides: dict | None = None) -> ExperimentSpec:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"spec {path} must be an object at the top level, not {type(raw).__name__}")
-    if not _list_of(raw.get("variants", []), str):
-        raise ConfigError("'variants' must be a list of strings")
-    if not _list_of(raw.get("seeds", []), int):
-        raise ConfigError("'seeds' must be a list of ints")
-    for key in ("variants", "seeds"):
-        if raw.get(key) == []:
-            raise ConfigError(f"'{key}' must not be empty")
-    for key, kinds, noun in SPEC_FIELD_KINDS:
-        if key in raw and not isinstance(raw[key], kinds):
-            raise ConfigError(f"'{key}' must be {noun}, not {type(raw[key]).__name__}")
-    for key, n_bins in (("n_bins", raw.get("n_bins")), ("dataset.n_bins", (raw.get("dataset") or {}).get("n_bins"))):
-        if n_bins is not None and (isinstance(n_bins, bool) or not isinstance(n_bins, int)):
-            raise ConfigError(f"'{key}' must be an int or null")
-    for key, value in (raw.get("dataset") or {}).items():
-        # open() would take an int path as a file descriptor (0 reads stdin)
-        if key in ("csv", "schema") and not isinstance(value, str):
-            raise ConfigError(f"'dataset.{key}' must be a string, not {type(value).__name__}")
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            raw[key] = value
-    try:
-        return ExperimentSpec(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad spec field: {exc}") from exc
-
-
-def _list_of(value, kind) -> bool:
-    return isinstance(value, list) and all(isinstance(v, kind) and not isinstance(v, bool) for v in value)
+    spec = configure(ExperimentSpec, "spec", raw)
+    return configure(ExperimentSpec, "spec", {**raw, **overrides}) if overrides else spec
 
 
 def resolve_out(spec_out: str, flag_out: str | None) -> Path:
@@ -172,30 +151,17 @@ def resolve_out(spec_out: str, flag_out: str | None) -> Path:
 def load_raw(spec: ExperimentSpec) -> RawDataset:
     if spec.dataset is not None:
         try:
-            csv_path, schema_path = spec.dataset["csv"], spec.dataset["schema"]
-        except KeyError as exc:
-            raise ConfigError(f"dataset spec needs 'csv' and 'schema': missing {exc}") from exc
-        try:
-            return load_csv(csv_path, Schema.from_json(schema_path))
+            return load_csv(spec.dataset.csv, Schema.from_json(spec.dataset.schema))
         except (DataError, OSError) as exc:  # OSError: a missing file or a directory
             raise ConfigError(str(exc)) from exc
-    cfg = synth_config(**spec.synthetic)
+    cfg = configure(SynthConfig, "synthetic config", spec.synthetic)
     return GENERATORS[cfg.kind](cfg).to_raw()
 
 
-def synth_config(**kw) -> SynthConfig:
-    try:
-        return SynthConfig(**kw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid synthetic config: {exc}") from exc
-
-
 def spec_n_bins(spec: ExperimentSpec) -> int | None:
-    if spec.n_bins is not None:
-        return spec.n_bins
-    if spec.dataset is not None:
-        return spec.dataset.get("n_bins")
-    return None
+    if spec.n_bins is None and spec.dataset is not None:
+        return spec.dataset.n_bins
+    return spec.n_bins
 
 
 def prepare_for_seed(raw: RawDataset, spec: ExperimentSpec, seed: int) -> PreparedData:
@@ -220,8 +186,10 @@ def checkpoint_path(out: Path, variant: str, seed: int) -> Path:
 
 def run_one(data: PreparedData, spec: ExperimentSpec, variant: str, seed: int, out: Path, **train_overrides):
     """Train one (variant, seed) run on ``data``, prepared for ``seed``, and write its files."""
-    model = init_model(spec.model_config(data.n_features, data.n_time_bins), seed)
-    config = spec.train_config(seed, **train_overrides)
+    model_config = configure(ModelConfig, "model config", spec.model,
+                             input_dim=data.n_features, n_time_bins=data.n_time_bins)
+    model = init_model(model_config, seed)
+    config = configure(TrainConfig, "train config", {**spec.train, **train_overrides}, seed=seed)
     model, log = train(data, model, config, variant)
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     (out / "logs").mkdir(parents=True, exist_ok=True)
@@ -310,7 +278,7 @@ def cmd_subgroup(args) -> int:
     spec = load_spec(args.config, spec_overrides(args))
     out = resolve_out(spec.out, args.out)
     raw = load_raw(spec)
-    seed = spec.seeds[0] if args.seed is None else args.seed[0]
+    seed = spec.seeds[0]
     model = load_checkpoint(out, spec.variants[0], seed)
     data = prepare_for_seed(raw, spec, seed)
 
@@ -385,7 +353,8 @@ def cmd_synth(args) -> int:
     kind = args.kind.replace("-", "_")
     if args.truth and kind != "paired_exponential":
         raise ConfigError("--truth needs --kind paired-exponential")
-    data = GENERATORS[kind](synth_config(n_samples=args.n, feature_dim=args.features, seed=args.seed, kind=kind))
+    config = dict(n_samples=args.n, feature_dim=args.features, seed=args.seed, kind=kind)
+    data = GENERATORS[kind](configure(SynthConfig, "synthetic config", config))
     raw = data.to_raw()
     out_dir = resolve_out(".", args.out)
     write_csv(out_dir / "synth.csv", raw.feature_names + ["time", "event"],
@@ -407,7 +376,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_margin_study(args) -> int:
-    pairs = margin_study(generate_paired_exponential(synth_config(n_samples=args.n, seed=args.seed)), n_bins=args.bins)
+    config = configure(SynthConfig, "synthetic config", dict(n_samples=args.n, seed=args.seed))
+    pairs = margin_study(generate_paired_exponential(config), n_bins=args.bins)
     write_csv(resolve_out(".", args.out) / "margin_pairs.csv", ["anchor_tau", "censoring_gap", "truth_gap"], pairs)
     if pairs.size:
         c_mean, t_mean = pairs[:, 1].mean(), pairs[:, 2].mean()

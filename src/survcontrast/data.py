@@ -20,6 +20,7 @@ import numpy as np
 
 SPLIT_RATIOS = {"train": 0.64, "test": 0.20, "validation": 0.16}
 FEATURE_KINDS = ("real", "binary", "categorical")
+COLUMN_ROLES = ("feature", "time", "event")
 
 
 class DataError(ValueError):
@@ -36,28 +37,41 @@ def _is_real(v) -> bool:
 
 # dataclass annotation, a string under postponed evaluation -> (accepts the value, what it must be)
 FIELD_CHECKS = {
-    "int": (_is_int, "an integer"),
+    "int": (_is_int, "an int"),
+    "int | None": (lambda v: v is None or _is_int(v), "an int or null"),
     "float": (_is_real, "a finite number"),
     "float | None": (lambda v: v is None or _is_real(v), "a finite number or null"),
     "str": (lambda v: isinstance(v, str), "a string"),
+    "list[int]": (lambda v: isinstance(v, list) and all(_is_int(x) for x in v), "a list of ints"),
+    "list[str]": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v), "a list of strings"),
+    "dict": (lambda v: isinstance(v, dict), "an object"),
+    "dict | None": (lambda v: v is None or isinstance(v, dict), "an object"),  # null: the section is absent
 }
 
 
-def check_field_types(config) -> None:
+def check_field_types(config, prefix: str = "") -> None:
     """Raise TypeError naming the first field of the dataclass ``config``
-    whose value does not fit its annotation; values are never converted."""
+    (as ``prefix`` + field name) whose value does not fit its annotation;
+    values are never converted."""
     for f in fields(config):
         accepts, noun = FIELD_CHECKS[f.type]
         value = getattr(config, f.name)
         if not accepts(value):
-            raise TypeError(f"{f.name} must be {noun}, got {value!r}")
+            raise TypeError(f"'{prefix}{f.name}' must be {noun}, not {type(value).__name__} {value!r}")
 
 
 @dataclass
 class ColumnSpec:
     name: str
-    kind: str  # real | binary | categorical
-    role: str = "feature"  # feature | time | event
+    kind: str  # real | binary | categorical; checked for features only
+    role: str = "feature"
+
+    def __post_init__(self):
+        check_field_types(self)
+        if self.role not in COLUMN_ROLES:
+            raise DataError(f"unknown role {self.role!r} for column {self.name!r}; expected one of {COLUMN_ROLES}")
+        if self.role == "feature" and self.kind not in FEATURE_KINDS:
+            raise DataError(f"unknown feature kind {self.kind!r} for column {self.name!r}")
 
 
 @dataclass
@@ -77,7 +91,7 @@ class Schema:
             raise DataError(f"schema {path} has no 'columns' list")
         try:
             columns = [ColumnSpec(**col) for col in raw["columns"]]
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise DataError(f"schema {path} has a bad column entry: {exc}") from exc
         return cls(columns)
 
@@ -85,9 +99,6 @@ class Schema:
         roles = [c.role for c in self.columns]
         if roles.count("time") != 1 or roles.count("event") != 1:
             raise DataError("schema needs exactly one time column and one event column")
-        for c in self.columns:
-            if c.role == "feature" and c.kind not in FEATURE_KINDS:
-                raise DataError(f"unknown feature kind {c.kind!r} for column {c.name!r}")
 
     @property
     def time_column(self) -> str:

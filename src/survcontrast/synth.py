@@ -48,6 +48,8 @@ class SynthConfig:
         check_field_types(self)
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.kind not in GENERATORS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.kind == "paired_exponential" and self.feature_dim < 4:

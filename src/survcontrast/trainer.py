@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import losses
 from .autodiff import Tensor
-from .data import PreparedData, check_field_types, corrupt, iterate_batches, write_csv
+from .data import DataError, PreparedData, check_field_types, corrupt, iterate_batches, write_csv
 from .model import HazardModel
 
 logger = logging.getLogger(__name__)
@@ -76,6 +76,8 @@ class TrainConfig:
             raise ValueError("ranking_kappa must be positive")
         if self.alpha_percentile is not None and not 0.0 <= self.alpha_percentile <= 100.0:
             raise ValueError("alpha_percentile must be in [0, 100]")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass
@@ -239,6 +241,10 @@ def train(
     """Train ``model`` in place and return it at its best-validation state."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if data.split.validation.size == 0:
+        # early stopping has nothing to score on; the loss would fail on an empty batch
+        raise DataError(f"the validation split is empty (train, test, validation sizes {data.split.sizes()}); "
+                        "the dataset needs more rows")
 
     ss = np.random.SeedSequence(config.seed)
     batch_rng, corrupt_rng, val_rng = (np.random.default_rng(s) for s in ss.spawn(3))

@@ -1,11 +1,18 @@
 import csv
+import dataclasses
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from survcontrast import cli
 from survcontrast.cli import main
+from survcontrast.model import ModelConfig
+from survcontrast.synth import SynthConfig
+from survcontrast.trainer import TrainConfig
 
 BASE_SPEC = {
     "synthetic": {"kind": "paired_exponential", "n_samples": 160, "seed": 3},
@@ -462,6 +469,9 @@ DATASET_SPEC = {key: value for key, value in BASE_SPEC.items() if key != "synthe
         ({**DATASET_SPEC, "dataset": {"csv": "d.csv", "schema": 1.5}}, "'dataset.schema' must be a string, not float"),
         ({**DATASET_SPEC, "dataset": {"csv": "d.csv", "schema": ["s.json"]}},
          "'dataset.schema' must be a string, not list"),
+        ({**DATASET_SPEC, "dataset": {"csv": "d.csv", "schema": "s.json", "bins": 8}},
+         "unexpected keyword argument 'bins'"),
+        ({**BASE_SPEC, "seeds": [0, -1]}, "seeds must be non-negative"),
     ],
 )
 def test_malformed_spec_shape_exits_2(tmp_path, capsys, raw, message, extra):
@@ -487,6 +497,7 @@ def test_malformed_spec_shape_exits_2(tmp_path, capsys, raw, message, extra):
         {"train": {"beta": float("nan")}},
         {"train": {"alpha": float("nan")}},
         {"synthetic": {"feature_dim": 4.5}},
+        {"train": {"seed": 1}},
     ],
     ids=lambda changes: json.dumps(changes),
 )
@@ -524,8 +535,10 @@ GOOD_COLUMNS = [
         json.dumps({"columns": [{**GOOD_COLUMNS[0], "extra": 1}, *GOOD_COLUMNS[1:]]}),
         "{not json",
         json.dumps({"fields": GOOD_COLUMNS}),
+        json.dumps({"columns": [{**GOOD_COLUMNS[0], "role": "featuer"}, *GOOD_COLUMNS[1:]]}),
+        json.dumps({"columns": [{**GOOD_COLUMNS[0], "name": 0}, *GOOD_COLUMNS[1:]]}),
     ],
-    ids=["unknown-column-key", "not-json", "no-columns"],
+    ids=["unknown-column-key", "not-json", "no-columns", "misspelt-role", "non-string-name"],
 )
 def test_malformed_schema_exits_2_naming_the_schema(tmp_path, capsys, schema_text):
     spec = write_dataset_spec(tmp_path, schema_text)
@@ -539,7 +552,9 @@ def test_malformed_schema_exits_2_naming_the_schema(tmp_path, capsys, schema_tex
 def test_dataset_spec_without_csv_blames_the_spec(tmp_path, capsys):
     spec = write_dataset_spec(tmp_path, json.dumps({"columns": GOOD_COLUMNS}), dataset_keys=("schema",))
     assert main(["train", "--config", str(spec)]) == 2
-    assert capsys.readouterr().err == "config error: dataset spec needs 'csv' and 'schema': missing 'csv'\n"
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: invalid spec: ")
+    assert err[0].endswith("missing 1 required positional argument: 'csv'")
 
 
 def _non_utf8_csv(tmp_path, spec):
@@ -606,3 +621,103 @@ def test_toml_spec_without_a_toml_parser_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["train", "--config", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["config error: TOML specs need python >= 3.11 or the tomli package; use JSON instead"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--seed", "-1"],
+        ["synth", "--seed", "-1", "--n", "30"],
+        ["margin-study", "--seed", "-1", "--n", "30"],
+    ],
+    ids=["train-flag", "synth", "margin-study"],
+)
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    config = ["--config", str(write_spec(tmp_path))] if argv[0] == "train" else []
+    assert main([*argv, *config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and "non-negative" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n_samples", [2, 3])
+def test_empty_validation_split_exits_2_naming_the_split_sizes(tmp_path, capsys, n_samples):
+    spec = write_spec(tmp_path, synthetic={"n_samples": n_samples}, seeds=[0])
+    assert main(["train", "--config", str(spec)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: the validation split is empty")
+    assert f"sizes ({n_samples - 1}, 1, 0)" in err[0]
+
+
+# one value of each JSON type; the list holds a null, which no list field admits
+JSON_SAMPLES = {"null": None, "bool": True, "int": 3, "float": 2.5, "str": "x", "list": [None], "object": {"x": 1}}
+# the JSON types of JSON_SAMPLES that each field annotation admits
+ADMITTED = {
+    "int": {"int"},
+    "int | None": {"int", "null"},
+    "float": {"int", "float"},
+    "float | None": {"int", "float", "null"},
+    "str": {"str"},
+    "list[int]": set(),
+    "list[str]": set(),
+    "dict": {"object"},
+    "dict | None": {"object", "null"},
+}
+SPEC_SECTIONS = [
+    (cli.ExperimentSpec, None),
+    (cli.DatasetSpec, "dataset"),
+    (TrainConfig, "train"),
+    (ModelConfig, "model"),
+    (SynthConfig, "synthetic"),
+]
+
+
+def rejected_field_values():
+    for cls, section in SPEC_SECTIONS:
+        for f in dataclasses.fields(cls):
+            for kind, value in JSON_SAMPLES.items():
+                if kind not in ADMITTED[f.type]:
+                    yield pytest.param(section, f.name, value, id=f"{section or 'spec'}.{f.name}={kind}")
+
+
+@pytest.mark.parametrize("section,name,value", rejected_field_values())
+def test_spec_field_of_a_rejected_json_type_exits_2(tmp_path, capsys, section, name, value):
+    # the derived fields (train.seed, model.input_dim, model.n_time_bins) are
+    # rejected whatever their type
+    spec = json.loads(json.dumps({**BASE_SPEC, "seeds": [0], "out": str(tmp_path / "out")}))
+    if section == "dataset":
+        spec["dataset"] = {"csv": "d.csv", "schema": "s.json"}
+        del spec["synthetic"]
+    (spec if section is None else spec[section])[name] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["train", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    quoted = f"'dataset.{name}'" if section == "dataset" else f"'{name}'"
+    assert len(err) == 1 and err[0].startswith("config error: ") and quoted in err[0]
+    assert captured.out == ""
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_specs_load(tmp_path):
+    text = README.read_text()
+    spec = json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+    dataset = json.loads("{" + re.search(r'`("dataset": \{.*?\})`', text, re.S).group(1) + "}")
+    dataset_spec = {**{key: value for key, value in spec.items() if key != "synthetic"}, **dataset}
+    for i, raw in enumerate([spec, dataset_spec]):
+        path = tmp_path / f"spec{i}.json"
+        path.write_text(json.dumps(raw))
+        assert isinstance(cli.load_spec(path), cli.ExperimentSpec)
+
+
+def test_readme_commands_parse():
+    parser = cli.build_parser()
+    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(), re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("survcontrast ")]
+    assert len(lines) >= 8
+    for line in lines:
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        assert args.command == shlex.split(line)[1]
