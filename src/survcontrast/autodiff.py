@@ -2,9 +2,10 @@
 
 Just enough machinery for MLP forward passes and the loss functions in this
 package: matmul, broadcasting elementwise ops, reductions (including a
-stabilized logsumexp), and a tape-based backward pass. The graph is rebuilt
-on every forward pass (define-by-run), because the losses have
-data-dependent structure such as per-batch comparability masks.
+stabilized logsumexp), and a tape-based backward pass that calls each node's
+one pullback once. The graph is rebuilt on every forward pass
+(define-by-run), because the losses have data-dependent structure such as
+per-batch comparability masks.
 
 Tensors that are not part of an active graph are safe for concurrent reads;
 a graph (tape) is single-owner and must be built and differentiated on one
@@ -34,11 +35,12 @@ class Tensor:
     """A 2-D float64 array plus an optional gradient accumulator.
 
     ``grad`` exists only on leaves created with ``requires_grad`` and only
-    :func:`backward` adds to it. Non-leaf tensors keep references to their
-    parents and a list of local gradient rules.
+    :func:`backward` adds to it. Non-leaf tensors keep their parents
+    (``None`` for an untracked one) and one pullback, ``_pull(g)``, which
+    returns one gradient per parent in parent order.
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_pulls")
+    __slots__ = ("values", "grad", "requires_grad", "_parents", "_pull")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.atleast_2d(np.asarray(values, dtype=np.float64))
@@ -47,8 +49,8 @@ class Tensor:
         self.values = arr
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(arr) if requires_grad else None
-        self._parents: tuple[Tensor, ...] = ()
-        self._pulls: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
+        self._parents: tuple[Tensor | None, ...] = ()
+        self._pull: Callable[[np.ndarray], tuple] | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -73,35 +75,16 @@ def constant(values) -> Tensor:
     return Tensor(values, requires_grad=False)
 
 
-def _make(values: np.ndarray, parents: Sequence[Tensor], pulls: Sequence[Callable]) -> Tensor:
+def _make(values: np.ndarray, parents: Sequence[Tensor], pull: Callable) -> Tensor:
+    """A node whose ``pull(g)`` returns one gradient per parent, in ``parents``
+    order (anything for a parent that is not tracked). The node keeps ``None``
+    in place of an untracked parent, so it holds no reference to it."""
     out = Tensor(values)
-    tracked = [(p, f) for p, f in zip(parents, pulls) if p.requires_grad]
-    if tracked:
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(p for p, _ in tracked)
-        out._pulls = tuple(f for _, f in tracked)
+        out._parents = tuple(p if p.requires_grad else None for p in parents)
+        out._pull = pull
     return out
-
-
-def _make_joint(values: np.ndarray, parents: Sequence[Tensor], pull_all: Callable) -> Tensor:
-    """A node whose parents' gradients all come from one ``pull_all(g)`` call,
-    returned in ``parents`` order (anything for a parent that is not tracked).
-
-    :func:`backward` hands each pull of a node the same ``g`` array, so the
-    first pull computes every gradient and the others read them. The memo
-    holds that ``g``, so a later backward pass, whose ``g`` is a new array,
-    computes them afresh.
-    """
-    memo: list = [None, ()]
-
-    def pull_of(k):
-        def pull(g):
-            if memo[0] is not g:
-                memo[:] = [g, pull_all(g)]
-            return memo[1][k]
-        return pull
-
-    return _make(values, parents, [pull_of(k) for k in range(len(parents))])
 
 
 def _broadcast_check(a: Tensor, b: Tensor, op: str) -> tuple[int, int]:
@@ -134,7 +117,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(
         a.values + b.values,
         (a, b),
-        (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape)),
+        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
     )
 
 
@@ -143,7 +126,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _make(
         a.values - b.values,
         (a, b),
-        (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape) * -1.0),
+        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape) * -1.0),
     )
 
 
@@ -152,10 +135,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(
         a.values * b.values,
         (a, b),
-        (
-            lambda g: _unbroadcast(g * b.values, a.shape),
-            lambda g: _unbroadcast(g * a.values, b.shape),
-        ),
+        lambda g: (_unbroadcast(g * b.values, a.shape), _unbroadcast(g * a.values, b.shape)),
     )
 
 
@@ -165,10 +145,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _make(
         a.values / bv,
         (a, b),
-        (
-            lambda g: _unbroadcast(g / bv, a.shape),
-            lambda g: _unbroadcast(-g * a.values / (bv * bv), b.shape),
-        ),
+        lambda g: (_unbroadcast(g / bv, a.shape), _unbroadcast(-g * a.values / (bv * bv), b.shape)),
     )
 
 
@@ -178,12 +155,12 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _make(a.values * c, (a,), (lambda g: g * c,))
+    return _make(a.values * c, (a,), lambda g: (g * c,))
 
 
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.values)
-    return _make(out, (a,), (lambda g: g * out,))
+    return _make(out, (a,), lambda g: (g * out,))
 
 
 def log(a: Tensor) -> Tensor:
@@ -194,7 +171,7 @@ def log(a: Tensor) -> Tensor:
     The local gradient is zero wherever the floor was active.
     """
     out, clamped, inside = floored_log(a.values)
-    return _make(out, (a,), (lambda g: g * inside / clamped,))
+    return _make(out, (a,), lambda g: (g * inside / clamped,))
 
 
 def floored_log(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -210,7 +187,7 @@ def floored_log(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def sqrt(a: Tensor) -> Tensor:
     out = np.sqrt(a.values)
-    return _make(out, (a,), (lambda g: g * 0.5 / out,))
+    return _make(out, (a,), lambda g: (g * 0.5 / out,))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -220,12 +197,12 @@ def sigmoid(a: Tensor) -> Tensor:
     the gradient is zero on clamped coordinates.
     """
     out, pull = sigmoid_parts(a.values)
-    return _make(out, (a,), (pull,))
+    return _make(out, (a,), lambda g: (pull(g),))
 
 
 def relu(a: Tensor) -> Tensor:
     out, pull = relu_parts(a.values)
-    return _make(out, (a,), (pull,))
+    return _make(out, (a,), lambda g: (pull(g),))
 
 
 def sigmoid_parts(x: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
@@ -256,12 +233,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(
         a.values @ b.values,
         (a, b),
-        (lambda g: g @ b.values.T, lambda g: a.values.T @ g),
+        lambda g: (g @ b.values.T, a.values.T @ g),
     )
 
 
 def transpose(a: Tensor) -> Tensor:
-    return _make(a.values.T.copy(), (a,), (lambda g: g.T,))
+    return _make(a.values.T.copy(), (a,), lambda g: (g.T,))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +255,7 @@ def _check_axis(a: Tensor, axis) -> None:
 def reduce_sum(a: Tensor, axis=None) -> Tensor:
     _check_axis(a, axis)
     out = a.values.sum(axis=axis, keepdims=True)
-    return _make(out, (a,), (lambda g: np.broadcast_to(g, a.shape).copy(),))
+    return _make(out, (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
 def reduce_mean(a: Tensor, axis=None) -> Tensor:
@@ -298,7 +275,7 @@ def logsumexp(a: Tensor, axis=None) -> Tensor:
     e = np.exp(x - m)
     s = e.sum(axis=axis, keepdims=True)
     soft = e / s
-    return _make(m + np.log(s), (a,), (lambda g: g * soft,))
+    return _make(m + np.log(s), (a,), lambda g: (g * soft,))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +298,7 @@ def trace(root: Tensor) -> list[Tensor]:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p is not None and id(p) not in seen:
                 stack.append((p, False))
     return order
 
@@ -342,8 +319,11 @@ def backward(root: Tensor) -> list[Tensor]:
             continue
         if node.grad is not None:
             node.grad += g
-        for parent, pull in zip(node._parents, node._pulls):
-            contrib = pull(g)
+        if node._pull is None:
+            continue
+        for parent, contrib in zip(node._parents, node._pull(g)):
+            if parent is None:
+                continue
             acc = grads.get(id(parent))
             if acc is None:
                 grads[id(parent)] = contrib.astype(np.float64, copy=True)

@@ -158,14 +158,14 @@ def load_raw(spec: ExperimentSpec) -> RawDataset:
     return GENERATORS[cfg.kind](cfg).to_raw()
 
 
-def spec_n_bins(spec: ExperimentSpec) -> int | None:
-    if spec.n_bins is None and spec.dataset is not None:
-        return spec.dataset.n_bins
-    return spec.n_bins
-
-
-def prepare_for_seed(raw: RawDataset, spec: ExperimentSpec, seed: int) -> PreparedData:
-    return prepare(raw, seed=seed, n_bins=spec_n_bins(spec))
+def open_experiment(args) -> tuple[ExperimentSpec, Path, dict[int, PreparedData]]:
+    """The spec with the flags applied, its output directory (made before the
+    data is read) and the dataset prepared once for each of its seeds."""
+    spec = load_spec(args.config, spec_overrides(args))
+    out = resolve_out(spec.out, args.out)
+    raw = load_raw(spec)
+    n_bins = spec.dataset.n_bins if spec.n_bins is None and spec.dataset is not None else spec.n_bins
+    return spec, out, {seed: prepare(raw, seed=seed, n_bins=n_bins) for seed in spec.seeds}
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +198,15 @@ def run_one(data: PreparedData, spec: ExperimentSpec, variant: str, seed: int, o
     return model, log
 
 
-def cmd_train(args) -> int:
-    spec = load_spec(args.config, spec_overrides(args))
-    out = resolve_out(spec.out, args.out)
-    raw = load_raw(spec)
-    prepared = {seed: prepare_for_seed(raw, spec, seed) for seed in spec.seeds}
+def train_variants(spec: ExperimentSpec, out: Path, prepared: dict[int, PreparedData]) -> None:
     for variant in spec.variants:
         for seed in spec.seeds:
             run_one(prepared[seed], spec, variant, seed, out)
             print(f"trained {run_name(variant, seed)}")
+
+
+def cmd_train(args) -> int:
+    train_variants(*open_experiment(args))
     return 0
 
 
@@ -245,10 +245,10 @@ def print_summary(rows: list[tuple[str, dict]]) -> None:
               f"ddc={agg['ddc_mean']:.4f}±{agg['ddc_std']:.4f} dcal={agg['dcal_passes']}/{agg['n_seeds']}")
 
 
-def evaluate_variants(raw, spec: ExperimentSpec, out: Path) -> list[tuple[str, dict]]:
+def evaluate_variants(spec: ExperimentSpec, out: Path, prepared: dict[int, PreparedData]) -> list[tuple[str, dict]]:
+    """Score every checkpoint under ``out`` on its seed's test split."""
     (out / "reports").mkdir(parents=True, exist_ok=True)
     summary = []
-    prepared = {seed: prepare_for_seed(raw, spec, seed) for seed in spec.seeds}
     for variant in spec.variants:
         reports = []
         for seed in spec.seeds:
@@ -261,26 +261,25 @@ def evaluate_variants(raw, spec: ExperimentSpec, out: Path) -> list[tuple[str, d
 
 
 def cmd_evaluate(args) -> int:
-    spec = load_spec(args.config, spec_overrides(args))
-    out = resolve_out(spec.out, args.out)
-    print_summary(evaluate_variants(load_raw(spec), spec, out))
+    print_summary(evaluate_variants(*open_experiment(args)))
     return 0
 
 
 def cmd_ablate(args) -> int:
-    """``train`` then ``evaluate``, always over all four variants."""
+    """``train`` then ``evaluate``, always over all four variants, on one
+    opening of the experiment."""
     args.variant = list(VARIANTS)
-    cmd_train(args)
-    return cmd_evaluate(args)
+    experiment = open_experiment(args)
+    train_variants(*experiment)
+    print_summary(evaluate_variants(*experiment))
+    return 0
 
 
 def cmd_subgroup(args) -> int:
-    spec = load_spec(args.config, spec_overrides(args))
-    out = resolve_out(spec.out, args.out)
-    raw = load_raw(spec)
+    spec, out, prepared = open_experiment(args)
     seed = spec.seeds[0]
     model = load_checkpoint(out, spec.variants[0], seed)
-    data = prepare_for_seed(raw, spec, seed)
+    data = prepared[seed]
 
     groups = subgroup_columns(data.feature_names, args.feature)
     if not groups:
@@ -320,16 +319,13 @@ def subgroup_columns(feature_names: list[str], feature: str) -> list[tuple[str, 
 
 
 def cmd_sweep(args) -> int:
-    spec = load_spec(args.config, spec_overrides(args))
-    out = resolve_out(spec.out, args.out)
-    raw = load_raw(spec)
     values = [float(v) for v in args.values.split(",") if v != ""]
     if not values:
         raise ConfigError("sweep needs a non-empty --values list")
+    spec, out, prepared = open_experiment(args)
     variant = spec.variants[0]
     percentile_mode = spec.train.get("alpha_percentile") is not None
 
-    prepared = {seed: prepare_for_seed(raw, spec, seed) for seed in spec.seeds}
     rows = []
     for value in values:
         if args.param == "beta":

@@ -318,7 +318,9 @@ def split_dataset(events, seed: int) -> Split:
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5B71)))
     strata = [np.flatnonzero(events == v) for v in (0, 1) if np.any(events == v)]
-    # per-stratum quota: floor of the proportional share, remainders greedily
+    # per-stratum quota: floor of the proportional share, remainders greedily;
+    # with at most two strata a split has at most one unit left after the
+    # floors, so the greedy pass over every cell places every leftover
     quotas = np.zeros((len(strata), 3), dtype=int)
     fracs = np.zeros((len(strata), 3))
     for gi, idx in enumerate(strata):
@@ -333,13 +335,6 @@ def split_dataset(events, seed: int) -> Split:
             quotas[gi, k] += 1
             stratum_left[gi] -= 1
             split_left[k] -= 1
-    # any residue (rare) goes wherever capacity remains
-    for gi in range(len(strata)):
-        for k in range(3):
-            while stratum_left[gi] > 0 and split_left[k] > 0:
-                quotas[gi, k] += 1
-                stratum_left[gi] -= 1
-                split_left[k] -= 1
 
     parts: list[list[np.ndarray]] = [[], [], []]
     for gi, idx in enumerate(strata):

@@ -173,7 +173,7 @@ def nll_loss(hazards: Tensor, taus, deltas) -> Tensor:
         g_1mh = g_pmf * before + g_mean * (1.0 - deltas) * upto
         return g_pmf * at * in_h / clamp_h + g_1mh * in_1mh / clamp_1mh * -1.0
 
-    return ad._make(per_sample.sum(keepdims=True) * inv_m * -1.0, (hazards,), (pull,))
+    return ad._make(per_sample.sum(keepdims=True) * inv_m * -1.0, (hazards,), lambda g: (pull(g),))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +241,7 @@ def snce_loss(embeddings: Tensor, pair_weights: PairWeightMatrix, nu: float) -> 
         g_sq = (-g_unit * e / (norms * norms)).sum(axis=1, keepdims=True) * 0.5 / norms
         return g_unit / norms + g_sq * e + g_sq * e
 
-    return ad._make((per_anchor * picks).sum(keepdims=True), (embeddings,), (pull,))
+    return ad._make((per_anchor * picks).sum(keepdims=True), (embeddings,), lambda g: (pull(g),))
 
 
 def infonce_loss(embeddings: Tensor, nu: float) -> Tensor:
@@ -292,4 +292,4 @@ def ranking_loss(hazards: Tensor, taus, deltas, kappa: float = 0.1) -> Tensor:
         g_log = (g_risk * -1.0 * surv) @ upper.T
         return g_log * inside / clamped * -1.0
 
-    return ad._make((terms * pair_w).sum(keepdims=True), (hazards,), (pull,))
+    return ad._make((terms * pair_w).sum(keepdims=True), (hazards,), lambda g: (pull(g),))

@@ -141,7 +141,7 @@ class Mlp:
                 g = g @ self.layers[i][0].values.T if i or need_x else None
             return g, np.concatenate([p.reshape(1, -1) for p in reversed(parts)], axis=1)
 
-        return ad._make_joint(h, (x, self.flat), pull_all)
+        return ad._make(h, (x, self.flat), pull_all)
 
     def parameters(self) -> list[Tensor]:
         return [t for pair in self.layers for t in pair]

@@ -52,8 +52,14 @@ class SynthConfig:
             raise ValueError("seed must be non-negative")
         if self.kind not in GENERATORS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        if self.feature_dim < 1:
+            raise ValueError("feature_dim must be >= 1")
         if self.kind == "paired_exponential" and self.feature_dim < 4:
             raise ValueError("paired_exponential needs feature_dim >= 4")
+        if not 0.0 <= self.censor_rate <= 1.0:
+            raise ValueError("censor_rate must be in [0, 1]")
+        if self.n_bins < 2:
+            raise ValueError("n_bins must be >= 2")
         if self.exponential_param not in ("mean", "rate"):
             raise ValueError("exponential_param must be 'mean' or 'rate'")
 
@@ -145,7 +151,7 @@ def oracle_hazards(config: SynthConfig, x: np.ndarray, time_logits=None) -> np.n
     """The generating hazard matrix for feature rows ``x``."""
     a = oracle_feature_weights(config)
     if time_logits is None:
-        u = np.arange(config.n_bins) / max(config.n_bins - 1, 1)
+        u = np.arange(config.n_bins) / (config.n_bins - 1)
         time_logits = config.hazard_intercept + config.hazard_slope * u
     logits = (x - 0.5) @ a[:, None] + np.asarray(time_logits)[None, :]
     return 1.0 / (1.0 + np.exp(-logits))

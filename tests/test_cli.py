@@ -109,17 +109,23 @@ def test_evaluate_reports_and_summary(tmp_path):
     assert int(row[8]) <= 3
 
 
+def count_prepared_seeds(monkeypatch) -> list[int]:
+    """Record the seed of every ``cli.prepare`` call from now on."""
+    seeds = []
+    prepare = cli.prepare
+
+    def counting(raw, seed, n_bins=None):
+        seeds.append(seed)
+        return prepare(raw, seed=seed, n_bins=n_bins)
+
+    monkeypatch.setattr(cli, "prepare", counting)
+    return seeds
+
+
 def test_evaluate_prepares_each_seed_once(tmp_path, monkeypatch):
     spec = write_spec(tmp_path, seeds=[0, 1], variants=["nll", "nll+snce"], train={"epochs": 1})
     assert main(["train", "--config", str(spec)]) == 0
-    seeds = []
-    prepare_for_seed = cli.prepare_for_seed
-
-    def counting(raw, spec, seed):
-        seeds.append(seed)
-        return prepare_for_seed(raw, spec, seed)
-
-    monkeypatch.setattr(cli, "prepare_for_seed", counting)
+    seeds = count_prepared_seeds(monkeypatch)
     assert main(["evaluate", "--config", str(spec)]) == 0
     assert seeds == [0, 1]
     assert len(list((tmp_path / "out" / "reports").glob("*_seed*.json"))) == 4
@@ -127,17 +133,18 @@ def test_evaluate_prepares_each_seed_once(tmp_path, monkeypatch):
 
 def test_train_prepares_each_seed_once(tmp_path, monkeypatch):
     spec = write_spec(tmp_path, seeds=[0, 1], variants=["nll", "nll+snce"], train={"epochs": 1})
-    seeds = []
-    prepare_for_seed = cli.prepare_for_seed
-
-    def counting(raw, spec, seed):
-        seeds.append(seed)
-        return prepare_for_seed(raw, spec, seed)
-
-    monkeypatch.setattr(cli, "prepare_for_seed", counting)
+    seeds = count_prepared_seeds(monkeypatch)
     assert main(["train", "--config", str(spec)]) == 0
     assert seeds == [0, 1]
     assert len(list((tmp_path / "out" / "checkpoints").glob("*_seed*.json"))) == 4
+
+
+def test_ablate_prepares_each_seed_once(tmp_path, monkeypatch):
+    spec = write_spec(tmp_path, seeds=[0, 1], train={"epochs": 1})
+    seeds = count_prepared_seeds(monkeypatch)
+    assert main(["ablate", "--config", str(spec)]) == 0
+    assert seeds == [0, 1]
+    assert len(list((tmp_path / "out" / "reports").glob("*_seed*.json"))) == 8
 
 
 def test_evaluate_missing_checkpoint_exits_2(tmp_path, capsys):
@@ -498,6 +505,12 @@ def test_malformed_spec_shape_exits_2(tmp_path, capsys, raw, message, extra):
         {"train": {"alpha": float("nan")}},
         {"synthetic": {"feature_dim": 4.5}},
         {"train": {"seed": 1}},
+        {"synthetic": {"kind": "discrete_oracle", "feature_dim": -1}},
+        {"synthetic": {"kind": "discrete_oracle", "feature_dim": 0}},
+        {"synthetic": {"censor_rate": -1}},
+        {"synthetic": {"censor_rate": 2}},
+        {"synthetic": {"kind": "discrete_oracle", "n_bins": 0}},
+        {"synthetic": {"kind": "discrete_oracle", "n_bins": 1}},
     ],
     ids=lambda changes: json.dumps(changes),
 )
@@ -637,6 +650,15 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv):
     assert main([*argv, *config, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ") and "non-negative" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("features", ["-1", "0"])
+def test_synth_without_features_exits_2(tmp_path, capsys, features):
+    argv = ["synth", "--kind", "discrete-oracle", "--features", features, "--n", "30"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: invalid synthetic config: feature_dim must be >= 1"]
     assert not (tmp_path / "out").exists()
 
 

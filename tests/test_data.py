@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from survcontrast import data as sd
@@ -180,6 +182,56 @@ def test_split_invariants_stress():
                 continue
             got = np.intersect1d(split.train, stratum).size
             assert abs(got - 0.64 * stratum.size) <= 2.0
+
+
+def split_with_residue_pass(events, seed):
+    """``split_dataset`` as it was with a last pass that put any quota the
+    greedy pass left over wherever capacity remained; kept as the oracle
+    that shows that pass never ran."""
+    events = np.asarray(events)
+    n = events.size
+    global_counts = sd._largest_remainder(n, list(sd.SPLIT_RATIOS.values()))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5B71)))
+    strata = [np.flatnonzero(events == v) for v in (0, 1) if np.any(events == v)]
+    quotas = np.zeros((len(strata), 3), dtype=int)
+    fracs = np.zeros((len(strata), 3))
+    for gi, idx in enumerate(strata):
+        for k in range(3):
+            share = global_counts[k] * idx.size / n
+            quotas[gi, k] = int(np.floor(share))
+            fracs[gi, k] = share - quotas[gi, k]
+    stratum_left = np.array([idx.size for idx in strata]) - quotas.sum(axis=1)
+    split_left = np.array(global_counts) - quotas.sum(axis=0)
+    for gi, k in sorted(np.ndindex(len(strata), 3), key=lambda p: -fracs[p]):
+        if stratum_left[gi] > 0 and split_left[k] > 0:
+            quotas[gi, k] += 1
+            stratum_left[gi] -= 1
+            split_left[k] -= 1
+    for gi in range(len(strata)):
+        for k in range(3):
+            while stratum_left[gi] > 0 and split_left[k] > 0:
+                quotas[gi, k] += 1
+                stratum_left[gi] -= 1
+                split_left[k] -= 1
+    parts = [[], [], []]
+    for gi, idx in enumerate(strata):
+        perm = rng.permutation(idx)
+        a, b = quotas[gi, 0], quotas[gi, 0] + quotas[gi, 1]
+        parts[0].append(perm[:a])
+        parts[1].append(perm[a:b])
+        parts[2].append(perm[b:])
+    return [np.sort(np.concatenate(p)) for p in parts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 400).flatmap(lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+    st.integers(0, 2**32 - 1),
+)
+def test_split_equals_the_split_with_a_residue_pass(events, seed):
+    split = sd.split_dataset(events, seed)
+    for got, want in zip((split.train, split.test, split.validation), split_with_residue_pass(events, seed)):
+        np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,14 @@ def test_mlp_is_one_node_and_checks_shapes():
         net(Tensor(np.ones((2, 5))))
 
 
+def test_network_node_does_not_hold_an_untracked_input():
+    model = init_model(small_config(), seed=0)
+    h = model.encode(Tensor(np.ones((3, 6))))
+    assert h._parents == (None, model.encoder.flat)
+    ad.backward(ad.reduce_sum(h))
+    assert np.any(model.encoder.flat.grad != 0.0)
+
+
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     model = init_model(small_config(), seed=13)
     # perturb away from init so the roundtrip is non-trivial
