@@ -9,7 +9,9 @@ per-batch comparability masks.
 
 Tensors that are not part of an active graph are safe for concurrent reads;
 a graph (tape) is single-owner and must be built and differentiated on one
-logical thread.
+logical thread. The work buffers ``losses`` reuses do not change that: each
+thread has its own, and a buffer a live graph still reads is never handed
+out again.
 """
 
 from __future__ import annotations

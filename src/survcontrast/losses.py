@@ -32,6 +32,14 @@ was not active.
 ``P`` the row softmax of ``u u^T / nu + log w``, it pulls ``g`` back as
 ``G = g p P`` less ``g p_i`` at (i, partner(i)), ``U = (G / nu) u + ((G / nu)^T u)``,
 ``de = U / |e| + 2 e rowsum(-U e / |e|^2) * 0.5 / |e|``, in the op order of the test oracle.
+Its large arrays live in two reused buffers of the calling thread, so a step
+does not fault in fresh pages: ``logits`` holds the 2M x 2M ``S``, ``S + log w``
+and its exp, which the pullback keeps; ``scratch`` holds what dies inside one
+call (the M x 2M block laid twice for the weight sums, the M x M ``log w``, the
+pullback's softmax). While a view of a buffer is alive, as the logits of a graph
+not yet differentiated are, a fresh one is handed out, so the arithmetic and
+its bits are those of fresh arrays. ``trainer.train`` calls
+:func:`release_buffers` when it returns.
 
 ``ranking_loss`` is one tape node. With ``S = exp(log(1 - h) U)`` (``U`` the
 upper-triangular ones), ``r = 1 - S``, ``at`` the one-hot of ``tau`` and ``A``
@@ -44,6 +52,8 @@ the acceptable pairs over their count, it pulls ``g`` back as
 from __future__ import annotations
 
 import logging
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +66,30 @@ logger = logging.getLogger(__name__)
 MASKED_LOG = -1e30  # stands in for log(0) without producing inf*0 NaNs
 NORM_EPS = 1e-30  # guards row normalization against an exactly-zero embedding
 
+_buffers = threading.local()  # this thread's reused float64 buffers, one per role
+
+
+def _workspace(name: str, rows: int, cols: int) -> np.ndarray:
+    """A ``rows x cols`` view of this thread's grow-only float64 buffer ``name``.
+
+    While a view of the buffer is still alive (a graph whose pullback keeps
+    the forward's logits, say), a fresh buffer takes its place, so reuse
+    saves page faults and never decides what a caller sees.
+    """
+    buf = getattr(_buffers, name, None)
+    size = rows * cols
+    # the slot, ``buf`` and getrefcount's argument: a fourth reference is a live view,
+    # the check ``ndarray.resize(refcheck=True)`` makes
+    if buf is None or buf.size < size or sys.getrefcount(buf) > 3:
+        buf = np.empty(size if buf is None else max(size, buf.size))
+        setattr(_buffers, name, buf)
+    return buf[:size].reshape(rows, cols)
+
+
+def release_buffers() -> None:
+    """Drop this thread's buffers; a view still alive keeps its own memory."""
+    vars(_buffers).clear()
+
 
 def weight(tau_i, tau_j, sigma: float):
     """Laplacian-kernel outcome-difference weight, 1 - exp(-|dt|/sigma).
@@ -64,7 +98,14 @@ def weight(tau_i, tau_j, sigma: float):
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    return 1.0 - np.exp(-np.abs(np.asarray(tau_i, dtype=np.float64) - np.asarray(tau_j, dtype=np.float64)) / sigma)
+    # one array, each step in place: an M x M call makes one temporary, not six
+    w = np.asarray(np.subtract(tau_i, tau_j, dtype=np.float64))
+    np.abs(w, out=w)
+    np.negative(w, out=w)
+    w /= sigma
+    np.exp(w, out=w)
+    np.subtract(1.0, w, out=w)
+    return w[()]  # a scalar for scalar times
 
 
 def comparability(delta_i, delta_j, tau_i, tau_j, alpha: float = 0.0):
@@ -76,11 +117,13 @@ def comparability(delta_i, delta_j, tau_i, tau_j, alpha: float = 0.0):
     """
     di = np.asarray(delta_i) == 1
     dj = np.asarray(delta_j) == 1
-    ti = np.asarray(tau_i, dtype=np.float64)
-    tj = np.asarray(tau_j, dtype=np.float64)
-    both_events = di & dj
-    anchor_first = di & ~dj & (ti < tj) & (np.abs(ti - tj) >= alpha)
-    return (both_events | anchor_first).astype(np.int64)
+    # where the other time is later, |tau_i - tau_j| is that difference
+    later_by = np.subtract(tau_j, tau_i, dtype=np.float64)
+    anchor_first = later_by >= alpha
+    anchor_first &= later_by > 0
+    anchor_first &= di & ~dj
+    anchor_first |= di & dj  # both had events
+    return anchor_first.astype(np.int64)
 
 
 @dataclass
@@ -106,7 +149,8 @@ def build_pair_weights(taus, deltas, sigma: float, alpha: float = 0.0) -> PairWe
         raise ValueError("taus and deltas must be matching 1-D arrays")
     ind = comparability(deltas[:, None], deltas[None, :], taus[:, None], taus[None, :], alpha)
     np.fill_diagonal(ind, 0)  # a record against itself or its own view
-    w = ind * weight(taus[:, None], taus[None, :], sigma)
+    w = weight(taus[:, None], taus[None, :], sigma)
+    w *= ind
     return PairWeightMatrix(indicators=ind, weights=w)
 
 
@@ -203,7 +247,8 @@ def snce_loss(embeddings: Tensor, pair_weights: PairWeightMatrix, nu: float) -> 
 
     # a row of the 2M x 2M weights is the block's row twice, summed in that order:
     # 2 * w.sum(axis=1) splits numpy's pairwise sum elsewhere and rounds differently
-    sum_w = np.tile(np.hstack([w, w]).sum(axis=1, keepdims=True), (2, 1))
+    row_sums = np.concatenate([w, w], axis=1, out=_workspace("scratch", m, n)).sum(axis=1, keepdims=True)
+    sum_w = np.tile(row_sums, (2, 1))
     if not (w.min() >= 0 and np.isfinite(sum_w).all()):
         raise ValueError("pair weights must be finite and non-negative")
     contributes = sum_w > 0
@@ -212,15 +257,17 @@ def snce_loss(embeddings: Tensor, pair_weights: PairWeightMatrix, nu: float) -> 
         logger.warning("snce_loss: no comparable pairs in batch, returning zero loss")
         return ad.constant([[0.0]])
 
-    log_w = np.log(w, out=np.full_like(w, MASKED_LOG), where=w > 0)
+    log_w = _workspace("scratch", m, m)
+    log_w.fill(MASKED_LOG)
+    np.log(w, out=log_w, where=w > 0)
     log_sum_w = np.log(sum_w, out=np.zeros_like(sum_w), where=contributes)  # of the weighted-mean denominator
     picks = contributes / n_contrib
     e = embeddings.values
     norms = np.sqrt((e * e).sum(axis=1, keepdims=True) + NORM_EPS)
     unit = e / norms
     unit_t = unit.T.copy()  # unit @ unit.T and grad @ unit would take other BLAS paths and other bits
-    z = unit @ unit_t
-    z *= 1.0 / nu  # S; n x n results go in place, as each fresh array costs its page faults
+    z = np.matmul(unit, unit_t, out=_workspace("logits", n, n))  # kept by the pullback as ``ex``
+    z *= 1.0 / nu  # S, then S + log w and its exp, all in this one buffer
     idx = np.arange(n)
     partner = (idx + m) % n
     pos = z[idx, partner][:, None]
@@ -233,7 +280,7 @@ def snce_loss(embeddings: Tensor, pair_weights: PairWeightMatrix, nu: float) -> 
 
     def pull(g):
         gp = g * picks
-        grad = ex / s
+        grad = np.divide(ex, s, out=_workspace("scratch", n, n))
         grad *= gp
         grad[idx, partner] -= gp[:, 0]
         grad *= 1.0 / nu

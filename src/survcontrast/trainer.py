@@ -325,6 +325,7 @@ def train(
                 break
 
     model.restore(best_snapshot)
+    losses.release_buffers()  # else the process keeps the largest n x n pair this run used
     log.best_epoch = best_epoch
     log.wall_time = time.perf_counter() - started
     return model, log

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -140,6 +143,30 @@ def ranking_composite(hazards, taus, deltas, kappa):
     return ad.reduce_sum(ad.mul(terms, ad.constant(acceptable / n_pairs)))
 
 
+def weight_oracle(tau_i, tau_j, sigma):
+    """``losses.weight`` as one expression (the code before it worked in place)."""
+    return 1.0 - np.exp(-np.abs(np.asarray(tau_i, dtype=np.float64) - np.asarray(tau_j, dtype=np.float64)) / sigma)
+
+
+def comparability_oracle(delta_i, delta_j, tau_i, tau_j, alpha=0.0):
+    """``losses.comparability`` as one expression per condition (the code
+    before it combined its masks in place)."""
+    di = np.asarray(delta_i) == 1
+    dj = np.asarray(delta_j) == 1
+    ti = np.asarray(tau_i, dtype=np.float64)
+    tj = np.asarray(tau_j, dtype=np.float64)
+    both_events = di & dj
+    anchor_first = di & ~dj & (ti < tj) & (np.abs(ti - tj) >= alpha)
+    return (both_events | anchor_first).astype(np.int64)
+
+
+def pair_weights_oracle(taus, deltas, sigma, alpha):
+    """Indicators and weights of ``losses.build_pair_weights`` from the oracles."""
+    ind = comparability_oracle(deltas[:, None], deltas[None, :], taus[:, None], taus[None, :], alpha)
+    np.fill_diagonal(ind, 0)
+    return ind, ind * weight_oracle(taus[:, None], taus[None, :], sigma)
+
+
 def hazards_tensor(values):
     # route raw hazard values through logits so the graph matches training
     lam = np.asarray(values, dtype=np.float64)
@@ -243,6 +270,37 @@ def test_build_pair_weights_matches_elementwise_oracle():
                     t2[i], t2[j], sigma
                 )
             assert w[i, j] == pytest.approx(float(expected), abs=1e-15)
+
+
+@st.composite
+def pair_weight_inputs(draw):
+    m = draw(st.integers(1, 16))
+    # few distinct times, so ties are common
+    if draw(st.booleans()):
+        times = st.integers(0, draw(st.integers(0, 8)))
+    else:
+        times = st.sampled_from(draw(st.lists(st.floats(0, 40), min_size=1, max_size=4)))
+    taus = np.asarray(draw(st.lists(times, min_size=m, max_size=m)))
+    deltas = np.asarray(draw(st.lists(st.sampled_from([0, 1]), min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        deltas[:] = 0  # all censored
+    largest_gap = float(np.ptp(taus))
+    alpha = draw(st.one_of(st.just(0.0), st.floats(0, largest_gap), st.floats(largest_gap + 0.5, largest_gap + 5)))
+    return taus, deltas, draw(st.floats(0.1, 5)), alpha
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_weight_inputs())
+def test_build_pair_weights_bitwise_equals_the_elementwise_expression(inputs):
+    taus, deltas, sigma, alpha = inputs
+    pw = losses.build_pair_weights(taus, deltas, sigma, alpha)
+    want_ind, want_w = pair_weights_oracle(taus, deltas, sigma, alpha)
+    assert pw.indicators.dtype == want_ind.dtype and pw.indicators.tobytes() == want_ind.tobytes()
+    assert pw.weights.dtype == want_w.dtype and pw.weights.tobytes() == want_w.tobytes()
+    # the rectangular event x censored block synth.margin_study asks for
+    ev, ce = deltas == 1, deltas == 0
+    block = (deltas[ev][:, None], deltas[ce][None, :], taus[ev][:, None], taus[ce][None, :], alpha)
+    assert losses.comparability(*block).tobytes() == comparability_oracle(*block).tobytes()
 
 
 def test_pair_weight_invariants():
@@ -568,6 +626,72 @@ def test_snce_is_one_tape_node():
     pw = losses.build_pair_weights(np.array([1, 3, 5, 2]), np.array([1, 0, 1, 1]), sigma=0.75)
     assert len(ad.backward(losses.snce_loss(leaf, pw, nu=0.5))) == 2  # the leaf and the loss
     assert len(ad.backward(snce_composite(leaf, pw, nu=0.5))) == 17
+
+
+def test_workspace_reuses_its_buffer_only_when_no_view_is_alive():
+    losses.release_buffers()
+    view = losses._workspace("test", 3, 4)
+    buffer = weakref.ref(vars(losses._buffers)["test"])
+    del view
+    view = losses._workspace("test", 2, 6)
+    assert np.shares_memory(view, buffer())  # the same memory once the first view is gone
+    held = losses._workspace("test", 2, 6)
+    assert not np.shares_memory(view, held)  # fresh memory while a view is alive
+    del view, held
+    grown = losses._workspace("test", 5, 5)
+    assert grown.shape == (5, 5) and vars(losses._buffers)["test"].size == 25
+    buffer = weakref.ref(vars(losses._buffers)["test"])
+    del grown
+    assert np.shares_memory(losses._workspace("test", 2, 2), buffer())  # a smaller shape keeps the grown buffer
+    losses.release_buffers()
+    assert not vars(losses._buffers) and buffer() is None
+
+
+def _snce_batch(rng, m):
+    z = rng.normal(size=(2 * m, 8))
+    deltas = rng.integers(0, 2, size=m)
+    return z, losses.build_pair_weights(rng.integers(0, 30, size=m), deltas, sigma=3.0, alpha=1.0)
+
+
+def test_live_snce_graphs_differentiated_in_reverse_order_match_separate_ones():
+    # the second forward must not write into the logits the first graph's pullback still reads
+    rng = np.random.default_rng(22)
+    batches = [_snce_batch(rng, 300) for _ in range(2)]
+    want = [_snce_value_and_grad(losses.snce_loss, z, pw, 0.07) for z, pw in batches]
+    leaves = [Tensor(z, requires_grad=True) for z, _ in batches]
+    graphs = [losses.snce_loss(leaf, pw, 0.07) for leaf, (_, pw) in zip(leaves, batches)]
+    for loss in reversed(graphs):
+        ad.backward(loss)
+    for (value, grad), leaf, loss in zip(want, leaves, graphs):
+        assert loss.values.tobytes() == np.float64(value).reshape(1, 1).tobytes()
+        assert leaf.grad.tobytes() == grad.tobytes()
+
+
+def test_snce_on_two_threads_matches_one_thread():
+    rng = np.random.default_rng(23)
+    batches = [_snce_batch(rng, 96) for _ in range(2)]
+    want = [_snce_value_and_grad(losses.snce_loss, z, pw, 0.07) for z, pw in batches]
+    got = [[], []]
+
+    def work(k):
+        z, pw = batches[k]
+        for _ in range(20):
+            got[k].append(_snce_value_and_grad(losses.snce_loss, z, pw, 0.07))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside each forward and pullback
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for (value, grad), runs in zip(want, got):
+        assert len(runs) == 20
+        assert all(v == value and g.tobytes() == grad.tobytes() for v, g in runs)
 
 
 def test_infonce_permutation_of_negatives():

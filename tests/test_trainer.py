@@ -277,6 +277,12 @@ def test_training_bitwise_deterministic():
         np.testing.assert_array_equal(a, b)
 
 
+def test_train_releases_the_contrastive_buffers():
+    data = make_data(n=200)
+    tr.train(data, make_model(data), quick_config(epochs=1), "nll+snce")
+    assert not vars(losses._buffers)
+
+
 def test_beta_zero_matches_nll_variant_bitwise():
     data = make_data(n=200)
     m1 = make_model(data, seed=5)
