@@ -24,8 +24,8 @@ Exit codes, each failure with one ``<kind> error: <message>`` line on stderr:
 
 * 0 success
 * 2 bad input: configuration, data files or checkpoints
-* 3 runtime divergence (a non-finite loss)
-* 4 a metric undefined on the test split (e.g. too few events)
+* 3 runtime divergence (a non-finite loss), naming the run
+* 4 a metric undefined on the test split (e.g. too few events), naming the run
 """
 
 from __future__ import annotations
@@ -190,7 +190,10 @@ def run_one(data: PreparedData, spec: ExperimentSpec, variant: str, seed: int, o
                              input_dim=data.n_features, n_time_bins=data.n_time_bins)
     model = init_model(model_config, seed)
     config = configure(TrainConfig, "train config", {**spec.train, **train_overrides}, seed=seed)
-    model, log = train(data, model, config, variant)
+    try:
+        model, log = train(data, model, config, variant)
+    except TrainingDiverged as exc:
+        raise TrainingDiverged(f"{run_name(variant, seed)}: {exc}") from exc
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     (out / "logs").mkdir(parents=True, exist_ok=True)
     model.save(checkpoint_path(out, variant, seed))
@@ -217,9 +220,13 @@ def load_checkpoint(out: Path, variant: str, seed: int) -> HazardModel:
     return HazardModel.load(path)
 
 
-def score_test_split(data: PreparedData, model: HazardModel) -> M.MetricReport:
+def score_test_split(data: PreparedData, model: HazardModel, run: str) -> M.MetricReport:
+    """The report of ``model`` on the test split; an undefined metric names ``run``."""
     x, tau, delta = data.subset(data.split.test)
-    return M.evaluate_hazards(model.hazard_curve(x), tau, delta)
+    try:
+        return M.evaluate_hazards(model.hazard_curve(x), tau, delta)
+    except M.MetricError as exc:
+        raise M.MetricError(f"{run}: {exc}") from exc
 
 
 def aggregate_reports(reports: list[M.MetricReport]) -> dict:
@@ -252,7 +259,7 @@ def evaluate_variants(spec: ExperimentSpec, out: Path, prepared: dict[int, Prepa
     for variant in spec.variants:
         reports = []
         for seed in spec.seeds:
-            report = score_test_split(prepared[seed], load_checkpoint(out, variant, seed))
+            report = score_test_split(prepared[seed], load_checkpoint(out, variant, seed), run_name(variant, seed))
             report.to_json(out / "reports" / f"{run_name(variant, seed)}.json")
             reports.append(report)
         summary.append((variant, aggregate_reports(reports)))
@@ -338,7 +345,7 @@ def cmd_sweep(args) -> int:
         reports = []
         for seed in spec.seeds:
             model, _ = run_one(prepared[seed], spec, variant, seed, sub, **overrides)
-            reports.append(score_test_split(prepared[seed], model))
+            reports.append(score_test_split(prepared[seed], model, f"{sub.name}/{run_name(variant, seed)}"))
         rows.append((f"{args.param}={format(value, 'g')}", aggregate_reports(reports)))
     write_summary(out / "sweep.csv", rows)
     print_summary(rows)

@@ -442,7 +442,7 @@ def corrupt(features: np.ndarray, marginals: np.ndarray, rate: float, rng: np.ra
 class Batch:
     indices: np.ndarray
     x: np.ndarray
-    x_view: np.ndarray  # corrupted copies, same outcomes as the originals
+    x_view: np.ndarray | None  # corrupted copies, same outcomes as the originals
     tau: np.ndarray
     delta: np.ndarray
 
@@ -456,10 +456,11 @@ def iterate_batches(
     indices: np.ndarray,
     batch_size: int,
     shuffle_rng: np.random.Generator,
-    corrupt_rng: np.random.Generator,
+    corrupt_rng: np.random.Generator | None,
     corruption_rate: float,
 ):
-    """One epoch of shuffled mini-batches with corrupted views attached.
+    """One epoch of shuffled mini-batches with corrupted views attached, or
+    with none when ``corrupt_rng`` is None.
 
     A trailing batch smaller than 2 samples is dropped (pairwise losses are
     undefined on it).
@@ -475,7 +476,7 @@ def iterate_batches(
         yield Batch(
             indices=chunk,
             x=x,
-            x_view=corrupt(x, data.train_marginals, corruption_rate, corrupt_rng),
+            x_view=None if corrupt_rng is None else corrupt(x, data.train_marginals, corruption_rate, corrupt_rng),
             tau=data.tau[chunk],
             delta=data.delta[chunk],
         )

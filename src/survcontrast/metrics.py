@@ -12,9 +12,11 @@ All functions are pure; predictions enter as (n, t_max+1) arrays of
 per-sample survival or risk curves on the discrete grid.
 
 Cost: both concordance indices come from one pass over the E distinct event
-times that sorts the at-risk risks at each, O(E n log n) time and O(n) extra
-memory; the IBS scores all its horizons in one (n, horizons) array pass. A
-full report makes one counting pass, one censoring KM and one Brier pass.
+times. One stable sort by time finds every time's anchors and at-risk set;
+each time then sorts only its at-risk risks, O(E n log n) time and O(n)
+extra memory. The IBS scores all its H horizons in one (n, H) work array,
+updated in place. A full report makes one counting pass, one censoring KM
+and one Brier pass; the survival curves are a product over the time columns.
 """
 
 from __future__ import annotations
@@ -88,28 +90,35 @@ def _concordance_counts(risks, taus, deltas, t_max: int | None = None) -> tuple[
     The anchors are the events at s and the at-risk set is {j: tau_j > s};
     sorting the at-risk risks at bin s and ``searchsorted``-ing each anchor's
     own risk counts the strictly lower (concordant) and equal (tied) ones.
+    One stable sort by time gives both: the anchors of s are a run of the
+    sorted events and the at-risk set a suffix of the sorted rows.
     NaN has no place in a sorted order, so a NaN risk is rejected.
     """
     risks = np.atleast_2d(np.asarray(risks, dtype=np.float64))
-    if np.isnan(risks).any():
+    if np.isnan(risks.min(initial=np.inf)):  # min propagates NaN, without an n x T mask
         raise MetricError("concordance undefined: NaN in the risks")
     taus = np.asarray(taus, dtype=int)
     deltas = np.asarray(deltas, dtype=int)
-    event_times = np.unique(taus[deltas == 1])
-    if t_max is not None:
-        event_times = event_times[event_times <= t_max]
     order = np.argsort(taus, kind="stable")
+    anchors = order[deltas[order] == 1]
+    if t_max is not None:
+        anchors = anchors[taus[anchors] <= t_max]
+    event_times, first_anchor = np.unique(taus[anchors], return_index=True)
+    last_anchor = np.append(first_anchor[1:], anchors.size)
     first_later = np.searchsorted(taus[order], event_times, side="right")
-    counts = np.zeros((event_times.size, 3), dtype=np.int64)
-    for k, s in enumerate(event_times):
-        at_risk = order[first_later[k]:]
-        anchors = np.flatnonzero((taus == s) & (deltas == 1))
-        column = np.sort(risks[at_risk, s])
-        own = risks[anchors, s]
-        below = np.searchsorted(column, own, side="left")
-        not_above = np.searchsorted(column, own, side="right")
-        counts[k] = below.sum(), (not_above - below).sum(), anchors.size * at_risk.size
-    return event_times, counts
+    below = np.empty(anchors.size, dtype=np.int64)
+    not_above = np.empty(anchors.size, dtype=np.int64)
+    for s, lo, hi, later in zip(event_times, first_anchor, last_anchor, first_later):
+        column = risks[order[later:], s]  # a fresh gather, sorted in place
+        column.sort()
+        own = risks[anchors[lo:hi], s]
+        below[lo:hi] = column.searchsorted(own, side="left")
+        not_above[lo:hi] = column.searchsorted(own, side="right")
+    # every time has an anchor, so no reduceat group is empty
+    concordant = np.add.reduceat(below, first_anchor)
+    tied = np.add.reduceat(not_above, first_anchor) - concordant
+    pairs = (last_anchor - first_anchor) * (taus.size - first_later)
+    return event_times, np.column_stack([concordant, tied, pairs])
 
 
 def _c_index(concordant, tied, pairs) -> float | None:
@@ -143,15 +152,13 @@ def c_index_integrated(risks: np.ndarray, taus, deltas) -> float:
 
 
 def _integrated_index(counts: np.ndarray) -> float:
-    cumulative = np.cumsum(counts, axis=0)
-    total, weight_sum = 0.0, 0
-    for k in np.flatnonzero(counts[:, 2]):
-        new_pairs = int(counts[k, 2])
-        total += new_pairs * _c_index(*cumulative[k])
-        weight_sum += new_pairs
-    if weight_sum == 0:
+    anchored = counts[:, 2] > 0
+    if not anchored.any():
         raise MetricError("concordance undefined: no comparable pairs at any event time")
-    return total / weight_sum
+    concordant, tied, pairs = np.cumsum(counts, axis=0)[anchored].T
+    new_pairs = counts[anchored, 2]
+    # a running sum in event-time order, as the index accrues
+    return float(np.cumsum(new_pairs * ((concordant + 0.5 * tied) / pairs))[-1] / new_pairs.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +177,21 @@ def _brier_scores(surv, taus, deltas, horizons, censor_km: SurvivalCurve) -> np.
     taus = np.asarray(taus, dtype=int)
     deltas = np.asarray(deltas, dtype=int)
     horizons = np.asarray(horizons, dtype=int)
-    s_t = surv[:, np.minimum(horizons, surv.shape[1] - 1)]
     alive = taus[:, None] > horizons
     g_t = np.maximum(censor_km.at(horizons), IPCW_FLOOR)
     g_tau = np.maximum(censor_km.at(taus - 1), IPCW_FLOOR)[:, None]
-    terms = np.where(alive, 1.0 - s_t, s_t) ** 2 / np.where(alive, g_t, g_tau)
-    terms[~alive & (deltas[:, None] != 1)] = 0.0  # censored by the horizon
+    # one work array: (1 - S)^2 / G(t) while alive, S^2 / G(tau-) after an
+    # event, 0 once censored by the horizon
+    terms = surv[:, np.minimum(horizons, surv.shape[1] - 1)]
+    np.subtract(1.0, terms, out=terms, where=alive)
+    np.square(terms, out=terms)
+    np.divide(terms, g_t, out=terms, where=alive)
+    np.logical_not(alive, out=alive)
+    np.divide(terms, g_tau, out=terms, where=alive & (deltas[:, None] == 1))
+    terms[alive & (deltas[:, None] != 1)] = 0.0
     # a running sum in sample order: a horizon's score does not depend on
     # how many horizons share the call (a plain sum is pairwise for one)
-    return np.cumsum(terms, axis=0)[-1] / taus.size
+    return np.cumsum(terms, axis=0, out=terms)[-1] / taus.size
 
 
 def brier_score(surv: np.ndarray, taus, deltas, t: int, censor_km: SurvivalCurve) -> float:
@@ -309,12 +322,12 @@ def evaluate_hazards(hazards: np.ndarray, taus, deltas, time_quantiles=(0.25, 0.
     if taus.max() >= hazards.shape[1]:
         raise MetricError(f"observed time bin {taus.max()} lies outside the {hazards.shape[1]}-bin hazard grid")
     event_times, counts = _concordance_counts(1.0 - surv, taus, deltas)
-    horizons = {q: int(np.quantile(taus, q)) for q in time_quantiles}
+    *at_quantiles, t_hi = (int(t) for t in np.quantile(taus, [*time_quantiles, IBS_TIME_QUANTILE]))
+    horizons = dict(zip(time_quantiles, at_quantiles))
     ci_at = {q: _c_index(*counts[event_times <= t].sum(axis=0)) for q, t in horizons.items()}
     statistic, p_value = d_calibration(surv, taus, deltas)
     ci_integrated = _integrated_index(counts)
-    t_hi = int(np.quantile(taus, IBS_TIME_QUANTILE))
-    scores = _brier_scores(surv, taus, deltas, np.arange(max([t_hi, *horizons.values()]) + 1), g)
+    scores = _brier_scores(surv, taus, deltas, np.arange(max(t_hi, *at_quantiles) + 1), g)
     return MetricReport(
         ci_integrated=ci_integrated,
         ibs=_integrated_brier(scores, t_hi),

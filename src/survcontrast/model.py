@@ -287,8 +287,12 @@ def init_model(config: ModelConfig, seed: int) -> HazardModel:
 
 def survival_from_hazard(hazards: np.ndarray) -> np.ndarray:
     """S(t) = prod_{t' <= t} (1 - hazard(t')); non-increasing by construction."""
-    h = np.atleast_2d(np.asarray(hazards, dtype=np.float64))
-    return np.cumprod(1.0 - h, axis=1)
+    surv = 1.0 - np.atleast_2d(np.asarray(hazards, dtype=np.float64))
+    # column by column, as cumprod multiplies, but a strided column at a
+    # time runs faster than numpy's accumulate along rows
+    for t in range(1, surv.shape[1]):
+        np.multiply(surv[:, t - 1], surv[:, t], out=surv[:, t])
+    return surv
 
 
 def pmf_from_hazard(hazards: np.ndarray, tau=None) -> np.ndarray:

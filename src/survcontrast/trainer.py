@@ -266,11 +266,14 @@ def train(
         opt_aux = make_optimizer(config.optimizer, model.trainable(aux_head), config.lr_contrastive)
 
     val_x, val_tau, val_delta = data.subset(val_idx)
+    # only the contrastive variants read corrupted views; their rngs feed
+    # nothing else, so skipping the views changes no other draw
+    contrastive = variant in ("nll+nce", "nll+snce")
     # one fixed corruption of the validation set keeps the early-stopping
     # signal deterministic and comparable across epochs
-    val_views = corrupt(val_x, data.train_marginals, config.corruption_rate, val_rng)
+    val_views = corrupt(val_x, data.train_marginals, config.corruption_rate, val_rng) if contrastive else None
     val_aux_active = variant != "nll" and val_x.shape[0] >= 2
-    val_weights = None if variant in ("nll", "nll+rank") else pair_weights(val_tau, val_delta, variant, config, alpha)
+    val_weights = pair_weights(val_tau, val_delta, variant, config, alpha) if contrastive else None
 
     log = TrainLog(variant=variant, alpha_resolved=alpha)
     best_total = np.inf
@@ -282,7 +285,8 @@ def train(
     for epoch in range(config.epochs):
         aux_sum, nll_sum, n_batches = 0.0, 0.0, 0
         for k, batch in enumerate(
-            iterate_batches(data, train_idx, config.batch_size, batch_rng, corrupt_rng, config.corruption_rate)
+            iterate_batches(data, train_idx, config.batch_size, batch_rng, corrupt_rng if contrastive else None,
+                            config.corruption_rate)
         ):
             if aux_active:
                 if variant == "nll+rank":

@@ -348,6 +348,14 @@ def test_batch_views_inherit_outcomes():
         assert batch.tau.size == batch.size and batch.delta.size == batch.size
 
 
+def test_batches_without_a_corruption_rng_have_no_views():
+    prepared = make_prepared(n=12)
+    plain = sd.iterate_batches(prepared, np.arange(12), 4, np.random.default_rng(0), None, corruption_rate=0.3)
+    for batch, viewed in zip(plain, batches_for(12, 4)):
+        assert batch.x_view is None
+        np.testing.assert_array_equal(batch.indices, viewed.indices)
+
+
 def test_batch_size_validation():
     with pytest.raises(ValueError):
         batches_for(10, 1)

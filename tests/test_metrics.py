@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
@@ -246,6 +246,23 @@ def test_ci_integrated_never_allocates_an_n_by_n_array():
     assert peak < n * n * 8
 
 
+def test_concordance_counts_extra_memory_is_linear_in_the_rows():
+    # a gather of every event time's column at once would take n x E floats (8 MB here)
+    rng = np.random.default_rng(17)
+    n, n_bins = 20_000, 50
+    taus = rng.integers(0, n_bins, size=n)
+    deltas = rng.integers(0, 2, size=n)
+    risks = np.sort(rng.uniform(size=(n, n_bins)), axis=1)
+    tracemalloc.start()
+    try:
+        event_times, _ = M._concordance_counts(risks, taus, deltas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert event_times.size == n_bins
+    assert peak < 10 * n * 8
+
+
 # ---------------------------------------------------------------------------
 # properties on small instances with heavy ties
 # ---------------------------------------------------------------------------
@@ -316,6 +333,126 @@ def test_brier_equals_per_sample_ipcw_formula(instance):
     if t_hi >= 1:
         scores = [brier_oracle(surv, taus, deltas, h, g) for h in range(t_hi + 1)]
         assert abs(M.ibs(surv, taus, deltas) - np.trapezoid(scores, dx=1.0) / t_hi) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the report's kernels as they were before they were vectorized, kept as
+# oracles: the kernels must return the same bytes
+# ---------------------------------------------------------------------------
+
+def concordance_counts_rescan(risks, taus, deltas, t_max=None):
+    """``metrics._concordance_counts`` finding each time's anchors by a scan of all rows."""
+    risks = np.atleast_2d(np.asarray(risks, dtype=np.float64))
+    if np.isnan(risks).any():
+        raise M.MetricError("concordance undefined: NaN in the risks")
+    taus = np.asarray(taus, dtype=int)
+    deltas = np.asarray(deltas, dtype=int)
+    event_times = np.unique(taus[deltas == 1])
+    if t_max is not None:
+        event_times = event_times[event_times <= t_max]
+    order = np.argsort(taus, kind="stable")
+    first_later = np.searchsorted(taus[order], event_times, side="right")
+    counts = np.zeros((event_times.size, 3), dtype=np.int64)
+    for k, s in enumerate(event_times):
+        at_risk = order[first_later[k]:]
+        anchors = np.flatnonzero((taus == s) & (deltas == 1))
+        column = np.sort(risks[at_risk, s])
+        own = risks[anchors, s]
+        below = np.searchsorted(column, own, side="left")
+        not_above = np.searchsorted(column, own, side="right")
+        counts[k] = below.sum(), (not_above - below).sum(), anchors.size * at_risk.size
+    return event_times, counts
+
+
+def integrated_index_loop(counts):
+    """``metrics._integrated_index`` as a Python loop over the event times."""
+    cumulative = np.cumsum(counts, axis=0)
+    total, weight_sum = 0.0, 0
+    for k in np.flatnonzero(counts[:, 2]):
+        new_pairs = int(counts[k, 2])
+        total += new_pairs * M._c_index(*cumulative[k])
+        weight_sum += new_pairs
+    if weight_sum == 0:
+        raise M.MetricError("concordance undefined: no comparable pairs at any event time")
+    return total / weight_sum
+
+
+def brier_scores_where(surv, taus, deltas, horizons, censor_km):
+    """``metrics._brier_scores`` with a fresh (n, horizons) array per step."""
+    surv = np.atleast_2d(np.asarray(surv, dtype=np.float64))
+    taus = np.asarray(taus, dtype=int)
+    deltas = np.asarray(deltas, dtype=int)
+    horizons = np.asarray(horizons, dtype=int)
+    s_t = surv[:, np.minimum(horizons, surv.shape[1] - 1)]
+    alive = taus[:, None] > horizons
+    g_t = np.maximum(censor_km.at(horizons), M.IPCW_FLOOR)
+    g_tau = np.maximum(censor_km.at(taus - 1), M.IPCW_FLOOR)[:, None]
+    terms = np.where(alive, 1.0 - s_t, s_t) ** 2 / np.where(alive, g_t, g_tau)
+    terms[~alive & (deltas[:, None] != 1)] = 0.0
+    return np.cumsum(terms, axis=0)[-1] / taus.size
+
+
+def survival_cumprod(hazards):
+    """``model.survival_from_hazard`` by numpy's accumulate along the rows."""
+    return np.cumprod(1.0 - np.atleast_2d(np.asarray(hazards, dtype=np.float64)), axis=1)
+
+
+def outcome(kernel, *args):
+    """What a kernel returns, down to the bytes of its arrays, or its MetricError's message."""
+    try:
+        result = kernel(*args)
+    except M.MetricError as exc:
+        return f"MetricError: {exc}"
+    parts = result if isinstance(result, tuple) else (result,)
+    return [(p.dtype.str, p.shape, p.tobytes()) if isinstance(p, np.ndarray) else float(p).hex() for p in parts]
+
+
+# -0.0 and 0.0 compare equal but differ in their bytes
+KERNEL_LEVELS = (-0.0, 0.0, 0.1, 0.5, 0.9)
+
+
+@st.composite
+def kernel_instances(draw):
+    """Values in [0, 1] to read as hazards, risks and survival alike, outcomes,
+    a ``t_max``, Brier horizons, and where to put a NaN risk if anywhere."""
+    n = draw(st.integers(1, 10))
+    n_bins = draw(st.integers(1, 6))
+    values = draw(arrays(np.float64, (n, n_bins), elements=st.sampled_from(KERNEL_LEVELS) | st.floats(0.0, 1.0)))
+    taus = draw(arrays(np.int64, n, elements=st.integers(0, n_bins - 1)))
+    deltas = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    t_max = draw(st.none() | st.integers(-1, n_bins))
+    horizons = draw(st.lists(st.integers(0, n_bins), min_size=1, max_size=4))
+    nan_at = draw(st.none() | st.tuples(st.integers(0, n - 1), st.integers(0, n_bins - 1)))
+    return values, taus, deltas, t_max, np.array(horizons), nan_at
+
+
+def named_case(values, taus, deltas, t_max=None, horizons=(0,), nan_at=None):
+    return np.array(values, dtype=np.float64), np.array(taus), np.array(deltas), t_max, np.array(horizons), nan_at
+
+
+@PROPERTY_SETTINGS
+@given(kernel_instances())
+@example(named_case([[0.1, 0.5], [0.1, 0.5], [0.5, 0.1]], [0, 1, 1], [1, 1, 0], horizons=[0, 1, 2]))  # ties
+@example(named_case([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]], [0, 0, 1], [1, 1, 1], horizons=[1, 0]))  # +-0.0
+@example(named_case([[0.2, 0.4], [0.3, 0.1]], [1, 0], [0, 0], horizons=[0, 1]))  # all censored
+@example(named_case([[0.2, 0.4, 0.1], [0.3, 0.1, 0.2]], [2, 1], [1, 0], t_max=1))  # no event up to t_max
+@example(named_case([[0.3], [0.7], [0.7]], [0, 0, 0], [1, 0, 1], horizons=[1]))  # T = 1
+@example(named_case([[0.3, 0.6, 0.1]], [1], [1], horizons=[0, 1, 2, 3]))  # n = 1
+@example(named_case([[0.3, 0.6], [0.5, 0.5]], [1, 0], [1, 1], nan_at=(0, 1)))  # a NaN risk
+def test_kernels_return_the_bytes_of_their_loop_oracles(instance):
+    values, taus, deltas, t_max, horizons, nan_at = instance
+    assert outcome(survival_from_hazard, values) == outcome(survival_cumprod, values)
+    risks = values.copy()
+    if nan_at is not None:
+        risks[nan_at] = math.nan
+    assert outcome(M._concordance_counts, risks, taus, deltas, t_max) == outcome(
+        concordance_counts_rescan, risks, taus, deltas, t_max)
+    if nan_at is None:
+        counts = M._concordance_counts(risks, taus, deltas, t_max)[1]
+        assert outcome(M._integrated_index, counts) == outcome(integrated_index_loop, counts)
+    g = M.censoring_km(taus, deltas)
+    assert outcome(M._brier_scores, values, taus, deltas, horizons, g) == outcome(
+        brier_scores_where, values, taus, deltas, horizons, g)
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,25 @@ def test_validation_pair_weights_built_once(monkeypatch, variant, builder):
     assert len(calls) == n_steps + 1  # one per training step, one for validation
 
 
+@pytest.mark.parametrize("variant,corruptions", [("nll", 0), ("nll+rank", 0), ("nll+nce", 1), ("nll+snce", 1)])
+def test_only_the_contrastive_variants_corrupt_views(monkeypatch, variant, corruptions):
+    data = make_data(n=200)
+    calls = []
+    original = tr.corrupt
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "corrupt", counted)
+    monkeypatch.setattr("survcontrast.data.corrupt", counted)
+    config = quick_config(epochs=2)
+    _, log = tr.train(data, make_model(data), config, variant)
+    n_train = len(data.split.train)
+    n_steps = len(log.epochs) * (len(range(0, n_train, config.batch_size)) - (n_train % config.batch_size == 1))
+    assert len(calls) == corruptions * (n_steps + 1)  # one per training batch, one for validation
+
+
 def test_non_finite_validation_aux_loss_raises():
     # beta=0 skips the auxiliary update, so only the validation pass meets
     # the ranking loss that a vanishing temperature overflows
