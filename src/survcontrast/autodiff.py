@@ -309,7 +309,9 @@ def backward(root: Tensor) -> list[Tensor]:
     """Accumulate d(root)/d(leaf) into every reachable leaf's ``grad``.
 
     ``root`` must be 1x1. Each tape node is visited exactly once; fan-out
-    contributions sum by construction. Returns the tape.
+    contributions sum by construction, out of place, so a pullback may
+    return one array for several parents or an array it still holds.
+    Returns the tape.
     """
     if root.values.shape != (1, 1):
         raise ShapeError(f"backward root must be scalar (1x1), got {root.shape}")
@@ -327,10 +329,7 @@ def backward(root: Tensor) -> list[Tensor]:
             if parent is None:
                 continue
             acc = grads.get(id(parent))
-            if acc is None:
-                grads[id(parent)] = contrib.astype(np.float64, copy=True)
-            else:
-                acc += contrib
+            grads[id(parent)] = contrib if acc is None else acc + contrib
     return tape
 
 

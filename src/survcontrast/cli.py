@@ -344,8 +344,11 @@ def cmd_sweep(args) -> int:
         sub = out / f"{args.param}_{format(value, 'g')}"
         reports = []
         for seed in spec.seeds:
-            model, _ = run_one(prepared[seed], spec, variant, seed, sub, **overrides)
-            reports.append(score_test_split(prepared[seed], model, f"{sub.name}/{run_name(variant, seed)}"))
+            try:  # both failures already name the run; add its sweep directory
+                model, _ = run_one(prepared[seed], spec, variant, seed, sub, **overrides)
+                reports.append(score_test_split(prepared[seed], model, run_name(variant, seed)))
+            except (TrainingDiverged, M.MetricError) as exc:
+                raise type(exc)(f"{sub.name}/{exc}") from exc
         rows.append((f"{args.param}={format(value, 'g')}", aggregate_reports(reports)))
     write_summary(out / "sweep.csv", rows)
     print_summary(rows)

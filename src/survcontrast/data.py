@@ -2,11 +2,27 @@
 
 The CSV contract: a header row, one time column, one binary event column,
 and feature columns declared in a JSON schema as ``real``, ``binary`` or
-``categorical``. Categorical features are one-hot encoded. Missing feature
-values are imputed from the training split (median for real, mode for
-binary/categorical); missing time or event values reject the row. Feature
-normalization is min-max fitted on the training split only and then frozen,
-so evaluation splits may exceed [0, 1] but never leak statistics.
+``categorical``. Each feature column gives one block of the feature
+matrix: one float column for a real or binary feature, one 0/1 column per
+sorted level for a categorical one (one-hot).
+
+What is missing depends on the column's role. A time, real or binary cell
+is missing when it is empty, absent (a row shorter than the header) or a
+spelling of ``nan`` (any case); a categorical or event cell when it is
+empty or absent. A missing time or event rejects the file; a missing
+feature is NaN in every column of its block and is imputed from the
+training split (median for real, mode for binary/categorical). An
+infinite time or feature value rejects the file, as does a non-numeric
+time, real or binary cell, a negative time, an event other than 0/1 or a
+binary value other than 0/1. Faults are found column by column: the time
+column, then the event column, then the features in schema order, each
+from its first row down; the first one raises naming its row.
+
+Feature normalization is min-max fitted on the training split only and
+then frozen, so evaluation splits may exceed [0, 1] but never leak
+statistics. A value that lands more than ``MAX_SPANS`` training ranges
+outside the training range, where the networks' arithmetic would
+overflow, rejects the dataset naming its row.
 """
 
 from __future__ import annotations
@@ -21,6 +37,10 @@ import numpy as np
 SPLIT_RATIOS = {"train": 0.64, "test": 0.20, "validation": 0.16}
 FEATURE_KINDS = ("real", "binary", "categorical")
 COLUMN_ROLES = ("feature", "time", "event")
+EVENT_CELLS = {"0": 0, "1": 1, "0.0": 0, "1.0": 1}  # event-column cell -> event flag
+# how far a normalized feature may lie from [0, 1], in training ranges; a
+# farther evaluation row would overflow the networks' arithmetic
+MAX_SPANS = 1e6
 
 
 class DataError(ValueError):
@@ -126,13 +146,28 @@ class RawDataset:
         return self.times.size
 
 
-def load_csv(path, schema: Schema) -> RawDataset:
-    """Parse a survival CSV against its schema.
+def _number(cell, line: int, column: str) -> float:
+    """A time or real/binary feature cell as a float: NaN (missing) for an
+    empty cell, the ``None`` of a short row, or a spelling of ``nan``; a
+    non-numeric or infinite cell raises naming its row."""
+    if cell in ("", None):
+        return math.nan
+    try:
+        value = float(cell)
+    except ValueError:
+        raise DataError(f"row {line}: value {cell!r} in {column!r} is not numeric") from None
+    if math.isinf(value):
+        raise DataError(f"row {line}: value {cell!r} in {column!r} is not finite")
+    return value
 
-    Raises :class:`DataError` with the offending row number for unknown
-    columns, non-binary event values, or negative times, and naming the
-    file when it is not UTF-8 text. Rows with missing time or event are
-    rejected outright.
+
+def load_csv(path, schema: Schema) -> RawDataset:
+    """Parse a survival CSV against its schema, one column at a time (the
+    loader contract is in the module docstring).
+
+    Raises :class:`DataError` for an empty file, a file that is not UTF-8
+    text (naming it), a schema column missing from the header, or the first
+    faulty cell (naming its row).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         try:
@@ -148,65 +183,40 @@ def load_csv(path, schema: Schema) -> RawDataset:
             raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
     if not rows:
         raise DataError("no records")
+    lines = range(2, len(rows) + 2)  # the header is line 1
 
-    feats = schema.feature_columns()
-    categories: dict[str, list[str]] = {}
-    for col in feats:
-        if col.kind == "categorical":
-            seen = sorted({r[col.name] for r in rows if r[col.name] not in ("", None)})
-            categories[col.name] = seen
+    def numbers(name: str) -> np.ndarray:
+        return np.array([_number(row[name], line, name) for row, line in zip(rows, lines)])
 
-    names: list[str] = []
-    src_kinds: list[str] = []
-    for col in feats:
-        if col.kind == "categorical":
-            for level in categories[col.name]:
-                names.append(f"{col.name}={level}")
-                src_kinds.append("categorical")
-        else:
-            names.append(col.name)
-            src_kinds.append(col.kind)
-
-    n = len(rows)
-    x = np.full((n, len(names)), np.nan)
-    times = np.empty(n)
-    events = np.empty(n, dtype=int)
-    for i, row in enumerate(rows):
-        lineno = i + 2  # header is line 1
-        t_raw = row[schema.time_column]
-        e_raw = row[schema.event_column]
-        if t_raw in ("", None) or e_raw in ("", None):
-            raise DataError(f"row {lineno}: missing time or event value")
-        try:
-            t = float(t_raw)
-        except ValueError:
-            raise DataError(f"row {lineno}: time value {t_raw!r} is not numeric") from None
+    times = numbers(schema.time_column)
+    event_cells = [row[schema.event_column] for row in rows]
+    for line, t, e in zip(lines, times, event_cells):
+        if math.isnan(t) or not e:
+            raise DataError(f"row {line}: missing time or event value")
         if t < 0:
-            raise DataError(f"row {lineno}: negative time {t}")
-        if e_raw not in ("0", "1", "0.0", "1.0"):
-            raise DataError(f"row {lineno}: event value {e_raw!r} is not binary")
-        times[i] = t
-        events[i] = int(float(e_raw))
+            raise DataError(f"row {line}: negative time {t}")
+        if e not in EVENT_CELLS:
+            raise DataError(f"row {line}: event value {e!r} is not binary")
 
-        j = 0
-        for col in feats:
-            val = row[col.name]
-            if col.kind == "categorical":
-                levels = categories[col.name]
-                if val not in ("", None):
-                    x[i, j : j + len(levels)] = 0.0
-                    x[i, j + levels.index(val)] = 1.0
-                j += len(levels)
-            else:
-                if val not in ("", None):
-                    try:
-                        x[i, j] = float(val)
-                    except ValueError:
-                        raise DataError(f"row {lineno}: value {val!r} in {col.name!r} is not numeric") from None
-                    if col.kind == "binary" and x[i, j] not in (0.0, 1.0):
-                        raise DataError(f"row {lineno}: binary column {col.name!r} has value {val!r}")
-                j += 1
-    return RawDataset(x, times, events, names, src_kinds)
+    blocks = [np.empty((len(rows), 0))]  # a schema may declare no feature
+    names, kinds = [], []
+    for col in schema.feature_columns():
+        if col.kind == "categorical":
+            column = [row[col.name] for row in rows]
+            levels = sorted(set(column) - {"", None})
+            block = np.array([[float(c == v) for v in levels] if c else [math.nan] * len(levels) for c in column])
+            names += [f"{col.name}={level}" for level in levels]
+        else:
+            block = numbers(col.name)[:, None]
+            if col.kind == "binary":
+                bad = np.flatnonzero(~np.isin(block, (0.0, 1.0)) & ~np.isnan(block))
+                if bad.size:
+                    i = bad[0]
+                    raise DataError(f"row {lines[i]}: binary column {col.name!r} has value {rows[i][col.name]!r}")
+            names.append(col.name)
+        blocks.append(block)
+        kinds += [col.kind] * block.shape[1]
+    return RawDataset(np.hstack(blocks), times, np.array([EVENT_CELLS[e] for e in event_cells]), names, kinds)
 
 
 def write_csv(path, header, rows) -> None:
@@ -400,8 +410,14 @@ def prepare(raw: RawDataset, seed: int, n_bins: int | None = None) -> PreparedDa
 
     lo = x[split.train].min(axis=0)
     hi = x[split.train].max(axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    x = (x - lo) / span
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        span = np.where(hi > lo, hi - lo, 1.0)
+        x = (x - lo) / span
+    far = np.argwhere(~(np.abs(x) <= MAX_SPANS))  # NaN included: inf / inf where the span overflowed
+    if far.size:
+        i, j = far[0]  # raw row i is line i + 2 of a CSV
+        raise DataError(f"row {i + 2}: feature {raw.feature_names[j]!r} lies more than {MAX_SPANS:g} training "
+                        "ranges outside the training split's range, or that range overflows float64")
 
     bins = n_bins if n_bins is not None else default_n_bins(raw.times)
     grid, tau = discretize(raw.times, bins)

@@ -197,6 +197,30 @@ def test_backward_fanout_accumulates():
     assert x.grad[0, 0] == 2.0
 
 
+def test_backward_sums_a_shared_contribution_out_of_place():
+    # add's pullback hands its one upstream array to both parents; the third
+    # contribution that u then receives must not be summed into the array v holds
+    x = Tensor([[1.0, 2.0]], requires_grad=True)
+    y = Tensor([[3.0, -1.0]], requires_grad=True)
+    u, v = ad.scale(x, 2.0), ad.scale(y, 1.0)
+    s = ad.add(u, v)
+    returned = []
+    for node in (s, u, v):
+        def recording(g, pull=node._pull):
+            out = pull(g)
+            returned.extend((arr, arr.copy()) for arr in out)
+            return out
+        node._pull = recording
+    root = ad.reduce_sum(ad.add(ad.scale(s, 1.0), ad.scale(u, 3.0)))
+    ad.backward(root)
+    shared = [arr for arr, _ in returned[:2]]
+    assert shared[0] is shared[1]
+    np.testing.assert_array_equal(x.grad, [[8.0, 8.0]])  # d/dx of sum(2x + y + 6x)
+    np.testing.assert_array_equal(y.grad, [[1.0, 1.0]])
+    for arr, snapshot in returned:
+        np.testing.assert_array_equal(arr, snapshot)
+
+
 def test_backward_requires_scalar_root():
     x = Tensor([[1.0, 2.0]], requires_grad=True)
     with pytest.raises(ad.ShapeError):

@@ -1,18 +1,24 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import re
 import shlex
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survcontrast import cli
 from survcontrast.cli import main
 from survcontrast.model import ModelConfig
 from survcontrast.synth import SynthConfig
-from survcontrast.trainer import TrainConfig
+from survcontrast.trainer import VARIANTS, TrainConfig
 
 BASE_SPEC = {
     "synthetic": {"kind": "paired_exponential", "n_samples": 160, "seed": 3},
@@ -272,6 +278,15 @@ def test_sweep_alpha_percentile_mode(tmp_path):
     assert main(["sweep", "--config", str(spec), "--param", "alpha", "--values", "0,10"]) == 0
     sweep = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in sweep[1:]] == ["alpha=0", "alpha=10"]
+
+
+def test_sweep_names_a_diverged_run_with_its_sweep_directory(tmp_path, capsys):
+    # beta = 1e308 drives the first batch to a non-finite loss; beta = 1 trains
+    spec = write_spec(tmp_path, seeds=[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/NaN is the point
+        assert main(["sweep", "--config", str(spec), "--param", "beta", "--values", "1,1e308"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error: beta_1e+308/nll_snce_seed0: non-finite")
 
 
 def test_sweep_empty_values_exits_2(tmp_path, capsys):
@@ -568,6 +583,129 @@ def test_dataset_spec_without_csv_blames_the_spec(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: invalid spec: ")
     assert err[0].endswith("missing 1 required positional argument: 'csv'")
+
+
+def write_cohort_csv(path, n=200, bad_cell=None):
+    """A clean n-row cohort (real x0, binary x1), with ``bad_cell`` = (row
+    index, column, text) overwriting one cell."""
+    rng = np.random.default_rng(5)
+    rows = [{"x0": repr(float(rng.normal())), "x1": str(rng.integers(0, 2)),
+             "time": repr(float(rng.integers(1, 30))), "event": str(rng.integers(0, 2))} for _ in range(n)]
+    if bad_cell is not None:
+        index, column, text = bad_cell
+        rows[index][column] = text
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, ["x0", "x1", "time", "event"])
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+COHORT_COLUMNS = [{"name": "x0", "kind": "real"}, {"name": "x1", "kind": "binary"}, *GOOD_COLUMNS[1:]]
+
+
+@pytest.mark.parametrize(
+    ("bad_cell", "message"),
+    [
+        ((7, "time", "nan"), "row 9: missing time or event value"),
+        ((7, "time", "inf"), "row 9: value 'inf' in 'time' is not finite"),
+        ((7, "x0", "inf"), "row 9: value 'inf' in 'x0' is not finite"),
+    ],
+    ids=["nan-time", "inf-time", "inf-feature"],
+)
+def test_non_finite_cell_exits_2_naming_its_row(tmp_path, capsys, bad_cell, message):
+    # these trained (exit 0, or 3 blaming divergence) and failed later, far from the cause
+    spec = write_dataset_spec(tmp_path, json.dumps({"columns": COHORT_COLUMNS}))
+    write_cohort_csv(tmp_path / "data.csv", bad_cell=bad_cell)
+    assert main(["train", "--config", str(spec)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: {message}"]
+    assert not (tmp_path / "out" / "checkpoints").exists()
+
+
+def test_cohort_csv_trains_and_evaluates(tmp_path):
+    spec = write_dataset_spec(tmp_path, json.dumps({"columns": COHORT_COLUMNS}))
+    write_cohort_csv(tmp_path / "data.csv")
+    assert main(["train", "--config", str(spec)]) == 0
+    assert main(["evaluate", "--config", str(spec)]) == 0
+
+
+FUZZ_CELLS = {
+    "finite": st.one_of(st.integers(-5, 40).map(str), st.floats(allow_nan=False, allow_infinity=False).map(repr)),
+    "non-finite": st.sampled_from(["inf", "-inf", "nan", "NaN", "Infinity", "1e999"]),
+    "non-numeric": st.sampled_from(["abc", "1,5", " ", "0x1", "--1"]),
+    "empty": st.just(""),
+}
+# the cells each column draws when it is clean; a faulty column draws from every FUZZ_CELLS kind
+CLEAN_CELLS = {
+    "time": st.integers(0, 40).map(str),
+    "event": st.sampled_from(["0", "1", "0.0", "1.0"]),
+    "real": st.one_of(FUZZ_CELLS["finite"], FUZZ_CELLS["empty"]),
+    "binary": st.sampled_from(["0", "1", ""]),
+    "categorical": st.sampled_from(["a", "b c", "", '"q"']),
+}
+FAILURE_LINE = re.compile(r"(config|data|shape|runtime|metric) error: ")
+
+
+@st.composite
+def fuzz_experiments(draw):
+    """(csv text, schema, spec) of a tiny experiment whose cells, columns and
+    row lengths may each be faulty."""
+    kinds = draw(st.lists(st.sampled_from(["real", "binary", "categorical"]), max_size=3))
+    columns = [("time", "time"), ("event", "event"), *((f"f{i}", kind) for i, kind in enumerate(kinds))]
+    n = draw(st.integers(1, 40))
+    cells = {}
+    for name, kind in columns:
+        clean = draw(st.integers(0, 3)) > 0
+        any_cell = st.one_of(*FUZZ_CELLS.values(), CLEAN_CELLS[kind])
+        cells[name] = draw(st.lists(CLEAN_CELLS[kind] if clean else any_cell, min_size=n, max_size=n))
+    header = [name for name, _ in columns]
+    if draw(st.integers(0, 5)) == 0:  # a schema column missing from the header
+        header.remove(draw(st.sampled_from(header)))
+    if draw(st.booleans()):  # a column the schema does not name
+        header.append("extra")
+    rows = []
+    for i in range(n):
+        row = [cells[name][i] if name in cells else "7" for name in header]
+        if draw(st.integers(0, 7)) == 0:  # a row shorter or longer than the header
+            row = row[: draw(st.integers(1, len(row)))] if draw(st.booleans()) else [*row, "spare"]
+        rows.append(row)
+    text = io.StringIO()
+    csv.writer(text).writerows([header, *rows])
+    schema = {"columns": [{"name": name, "kind": "real" if kind == "time" else "binary" if kind == "event" else kind,
+                           "role": kind if kind in ("time", "event") else "feature"} for name, kind in columns]}
+    spec = {
+        "variants": [draw(st.sampled_from(VARIANTS))],
+        "seeds": [draw(st.integers(0, 3))],
+        "model": {"hidden_dim": 4, "depth": 2, "embedding_dim": 2},
+        "train": {"epochs": 1, "batch_size": draw(st.integers(2, 16)), "patience": 1},
+        "n_bins": draw(st.sampled_from([None, 2, 5])),
+    }
+    return text.getvalue(), schema, spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzz_experiments())
+def test_cli_on_fuzzed_csvs_fails_only_in_documented_ways(experiment):
+    csv_text, schema, spec = experiment
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "data.csv").write_text(csv_text)
+        (root / "schema.json").write_text(json.dumps(schema))
+        spec = {**spec, "dataset": {"csv": str(root / "data.csv"), "schema": str(root / "schema.json")},
+                "out": str(root / "out")}
+        (root / "spec.json").write_text(json.dumps(spec))
+        for command in ("train", "evaluate"):
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main([command, "--config", str(root / "spec.json")])
+            assert code in (0, 2, 3, 4)
+            assert "Traceback" not in err.getvalue()
+            if code != 0:
+                lines = err.getvalue().splitlines()
+                assert FAILURE_LINE.match(lines[-1])
+                assert not any(FAILURE_LINE.match(line) for line in lines[:-1])
+                break
 
 
 def _non_utf8_csv(tmp_path, spec):

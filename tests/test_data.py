@@ -1,6 +1,8 @@
+import csv
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -87,6 +89,138 @@ def test_missing_features_imputed_from_train_split(tmp_path):
     assert np.isnan(raw.features[5, 0])
     prepared = sd.prepare(raw, seed=0, n_bins=10)
     assert np.all(np.isfinite(prepared.x))
+
+
+@pytest.mark.parametrize(
+    ("cells", "message"),
+    [
+        ({"time": "inf"}, "row 3: value 'inf' in 'time' is not finite"),
+        ({"time": "-Infinity"}, "row 3: value '-Infinity' in 'time' is not finite"),
+        ({"time": "1e999"}, "row 3: value '1e999' in 'time' is not finite"),
+        ({"time": "NaN"}, "row 3: missing time or event value"),
+        ({"age": "-inf"}, "row 3: value '-inf' in 'age' is not finite"),
+        ({"treated": "inf"}, "row 3: value 'inf' in 'treated' is not finite"),
+        ({"age": "old"}, "row 3: value 'old' in 'age' is not numeric"),
+        ({"time": "soon"}, "row 3: value 'soon' in 'time' is not numeric"),
+        ({"treated": "2"}, "row 3: binary column 'treated' has value '2'"),
+    ],
+)
+def test_load_csv_rejects_a_bad_cell_naming_its_row(tmp_path, cells, message):
+    rows = [dict(zip(HEADER, [50, 1, "a", 3.5, 1])), dict(zip(HEADER, [61, 0, "b", 7.0, 0]))]
+    rows[1].update(cells)
+    write_csv(tmp_path / "bad.csv", HEADER, [[row[h] for h in HEADER] for row in rows])
+    with pytest.raises(sd.DataError) as excinfo:
+        sd.load_csv(tmp_path / "bad.csv", toy_schema())
+    assert str(excinfo.value) == message
+
+
+def test_load_csv_reads_nan_and_absent_feature_cells_as_missing(tmp_path):
+    # a nan spelling in a real or binary column, and the absent cells of a
+    # short row, are missing like an empty cell: NaN across the feature's block
+    header = ["time", "event", "age", "treated", "grade"]
+    write_csv(tmp_path / "nan.csv", header, [[1.0, 1, "nan", "NAN", "a"], [2.0, 0, "-nan"], [3.0, 1, 7, 1, "b"]])
+    raw = sd.load_csv(tmp_path / "nan.csv", toy_schema())
+    assert raw.feature_names == ["age", "treated", "grade=a", "grade=b"]
+    np.testing.assert_array_equal(np.isnan(raw.features), [[1, 1, 0, 0], [1, 1, 1, 1], [0, 0, 0, 0]])
+
+
+def load_csv_row_by_row(path, schema):
+    """``load_csv`` as it was: one pass for the categorical levels, one for the
+    names and kinds, then one loop over the rows that fills a NaN matrix
+    column by column offset; kept as the oracle for valid files."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    feats = schema.feature_columns()
+    categories = {}
+    for col in feats:
+        if col.kind == "categorical":
+            categories[col.name] = sorted({r[col.name] for r in rows if r[col.name] not in ("", None)})
+    names, src_kinds = [], []
+    for col in feats:
+        if col.kind == "categorical":
+            for level in categories[col.name]:
+                names.append(f"{col.name}={level}")
+                src_kinds.append("categorical")
+        else:
+            names.append(col.name)
+            src_kinds.append(col.kind)
+    n = len(rows)
+    x = np.full((n, len(names)), np.nan)
+    times = np.empty(n)
+    events = np.empty(n, dtype=int)
+    for i, row in enumerate(rows):
+        t_raw = row[schema.time_column]
+        e_raw = row[schema.event_column]
+        assert t_raw not in ("", None) and e_raw in ("0", "1", "0.0", "1.0")
+        times[i] = float(t_raw)
+        assert times[i] >= 0
+        events[i] = int(float(e_raw))
+        j = 0
+        for col in feats:
+            val = row[col.name]
+            if col.kind == "categorical":
+                levels = categories[col.name]
+                if val not in ("", None):
+                    x[i, j : j + len(levels)] = 0.0
+                    x[i, j + levels.index(val)] = 1.0
+                j += len(levels)
+            else:
+                if val not in ("", None):
+                    x[i, j] = float(val)
+                    assert col.kind == "real" or x[i, j] in (0.0, 1.0)
+                j += 1
+    return sd.RawDataset(x, times, events, names, src_kinds)
+
+
+FEATURE_CELLS = {
+    "real": st.one_of(
+        st.just(""),
+        st.sampled_from(["nan", "NaN", "-nan"]),
+        st.integers(-100, 100).map(str),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    ),
+    "binary": st.sampled_from(["", "0", "1", "0.0", "1.0", "-0", "1e0"]),
+}
+LEVELS = st.lists(st.text(alphabet="ab ,\"'", min_size=1, max_size=4), max_size=3)  # empty: an all-empty column
+
+
+@st.composite
+def valid_csvs(draw):
+    """(header, rows, schema) of a file the row-by-row loader accepts: 0-4 features
+    of each kind in a drawn schema order, time and event leading the header so
+    that a short row drops only feature cells, and some rows with a spare cell."""
+    kinds = [kind for kind in sd.FEATURE_KINDS for _ in range(draw(st.integers(0, 4)))]
+    names = [f"{kind[0]}{i}" for i, kind in enumerate(kinds)]
+    n = draw(st.integers(1, 8))
+    columns = {}
+    for name, kind in zip(names, kinds):
+        cells = st.sampled_from(["", *draw(LEVELS)]) if kind == "categorical" else FEATURE_CELLS[kind]
+        columns[name] = draw(st.lists(cells, min_size=n, max_size=n))
+    header = ["time", "event", *draw(st.permutations(names))]
+    rows = []
+    for i in range(n):
+        row = [draw(st.floats(0, 1e6).map(repr)), draw(st.sampled_from(sorted(sd.EVENT_CELLS)))]
+        row += [columns[name][i] for name in header[2:]]
+        cut = draw(st.integers(2, len(row) + 1))
+        rows.append(row[:cut] if cut <= len(row) else [*row, "spare"])
+    order = draw(st.permutations(range(len(names))))
+    schema = sd.Schema([sd.ColumnSpec(names[k], kinds[k]) for k in order]
+                       + [sd.ColumnSpec("time", "real", role="time"), sd.ColumnSpec("event", "binary", role="event")])
+    return header, rows, schema
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(valid_csvs())
+def test_load_csv_equals_the_row_by_row_loader(tmp_path, case):
+    header, rows, schema = case
+    path = tmp_path / "valid.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])  # quotes levels holding commas or quotes
+    got, want = sd.load_csv(path, schema), load_csv_row_by_row(path, schema)
+    for attr in ("features", "times", "events"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert (got.feature_names, got.source_kinds) == (want.feature_names, want.source_kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +388,29 @@ def test_normalization_train_in_unit_box_no_leakage():
     assert train_x.min() >= 0.0 and train_x.max() <= 1.0
     # other splits may exceed [0,1]: statistics must come from train only
     assert np.all(np.isfinite(prepared.x))
+
+
+@pytest.mark.parametrize(
+    ("where", "value", "rejected"),
+    [("test", 1e5, False), ("test", 8e153, True), ("test", -1e300, True), ("train", 1.7e308, True)],
+)
+def test_prepare_rejects_a_feature_out_of_the_training_scale(where, value, rejected):
+    # the training rows of x0 span [0, 1]; an evaluation value 8e153 ranges away
+    # overflowed the contrastive loss, and two training values 1.7e308 apart overflow the span
+    rng = np.random.default_rng(1)
+    x = rng.uniform(0.0, 1.0, size=(50, 2))
+    events = rng.integers(0, 2, size=50)
+    split = sd.split_dataset(events, seed=0)
+    row = getattr(split, where)[3]
+    x[row, 0] = value
+    if where == "train":
+        x[split.train[0], 0] = -value
+    raw = sd.from_arrays(x, rng.uniform(1.0, 9.0, size=50), events)
+    if not rejected:
+        assert np.all(np.isfinite(sd.prepare(raw, seed=0).x))
+        return
+    with pytest.raises(sd.DataError, match=rf"^row {row + 2}: feature 'x0' lies more than 1e\+06 training ranges"):
+        sd.prepare(raw, seed=0)
 
 
 def test_prepare_keeps_outcomes_aligned():
