@@ -150,9 +150,9 @@ def resolve_out(spec_out: str, flag_out: str | None) -> Path:
 
 def load_raw(spec: ExperimentSpec) -> RawDataset:
     if spec.dataset is not None:
-        try:
+        try:  # a schema or CSV fault stays a DataError
             return load_csv(spec.dataset.csv, Schema.from_json(spec.dataset.schema))
-        except (DataError, OSError) as exc:  # OSError: a missing file or a directory
+        except OSError as exc:  # a missing file or a directory
             raise ConfigError(str(exc)) from exc
     cfg = configure(SynthConfig, "synthetic config", spec.synthetic)
     return GENERATORS[cfg.kind](cfg).to_raw()

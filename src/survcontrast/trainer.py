@@ -1,11 +1,18 @@
 """Two-phase mini-batch training.
 
 Each batch is processed in two steps: first the auxiliary objective updates
-the encoder together with the network it feeds (projection head for the
-contrastive variants, hazard network for the ranking variant), then the
-likelihood updates the encoder and hazard network. The auxiliary step is
+the encoder together with the network it feeds, then the likelihood updates
+the encoder and hazard network. One table, ``AUX_NETWORK``, picks each
+variant's auxiliary objective by naming that network: ``"projection"`` for
+the contrastive variants, whose loss embeds each record beside its corrupted
+view, ``"hazard"`` for the ranking penalty, which scores the hazards, and
+``None`` for the likelihood alone. ``train`` reads it for the auxiliary
+optimizer's slice, whether corrupted views are drawn, whether validation
+scores the auxiliary loss and which step runs; :func:`pair_weights` alone
+tells uniform from outcome-weighted negatives. The auxiliary step is
 skipped entirely when its coefficient is zero, which makes a zero-beta run
-bit-identical to the likelihood-only variant.
+bit-identical to the likelihood-only variant. Validation is one ``Batch``
+with fixed views, scored by the steps' own forward and losses.
 
 Every random decision (batch order, corruption draws, validation views)
 comes from independent streams spawned from one seed, so reruns reproduce
@@ -23,16 +30,18 @@ import numpy as np
 from . import autodiff as ad
 from . import losses
 from .autodiff import Tensor
-from .data import DataError, PreparedData, check_field_types, corrupt, iterate_batches, write_csv
+from .data import Batch, DataError, PreparedData, check_field_types, corrupt, iterate_batches, write_csv
 from .model import HazardModel
 
 logger = logging.getLogger(__name__)
 
-VARIANTS = ("nll", "nll+nce", "nll+rank", "nll+snce")
+# the network each variant's auxiliary step trains together with the encoder
+AUX_NETWORK = {"nll": None, "nll+nce": "projection", "nll+rank": "hazard", "nll+snce": "projection"}
+VARIANTS = tuple(AUX_NETWORK)
 
 
 class TrainingDiverged(RuntimeError):
-    """A loss became non-finite; the message names the step and epoch."""
+    """A loss or the optimizer state became non-finite; the message names the step or batch, and the epoch."""
 
 
 @dataclass
@@ -132,7 +141,8 @@ class Adam:
         m *= self.beta1
         m += (1.0 - self.beta1) * g
         v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
+        with np.errstate(over="raise"):  # an inf moment would freeze its coordinates; train reports it
+            v += (1.0 - self.beta2) * g * g
         self.param.values -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
@@ -160,72 +170,66 @@ def _check_finite(value: float, step_name: str, epoch: int, batch_idx: int | Non
     return value
 
 
-def pair_weights(tau, delta, variant: str, config: TrainConfig, alpha: float) -> losses.PairWeightMatrix:
+def hazards(model, batch: Batch) -> Tensor:
+    """The hazard network's output on the batch's records."""
+    return model.hazard(model.encode(Tensor(batch.x)))
+
+
+def pair_weights(batch: Batch, variant: str, config: TrainConfig, alpha: float) -> losses.PairWeightMatrix:
     """Uniform (``nll+nce``) or outcome-weighted (``nll+snce``) negative weights.
 
     The M x M record block: ``snce_loss`` broadcasts its log into the four
     quadrants of the 2M x 2M logits, so no 2M x 2M weights are built.
     """
     if variant == "nll+nce":
-        return losses.uniform_pair_weights(len(tau))
-    return losses.build_pair_weights(tau, delta, config.sigma, alpha)
+        return losses.uniform_pair_weights(batch.size)
+    return losses.build_pair_weights(batch.tau, batch.delta, config.sigma, alpha)
 
 
-def aux_loss(model, x, views, tau, delta, variant: str, config: TrainConfig, alpha: float, weights=None) -> Tensor:
-    """The auxiliary objective of ``variant`` on records ``x`` (unscaled).
+def aux_loss(model, batch: Batch, variant: str, config: TrainConfig, alpha: float, weights=None) -> Tensor:
+    """The auxiliary objective of ``variant`` on ``batch`` (unscaled).
 
-    ``nll+rank`` scores the records' hazards; the contrastive variants embed
-    the records stacked over their corrupted ``views`` and weight the
+    The ranking penalty scores the records' hazards; the contrastive losses
+    embed the records stacked over their corrupted views and weight the
     negatives by ``weights``, built by :func:`pair_weights` when not given.
     """
-    if variant == "nll+rank":
-        hazards = model.hazard(model.encode(Tensor(x)))
-        return losses.ranking_loss(hazards, tau, delta, config.ranking_kappa)
-    weights = pair_weights(tau, delta, variant, config, alpha) if weights is None else weights
-    emb = model.project(model.encode(Tensor(np.vstack([x, views]))))
+    if AUX_NETWORK[variant] == "hazard":
+        return losses.ranking_loss(hazards(model, batch), batch.tau, batch.delta, config.ranking_kappa)
+    weights = pair_weights(batch, variant, config, alpha) if weights is None else weights
+    emb = model.project(model.encode(Tensor(np.vstack([batch.x, batch.x_view]))))
     return losses.snce_loss(emb, weights, config.nu)
 
 
-def _aux_step(model, batch, config: TrainConfig, optimizer, variant: str, alpha: float) -> float:
+def _aux_step(model, batch: Batch, config: TrainConfig, optimizer, variant: str, alpha: float) -> float:
     # the optimized objective carries the balance factor; the returned value
     # is the unscaled loss for logging
-    raw = aux_loss(model, batch.x, batch.x_view, batch.tau, batch.delta, variant, config, alpha)
+    raw = aux_loss(model, batch, variant, config, alpha)
     ad.zero_grads([model.params])
     ad.backward(ad.scale(raw, config.beta))
     optimizer.step()
     return raw.item()
 
 
-# The two auxiliary steps differ only in the networks their optimizer holds;
-# they stay separate functions so that the benchmark's tracer
-# (perfbench/tracing.py) times each under its own name.
-def contrastive_step(model, batch, config: TrainConfig, optimizer, variant: str, alpha: float) -> float:
+# The two auxiliary steps take one signature and differ only in the network
+# their optimizer holds; they stay separate functions so that the benchmark's
+# tracer (perfbench/tracing.py) times each under its own name.
+def contrastive_step(model, batch: Batch, config: TrainConfig, optimizer, variant: str, alpha: float) -> float:
     """Auxiliary step on encoder + projection head; hazard net untouched."""
     return _aux_step(model, batch, config, optimizer, variant, alpha)
 
 
-def ranking_step(model, batch, config: TrainConfig, optimizer) -> float:
+def ranking_step(model, batch: Batch, config: TrainConfig, optimizer, variant: str, alpha: float) -> float:
     """Auxiliary step on encoder + hazard network (risk-ordering penalty)."""
-    return _aux_step(model, batch, config, optimizer, "nll+rank", config.alpha)
+    return _aux_step(model, batch, config, optimizer, variant, alpha)
 
 
-def likelihood_step(model, batch, optimizer) -> float:
+def likelihood_step(model, batch: Batch, optimizer) -> float:
     """Likelihood step on encoder + hazard network; projection untouched."""
-    hazards = model.hazard(model.encode(Tensor(batch.x)))
-    loss = losses.nll_loss(hazards, batch.tau, batch.delta)
+    loss = losses.nll_loss(hazards(model, batch), batch.tau, batch.delta)
     ad.zero_grads([model.params])
     ad.backward(loss)
     optimizer.step()
     return loss.item()
-
-
-# ---------------------------------------------------------------------------
-# evaluation passes (no parameter updates)
-# ---------------------------------------------------------------------------
-
-def _split_nll(model, x, tau, delta) -> float:
-    hazards = model.hazard(model.encode(Tensor(x)))
-    return losses.nll_loss(hazards, tau, delta).item()
 
 
 # ---------------------------------------------------------------------------
@@ -246,62 +250,57 @@ def train(
         raise DataError(f"the validation split is empty (train, test, validation sizes {data.split.sizes()}); "
                         "the dataset needs more rows")
 
+    network = AUX_NETWORK[variant]
+    views = network == "projection"  # only the contrastive losses read corrupted views
     ss = np.random.SeedSequence(config.seed)
     batch_rng, corrupt_rng, val_rng = (np.random.default_rng(s) for s in ss.spawn(3))
 
     train_idx = data.split.train
-    val_idx = data.split.validation
-    tr_tau, tr_delta = data.tau[train_idx], data.delta[train_idx]
-
     alpha = config.alpha
     if config.alpha_percentile is not None:
-        alpha = losses.resolve_alpha_percentile(tr_tau, tr_delta, config.alpha_percentile)
+        alpha = losses.resolve_alpha_percentile(data.tau[train_idx], data.delta[train_idx], config.alpha_percentile)
         logger.info("alpha percentile %.1f resolved to %.3f bins", config.alpha_percentile, alpha)
 
-    aux_active = config.beta > 0 and variant != "nll"
     opt_like = make_optimizer(config.optimizer, model.trainable("hazard"), config.lr_nll)
     opt_aux = None
-    if aux_active:
-        aux_head = "hazard" if variant == "nll+rank" else "projection"
-        opt_aux = make_optimizer(config.optimizer, model.trainable(aux_head), config.lr_contrastive)
+    if network is not None and config.beta > 0:
+        opt_aux = make_optimizer(config.optimizer, model.trainable(network), config.lr_contrastive)
+    # looked up here, not at import, so a tracer's wrappers are the ones called
+    aux_step = ranking_step if network == "hazard" else contrastive_step
 
-    val_x, val_tau, val_delta = data.subset(val_idx)
-    # only the contrastive variants read corrupted views; their rngs feed
-    # nothing else, so skipping the views changes no other draw
-    contrastive = variant in ("nll+nce", "nll+snce")
     # one fixed corruption of the validation set keeps the early-stopping
-    # signal deterministic and comparable across epochs
-    val_views = corrupt(val_x, data.train_marginals, config.corruption_rate, val_rng) if contrastive else None
-    val_aux_active = variant != "nll" and val_x.shape[0] >= 2
-    val_weights = pair_weights(val_tau, val_delta, variant, config, alpha) if contrastive else None
+    # signal deterministic and comparable across epochs; the view rngs feed
+    # nothing else, so skipping the views changes no other draw
+    val_idx = data.split.validation
+    val = Batch(val_idx, data.x[val_idx], None, data.tau[val_idx], data.delta[val_idx])
+    if views:
+        val.x_view = corrupt(val.x, data.train_marginals, config.corruption_rate, val_rng)
+    val_weights = pair_weights(val, variant, config, alpha) if views else None
 
     log = TrainLog(variant=variant, alpha_resolved=alpha)
     best_total = np.inf
     best_snapshot = model.snapshot()
-    best_epoch = -1
-    stale = 0
     started = time.perf_counter()
 
     for epoch in range(config.epochs):
         aux_sum, nll_sum, n_batches = 0.0, 0.0, 0
-        for k, batch in enumerate(
-            iterate_batches(data, train_idx, config.batch_size, batch_rng, corrupt_rng if contrastive else None,
-                            config.corruption_rate)
-        ):
-            if aux_active:
-                if variant == "nll+rank":
-                    aux_val = ranking_step(model, batch, config, opt_aux)
-                else:
-                    aux_val = contrastive_step(model, batch, config, opt_aux, variant, alpha)
-                aux_sum += _check_finite(aux_val, "auxiliary", epoch, k)
-            nll_sum += _check_finite(likelihood_step(model, batch, opt_like), "likelihood", epoch, k)
+        batches = iterate_batches(data, train_idx, config.batch_size, batch_rng, corrupt_rng if views else None,
+                                  config.corruption_rate)
+        for k, batch in enumerate(batches):
+            try:
+                if opt_aux is not None:
+                    aux_val = aux_step(model, batch, config, opt_aux, variant, alpha)
+                    aux_sum += _check_finite(aux_val, "auxiliary", epoch, k)
+                nll_sum += _check_finite(likelihood_step(model, batch, opt_like), "likelihood", epoch, k)
+            except FloatingPointError as exc:  # raised by Adam.step
+                raise TrainingDiverged(f"non-finite optimizer state ({exc}) at epoch {epoch}, batch {k}") from None
             n_batches += 1
 
-        val_nll = _check_finite(_split_nll(model, val_x, val_tau, val_delta), "validation", epoch)
+        val_nll = _check_finite(losses.nll_loss(hazards(model, val), val.tau, val.delta).item(), "validation", epoch)
         val_aux = 0.0
-        if val_aux_active:
+        if network is not None and val.size >= 2:
             # keep only the float: a kept Tensor would pin the validation graph through the next epoch
-            val_aux = aux_loss(model, val_x, val_views, val_tau, val_delta, variant, config, alpha, val_weights).item()
+            val_aux = aux_loss(model, val, variant, config, alpha, val_weights).item()
             _check_finite(val_aux, "validation", epoch)
         val_total = val_nll + config.beta * val_aux
         train_nll = nll_sum / max(n_batches, 1)
@@ -321,16 +320,12 @@ def train(
         if val_total < best_total:
             best_total = val_total
             best_snapshot = model.snapshot()
-            best_epoch = epoch
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
+            log.best_epoch = epoch
+        elif epoch - log.best_epoch >= config.patience:
+            break
 
     model.restore(best_snapshot)
     losses.release_buffers()  # else the process keeps the largest n x n pair this run used
-    log.best_epoch = best_epoch
     log.wall_time = time.perf_counter() - started
     return model, log
 

@@ -289,6 +289,18 @@ def test_sweep_names_a_diverged_run_with_its_sweep_directory(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("runtime error: beta_1e+308/nll_snce_seed0: non-finite")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_names_a_run_whose_optimizer_state_overflows(tmp_path, capsys):
+    # beta = 1e300 keeps every loss finite but squares the auxiliary gradient past
+    # the float range in Adam's second moment, whose inf would silently freeze the
+    # coordinates it holds; this run used to finish with exit 0
+    spec = write_spec(tmp_path, seeds=[0])
+    assert main(["sweep", "--config", str(spec), "--param", "beta", "--values", "1,1e300"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error: beta_1e+300/nll_snce_seed0: non-finite optimizer state")
+    assert re.search(r"at epoch \d+, batch \d+$", err[0])
+
+
 def test_sweep_empty_values_exits_2(tmp_path, capsys):
     spec = write_spec(tmp_path, seeds=[0])
     assert main(["sweep", "--config", str(spec), "--param", "beta", "--values", ""]) == 2
@@ -572,7 +584,7 @@ def test_malformed_schema_exits_2_naming_the_schema(tmp_path, capsys, schema_tex
     spec = write_dataset_spec(tmp_path, schema_text)
     assert main(["train", "--config", str(spec)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("config error: schema ")
+    assert len(err) == 1 and err[0].startswith("data error: schema ")
     assert str(tmp_path / "schema.json") in err[0]
     assert "dataset spec" not in err[0]
 
@@ -618,7 +630,7 @@ def test_non_finite_cell_exits_2_naming_its_row(tmp_path, capsys, bad_cell, mess
     write_cohort_csv(tmp_path / "data.csv", bad_cell=bad_cell)
     assert main(["train", "--config", str(spec)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"config error: {message}"]
+    assert err == [f"data error: {message}"]
     assert not (tmp_path / "out" / "checkpoints").exists()
 
 
@@ -724,17 +736,19 @@ def _dataset_path_is_a_directory(key):
     return point
 
 
+# a file that opens but does not decode is a data fault; one that does not open is a config fault
 @pytest.mark.parametrize(
-    "break_file",
-    [_non_utf8_csv, _dataset_path_is_a_directory("csv"), _dataset_path_is_a_directory("schema")],
+    ("break_file", "kind"),
+    [(_non_utf8_csv, "data"), (_dataset_path_is_a_directory("csv"), "config"),
+     (_dataset_path_is_a_directory("schema"), "config")],
     ids=["csv-not-utf8", "csv-is-a-directory", "schema-is-a-directory"],
 )
-def test_unreadable_dataset_file_exits_2_naming_it(tmp_path, capsys, break_file):
+def test_unreadable_dataset_file_exits_2_naming_it(tmp_path, capsys, break_file, kind):
     spec = write_dataset_spec(tmp_path, json.dumps({"columns": GOOD_COLUMNS}))
     path = break_file(tmp_path, spec)
     assert main(["train", "--config", str(spec)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("config error: ") and str(path) in err[0]
+    assert len(err) == 1 and err[0].startswith(f"{kind} error: ") and str(path) in err[0]
 
 
 def test_toml_spec(tmp_path):

@@ -143,7 +143,7 @@ def test_ranking_step_never_touches_projection():
     model = make_model(data)
     opt = tr.Adam(model.trainable("hazard"), lr=1e-3)
     proj_before = [p.values.copy() for p in model.projection_params()]
-    tr.ranking_step(model, one_batch(data), quick_config(), opt)
+    tr.ranking_step(model, one_batch(data), quick_config(), opt, "nll+rank", alpha=0.0)
     for p, before in zip(model.projection_params(), proj_before):
         np.testing.assert_array_equal(p.values, before)
 
@@ -183,7 +183,7 @@ def test_ranking_step_tape_has_the_fused_ops(monkeypatch):
     tapes = []
     backward = tr.ad.backward
     monkeypatch.setattr(tr.ad, "backward", lambda root: tapes.append(backward(root)) or tapes[-1])
-    tr.ranking_step(model, one_batch(data), quick_config(), opt)
+    tr.ranking_step(model, one_batch(data), quick_config(), opt, "nll+rank", alpha=0.0)
     # 38 nodes with the loss as 15 autodiff ops and each layer one node; 7 with
     # the loss and each network one node: the likelihood step's 6 and the scale
     assert len(tapes) == 1 and len(tapes[0]) == 7
@@ -222,12 +222,13 @@ def test_aux_loss_builds_the_variants_loss(variant):
     config = quick_config(sigma=2.0)
     x, tau, delta = data.subset(data.split.validation)
     views = x + np.random.default_rng(1).normal(scale=0.05, size=x.shape)
+    batch = Batch(indices=data.split.validation, x=x, x_view=views, tau=tau, delta=delta)
     alpha = 3.0
     pw = losses.build_pair_weights(tau, delta, config.sigma, alpha)
     # the margin matters on these outcomes, so a dropped alpha would show
     assert not np.array_equal(pw.weights, losses.build_pair_weights(tau, delta, config.sigma, 0.0).weights)
 
-    got = tr.aux_loss(model, x, views, tau, delta, variant, config, alpha).item()
+    got = tr.aux_loss(model, batch, variant, config, alpha).item()
     emb = model.project(model.encode(Tensor(np.vstack([x, views]))))
     if variant == "nll+nce":
         want = losses.infonce_loss(emb, config.nu)
@@ -236,6 +237,40 @@ def test_aux_loss_builds_the_variants_loss(variant):
     else:
         want = losses.ranking_loss(model.hazard(model.encode(Tensor(x))), tau, delta, config.ranking_kappa)
     assert got == want.item()
+
+
+# the paper's pairing of each auxiliary objective with the network it trains
+PAPER_NETWORKS = {"nll": None, "nll+nce": "projection", "nll+rank": "hazard", "nll+snce": "projection"}
+
+
+@pytest.mark.parametrize("variant", tr.VARIANTS)
+def test_one_epoch_trains_the_projection_exactly_when_the_table_names_it(monkeypatch, variant):
+    network = tr.AUX_NETWORK[variant]
+    assert network == PAPER_NETWORKS[variant]
+    data = make_data(n=100)
+    model = make_model(data)
+    params = {"projection": model.projection_params, "hazard": model.hazard_params}
+    moved = []  # the networks each auxiliary step changed
+
+    def spy(step):
+        def traced(*args):
+            before = {name: [p.values.copy() for p in get()] for name, get in params.items()}
+            out = step(*args)
+            moved.append({name for name, get in params.items()
+                          if any(not np.array_equal(p.values, b) for p, b in zip(get(), before[name]))})
+            return out
+        return traced
+
+    for name in ("contrastive_step", "ranking_step"):
+        monkeypatch.setattr(tr, name, spy(getattr(tr, name)))
+    projection = [p.values.copy() for p in model.projection_params()]
+    tr.train(data, model, quick_config(epochs=1), variant)
+    changed = any(not np.array_equal(p.values, b) for p, b in zip(model.projection_params(), projection))
+    assert changed == (network == "projection")
+    if network is None:
+        assert moved == []
+    else:  # every auxiliary step moved the table's network and only that one
+        assert moved and all(m == {network} for m in moved)
 
 
 @pytest.mark.parametrize("variant,builder", [("nll+snce", "build_pair_weights"), ("nll+nce", "uniform_pair_weights")])
@@ -343,7 +378,8 @@ def test_early_stopping_returns_best_snapshot():
     assert log.epochs[log.best_epoch].val_total == best
     # the returned parameters reproduce the recorded best validation loss
     val_x, val_tau, val_delta = data.subset(data.split.validation)
-    assert tr._split_nll(model, val_x, val_tau, val_delta) == pytest.approx(best, rel=1e-12)
+    val = Batch(indices=data.split.validation, x=val_x, x_view=None, tau=val_tau, delta=val_delta)
+    assert losses.nll_loss(tr.hazards(model, val), val_tau, val_delta).item() == pytest.approx(best, rel=1e-12)
 
 
 def test_divergence_raises_with_location():
