@@ -6,7 +6,9 @@ weighted Brier score and its time integral, the binned KL divergence of
 predicted survival probabilities at event times (DDC), the chi-squared
 uniformity test on the same bins (D-calibration), calibration-plot pairs,
 and the Wasserstein-1 distance between survival curves on a normalized
-time grid.
+time grid. D-calibration's p-value comes from an in-package chi-squared
+tail (cephes' ``igamc`` for its one shape, bit-equal to
+``scipy.special.chdtrc``), so the package needs numpy alone.
 
 All functions are pure; predictions enter as (n, t_max+1) arrays of
 per-sample survival or risk curves on the discrete grid.
@@ -26,7 +28,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .model import survival_from_hazard
 
@@ -255,8 +256,55 @@ def d_calibration(surv: np.ndarray, taus, deltas) -> tuple[float, float]:
     counts = _event_survival_bins(surv, taus, deltas)
     expected = n_events / N_CAL_BINS
     statistic = float(np.sum((counts - expected) ** 2 / expected))
-    p_value = float(chdtrc(N_CAL_BINS - 1, statistic))  # the chi-squared survival function, as scipy.stats.chi2.sf
-    return statistic, p_value
+    return statistic, _chi2_tail(statistic)
+
+
+# cephes' igamc(a, x) = chdtrc(2a, 2x) for the shape a = 4.5 of D-calibration's
+# N_CAL_BINS - 1 = 9 degrees of freedom, in cephes' operation order, so each
+# p-value has scipy's bits. lgam(a) and the Lanczos scale hold for a = 4.5 only
+# (math.lgamma's last bits differ from cephes' lgam).
+_CHI2_A = (N_CAL_BINS - 1) / 2
+_LGAMMA_A, _LANCZOS_SCALE = 2.4537365708424423, 30.538515298806768  # sqrt(fac / e) / lanczos_sum_expg_scaled(a)
+_LANCZOS_FAC = _CHI2_A + 6.024680040776729583740234375 - 0.5  # fac = a + lanczos_g - 0.5
+_MACHEP, _MAXLOG, _BIG, _BIGINV = 2.0**-53, 7.09782712893383996843e2, 2.0**52, 2.0**-52
+
+
+def _chi2_tail(statistic: float) -> float:
+    """P(X > statistic) for X chi-squared with N_CAL_BINS - 1 degrees of
+    freedom: one minus the lower tail's power series for x < a, the upper
+    tail's continued fraction for x >= a (DLMF 8.11.4, 8.9.2). cephes caps
+    both loops at 2000 terms; for this shape they stop in far fewer."""
+    a, x = _CHI2_A, statistic / 2.0
+    if x == 0.0:
+        return 1.0
+    if abs(a - x) > 0.4 * a:  # igam_fac: x^a e^-x / Gamma(a), by the Lanczos form near x = a
+        log_fac = a * math.log(x) - x - _LGAMMA_A
+        fac = 0.0 if log_fac < -_MAXLOG else math.exp(log_fac)
+    else:
+        fac = _LANCZOS_SCALE * (math.exp(a - x) * math.pow(x / _LANCZOS_FAC, a))
+    if x < a:
+        r, c, ans = a, 1.0, 1.0
+        while c > _MACHEP * ans:
+            r += 1.0
+            c *= x / r
+            ans += c
+        return 1.0 - ans * fac / a
+    if fac == 0.0:  # past exp's underflow, as cephes does; for a huge x the fraction would overflow
+        return 0.0
+    y, c, t = 1.0 - a, 0.0, 1.0
+    z = x + y + 1.0
+    pkm2, qkm2, pkm1, qkm1 = 1.0, x, x + 1.0, z * x
+    ans = pkm1 / qkm1
+    while t > _MACHEP:
+        c, y, z = c + 1.0, y + 1.0, z + 2.0
+        pk, qk = pkm1 * z - pkm2 * (y * c), qkm1 * z - qkm2 * (y * c)
+        if qk != 0:  # else t keeps its last value, above the stopping test
+            r = pk / qk
+            t, ans = abs((ans - r) / r), r
+        pkm2, pkm1, qkm2, qkm1 = pkm1, pk, qkm1, qk
+        if abs(pk) > _BIG:
+            pkm2, pkm1, qkm2, qkm1 = pkm2 * _BIGINV, pkm1 * _BIGINV, qkm2 * _BIGINV, qkm1 * _BIGINV
+    return ans * fac
 
 
 def wasserstein_to_km(mean_curve, km_curve) -> float:

@@ -12,7 +12,10 @@ scores the auxiliary loss and which step runs; :func:`pair_weights` alone
 tells uniform from outcome-weighted negatives. The auxiliary step is
 skipped entirely when its coefficient is zero, which makes a zero-beta run
 bit-identical to the likelihood-only variant. Validation is one ``Batch``
-with fixed views, scored by the steps' own forward and losses.
+with fixed views, scored by the steps' own forward and losses. Each step
+and each validation loss runs with numpy raising on overflow, division by
+zero and invalid values, so a diverging run stops with a
+``TrainingDiverged`` naming its stage, whichever optimizer it uses.
 
 Every random decision (batch order, corruption draws, validation views)
 comes from independent streams spawned from one seed, so reruns reproduce
@@ -21,6 +24,7 @@ parameters exactly and corruption draws can never perturb batch order.
 
 from __future__ import annotations
 
+import inspect
 import logging
 import time
 from dataclasses import astuple, dataclass, field, fields
@@ -141,8 +145,7 @@ class Adam:
         m *= self.beta1
         m += (1.0 - self.beta1) * g
         v *= self.beta2
-        with np.errstate(over="raise"):  # an inf moment would freeze its coordinates; train reports it
-            v += (1.0 - self.beta2) * g * g
+        v += (1.0 - self.beta2) * g * g  # an inf moment would freeze its coordinates; train stops on it
         self.param.values -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
@@ -163,10 +166,20 @@ def make_optimizer(kind: str, param: Tensor, lr: float):
 # losses and update steps
 # ---------------------------------------------------------------------------
 
-def _check_finite(value: float, step_name: str, epoch: int, batch_idx: int | None = None) -> float:
+def _finite_loss(stage: str, where: str, step, *args) -> float:
+    """``step(*args)``, a loss value, run with numpy raising on overflow,
+    division by zero and invalid values. Such a fault or a non-finite loss
+    is a ``TrainingDiverged`` naming the stage's loss, or the optimizer
+    state when an optimizer's update raised, and ``where``."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            value = step(*args)
+    except FloatingPointError as exc:
+        if isinstance(inspect.trace(0)[-1].frame.f_locals.get("self"), (Adam, Sgd)):  # the frame that raised
+            raise TrainingDiverged(f"non-finite optimizer state ({exc}) at {where}") from None
+        raise TrainingDiverged(f"non-finite {stage} loss at {where} ({exc})") from None
     if not np.isfinite(value):
-        where = f"epoch {epoch}" if batch_idx is None else f"epoch {epoch}, batch {batch_idx}"
-        raise TrainingDiverged(f"non-finite {step_name} loss at {where}")
+        raise TrainingDiverged(f"non-finite {stage} loss at {where}")
     return value
 
 
@@ -287,21 +300,20 @@ def train(
         batches = iterate_batches(data, train_idx, config.batch_size, batch_rng, corrupt_rng if views else None,
                                   config.corruption_rate)
         for k, batch in enumerate(batches):
-            try:
-                if opt_aux is not None:
-                    aux_val = aux_step(model, batch, config, opt_aux, variant, alpha)
-                    aux_sum += _check_finite(aux_val, "auxiliary", epoch, k)
-                nll_sum += _check_finite(likelihood_step(model, batch, opt_like), "likelihood", epoch, k)
-            except FloatingPointError as exc:  # raised by Adam.step
-                raise TrainingDiverged(f"non-finite optimizer state ({exc}) at epoch {epoch}, batch {k}") from None
+            where = f"epoch {epoch}, batch {k}"
+            if opt_aux is not None:
+                aux_sum += _finite_loss("auxiliary", where, aux_step, model, batch, config, opt_aux, variant, alpha)
+            nll_sum += _finite_loss("likelihood", where, likelihood_step, model, batch, opt_like)
             n_batches += 1
 
-        val_nll = _check_finite(losses.nll_loss(hazards(model, val), val.tau, val.delta).item(), "validation", epoch)
+        where = f"epoch {epoch}"
+        # each keeps only the float: a kept Tensor would pin the validation graph through the next epoch
+        val_nll = _finite_loss("validation", where,
+                               lambda: losses.nll_loss(hazards(model, val), val.tau, val.delta).item())
         val_aux = 0.0
         if network is not None and val.size >= 2:
-            # keep only the float: a kept Tensor would pin the validation graph through the next epoch
-            val_aux = aux_loss(model, val, variant, config, alpha, val_weights).item()
-            _check_finite(val_aux, "validation", epoch)
+            val_aux = _finite_loss("validation", where,
+                                   lambda: aux_loss(model, val, variant, config, alpha, val_weights).item())
         val_total = val_nll + config.beta * val_aux
         train_nll = nll_sum / max(n_batches, 1)
         train_aux = aux_sum / max(n_batches, 1)

@@ -3,8 +3,11 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -153,6 +156,24 @@ def test_ablate_prepares_each_seed_once(tmp_path, monkeypatch):
     assert len(list((tmp_path / "out" / "reports").glob("*_seed*.json"))) == 8
 
 
+def test_commands_run_without_scipy(tmp_path):
+    # a None entry in sys.modules makes every import of scipy or a submodule fail
+    spec = str(write_spec(tmp_path, seeds=[0], train={"epochs": 1}))
+    code = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "from survcontrast.cli import main",
+        *(f"assert main([{command!r}, '--config', {spec!r}]) == 0" for command in ("train", "evaluate", "ablate")),
+        "print(sorted(name for name, module in sys.modules.items() if name.startswith('scipy') and module))",
+    ])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"  # the loaded scipy modules
+
+
 def test_evaluate_missing_checkpoint_exits_2(tmp_path, capsys):
     spec = write_spec(tmp_path)
     assert main(["evaluate", "--config", str(spec)]) == 2
@@ -299,6 +320,17 @@ def test_sweep_names_a_run_whose_optimizer_state_overflows(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("runtime error: beta_1e+300/nll_snce_seed0: non-finite optimizer state")
     assert re.search(r"at epoch \d+, batch \d+$", err[0])
+
+
+def test_sgd_sweep_names_a_run_whose_parameters_overflow(tmp_path, capsys):
+    # beta = 1e300 scales the auxiliary gradient so that one plain gradient step
+    # leaves the parameters finite but so large that the next forward overflows
+    # in a matmul; this run used to end in a RuntimeWarning traceback (exit 1)
+    spec = write_spec(tmp_path, seeds=[0], train={"optimizer": "sgd"})
+    assert main(["sweep", "--config", str(spec), "--param", "beta", "--values", "1,1e300"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error: beta_1e+300/nll_snce_seed0: non-finite likelihood loss")
+    assert re.search(r"at epoch \d+, batch \d+ \(overflow encountered in \w+\)$", err[0])
 
 
 def test_sweep_empty_values_exits_2(tmp_path, capsys):
