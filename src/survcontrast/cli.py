@@ -126,6 +126,8 @@ def load_spec(path, overrides: dict | None = None) -> ExperimentSpec:
                 raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:  # a directory, or a file it may not read
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     except (json.JSONDecodeError, ValueError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -140,7 +142,10 @@ def resolve_out(spec_out: str, flag_out: str | None) -> Path:
     path = Path(out)
     if root and not path.is_absolute():
         path = Path(root) / path
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file, or a directory it may not write
+        raise ConfigError(f"cannot make output directory {path}: {exc.strerror}") from None
     return path
 
 
@@ -288,7 +293,7 @@ def cmd_subgroup(args) -> int:
     model = load_checkpoint(out, spec.variants[0], seed)
     data = prepared[seed]
 
-    groups = subgroup_columns(data.feature_names, args.feature)
+    groups = subgroup_columns(data.feature_names, data.feature_kinds, args.feature)
     if not groups:
         raise ConfigError(f"feature {args.feature!r} not found or not binary/categorical")
     idx = data.split.test
@@ -318,15 +323,27 @@ def cmd_subgroup(args) -> int:
     return 0
 
 
-def subgroup_columns(feature_names: list[str], feature: str) -> list[tuple[str, int]]:
-    """Binary feature -> one column; categorical -> one column per level."""
+def subgroup_columns(feature_names: list[str], feature_kinds: list[str], feature: str) -> list[tuple[str, int]]:
+    """Binary feature or one categorical level (``grade=low``) -> one column;
+    categorical -> one column per level; a real feature or an unknown name -> none."""
     if feature in feature_names:
-        return [(feature, feature_names.index(feature))]
-    return [(name, j) for j, name in enumerate(feature_names) if name.startswith(f"{feature}=")]
+        j = feature_names.index(feature)
+        return [(feature, j)] if feature_kinds[j] != "real" else []
+    return [(name, j) for j, (name, kind) in enumerate(zip(feature_names, feature_kinds))
+            if kind == "categorical" and name.startswith(f"{feature}=")]
 
 
 def cmd_sweep(args) -> int:
-    values = [float(v) for v in args.values.split(",") if v != ""]
+    values = {}  # by the label that names the value's row and directory
+    for entry in filter(None, args.values.split(",")):
+        try:
+            value = float(entry)
+        except ValueError:
+            raise ConfigError(f"sweep --values entry {entry!r} is not a number") from None
+        label = format(value, "g")
+        if label in values:
+            raise ConfigError(f"sweep --values entry {entry!r} repeats {label}; both would write {args.param}_{label}/")
+        values[label] = value
     if not values:
         raise ConfigError("sweep needs a non-empty --values list")
     spec, out, prepared = open_experiment(args)
@@ -334,14 +351,14 @@ def cmd_sweep(args) -> int:
     percentile_mode = spec.train.get("alpha_percentile") is not None
 
     rows = []
-    for value in values:
+    for label, value in values.items():
         if args.param == "beta":
             overrides = {"beta": value}
         elif percentile_mode:
             overrides = {"alpha_percentile": value if value > 0 else None, "alpha": 0.0}
         else:
             overrides = {"alpha": value}
-        sub = out / f"{args.param}_{format(value, 'g')}"
+        sub = out / f"{args.param}_{label}"
         reports = []
         for seed in spec.seeds:
             try:  # both failures already name the run; add its sweep directory
@@ -349,7 +366,7 @@ def cmd_sweep(args) -> int:
                 reports.append(score_test_split(prepared[seed], model, run_name(variant, seed)))
             except (TrainingDiverged, M.MetricError) as exc:
                 raise type(exc)(f"{sub.name}/{exc}") from exc
-        rows.append((f"{args.param}={format(value, 'g')}", aggregate_reports(reports)))
+        rows.append((f"{args.param}={label}", aggregate_reports(reports)))
     write_summary(out / "sweep.csv", rows)
     print_summary(rows)
     return 0

@@ -369,6 +369,7 @@ class PreparedData:
     grid: TimeGrid
     split: Split
     feature_names: list[str]
+    feature_kinds: list[str]  # each column's schema kind, as in RawDataset.source_kinds
     train_marginals: np.ndarray  # (n_train, p) pre-drawn pool for corruption
 
     @property
@@ -428,6 +429,7 @@ def prepare(raw: RawDataset, seed: int, n_bins: int | None = None) -> PreparedDa
         grid=grid,
         split=split,
         feature_names=list(raw.feature_names),
+        feature_kinds=list(raw.source_kinds),
         train_marginals=x[split.train],
     )
 

@@ -194,17 +194,8 @@ class HazardModel:
 
     # -- parameter access -------------------------------------------------
 
-    def encoder_params(self) -> list[Tensor]:
-        return self.encoder.parameters()
-
-    def projection_params(self) -> list[Tensor]:
-        return self.projection.parameters()
-
-    def hazard_params(self) -> list[Tensor]:
-        return self.hazard_net.parameters()
-
     def all_params(self) -> list[Tensor]:
-        return self.encoder_params() + self.projection_params() + self.hazard_params()
+        return self.encoder.parameters() + self.projection.parameters() + self.hazard_net.parameters()
 
     def trainable(self, head: str) -> Tensor:
         """The encoder and ``head`` ("projection" or "hazard") as one tensor
@@ -223,48 +214,30 @@ class HazardModel:
     # -- persistence -------------------------------------------------------
 
     def save(self, path) -> None:
-        payload = {
-            "config": asdict(self.config),
-            "seed": self.seed,
-            "params": {
-                "encoder": [[w.values.tolist(), b.values.tolist()] for w, b in self.encoder.layers],
-                "projection": [[w.values.tolist(), b.values.tolist()] for w, b in self.projection.layers],
-                "hazard": [[w.values.tolist(), b.values.tolist()] for w, b in self.hazard_net.layers],
-            },
-        }
+        """Write ``{"config", "seed", "params"}`` as JSON; ``params`` is the
+        buffer as one flat list, in the layout of :meth:`snapshot`."""
+        payload = {"config": asdict(self.config), "seed": self.seed, "params": self.params.values[0].tolist()}
         with open(path, "w") as fh:
             fh.write(json.dumps(payload, sort_keys=True))  # json.dump would run the pure-Python encoder
 
     @classmethod
     def load(cls, path) -> "HazardModel":
-        """Rebuild a saved model; raises ShapeError when the stored layers do not
-        match the shapes its config asks for, DataError for any other fault."""
+        """Rebuild a saved model; raises ShapeError when the stored buffer is not
+        the length its config lays out, DataError for any other fault."""
         try:
             with open(path) as fh:
                 payload = json.load(fh)
             model = init_model(ModelConfig(**payload["config"]), payload["seed"])
-            for net, key in ((model.encoder, "encoder"), (model.projection, "projection"), (model.hazard_net, "hazard")):
-                stored = payload["params"][key]
-                if len(stored) != len(net.layers) or any(len(layer) != 2 for layer in stored):
-                    raise ad.ShapeError(
-                        f"{path}: {key} network stores {len(stored)} layers, "
-                        f"its config needs {len(net.layers)} (weights and bias each)"
-                    )
-                for i, layer in enumerate(stored):
-                    for name, param, values in zip("wb", net.layers[i], layer):
-                        values = np.asarray(values)
-                        if values.dtype.kind not in "iuf" or not np.isfinite(values).all():
-                            raise ValueError(f"{key} network layer {i} {name} is not all finite numbers")
-                        if values.shape != param.shape:
-                            raise ad.ShapeError(
-                                f"{path}: {key} network layer {i} {name} has shape {values.shape}, "
-                                f"its config needs {param.shape}"
-                            )
-                        param.values[...] = values
-        except ad.ShapeError:
-            raise
+            values = np.asarray(payload["params"])
+            if values.ndim != 1 or values.dtype.kind not in "iuf":
+                raise ValueError("params must be one flat list of numbers; retrain a checkpoint of the nested layout")
+            if not np.isfinite(values).all():
+                raise ValueError("params holds a non-finite value")
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"checkpoint {path} is malformed: {type(exc).__name__}: {exc}") from exc
+        if values.size != model.params.cols:
+            raise ad.ShapeError(f"{path}: params holds {values.size} values, its config lays out {model.params.cols}")
+        model.params.values[0] = values
         return model
 
 

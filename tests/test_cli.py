@@ -196,12 +196,31 @@ def test_malformed_checkpoint_exits_2(tmp_path, capsys):
     assert main(["train", "--config", str(spec)]) == 0
     path = tmp_path / "out" / "checkpoints" / "nll_snce_seed0.json"
     payload = json.loads(path.read_text())
-    payload["params"]["encoder"].pop()
+    n = len(payload["params"])
+    payload["params"].pop()
     path.write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["evaluate", "--config", str(spec)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("shape error:") and "encoder network stores 1 layers" in err
+    assert err.startswith("shape error:") and f"params holds {n - 1} values, its config lays out {n}" in err
+
+
+def test_nested_layout_checkpoint_exits_2_asking_for_a_flat_list(tmp_path, capsys):
+    # the per-network, per-layer layout that checkpoints were written in before the flat buffer
+    spec = write_spec(tmp_path, seeds=[0])
+    assert main(["train", "--config", str(spec)]) == 0
+    path = tmp_path / "out" / "checkpoints" / "nll_snce_seed0.json"
+    model = cli.HazardModel.load(path)
+    payload = json.loads(path.read_text())
+    payload["params"] = {key: [[w.values.tolist(), b.values.tolist()] for w, b in net.layers]
+                         for key, net in (("encoder", model.encoder), ("projection", model.projection),
+                                          ("hazard", model.hazard_net))}
+    path.write_text(json.dumps(payload, sort_keys=True))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(spec)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"data error: checkpoint {path} is malformed: ")
+    assert "params must be one flat list of numbers" in err[0]
 
 
 def _truncate(path):
@@ -219,7 +238,7 @@ def _edit_checkpoint(edit):
 
 
 def _set_first_weight(value):
-    return _edit_checkpoint(lambda payload: payload["params"]["hazard"][0][0][0].__setitem__(0, value))
+    return _edit_checkpoint(lambda payload: payload["params"].__setitem__(0, value))
 
 
 @pytest.mark.parametrize(
@@ -338,6 +357,23 @@ def test_sweep_empty_values_exits_2(tmp_path, capsys):
     assert main(["sweep", "--config", str(spec), "--param", "beta", "--values", ""]) == 2
 
 
+def test_sweep_non_numeric_value_exits_2_naming_it(tmp_path, capsys):
+    spec = write_spec(tmp_path, seeds=[0])
+    assert main(["sweep", "--config", str(spec), "--param", "beta", "--values", "1,x"]) == 2
+    assert capsys.readouterr().err == "config error: sweep --values entry 'x' is not a number\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("values", ["1,1", "1,1.0"])
+def test_sweep_repeated_value_exits_2_naming_it(tmp_path, capsys, values):
+    # both entries would write beta_1/, the second run over the first
+    spec = write_spec(tmp_path, seeds=[0])
+    assert main(["sweep", "--config", str(spec), "--param", "beta", "--values", values]) == 2
+    entry = values.split(",")[1]
+    assert capsys.readouterr().err == f"config error: sweep --values entry {entry!r} repeats 1; both would write beta_1/\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_subgroup_on_binary_feature(tmp_path):
     # append a synthetic binary column by using the oracle generator's raw
     # features and a custom csv with a binary flag
@@ -384,6 +420,16 @@ def test_subgroup_on_binary_feature(tmp_path):
     assert len(dist) == 3  # flag=0 and flag=1
     curves = (tmp_path / "out" / "subgroup_curves.csv").read_text().splitlines()
     assert len(curves) == 1 + 2 * 8
+
+
+def test_subgroup_on_a_real_feature_exits_2(tmp_path, capsys):
+    # every synthetic feature is real; this used to write header-only CSVs and exit 0
+    spec = write_spec(tmp_path, seeds=[0], train={"epochs": 1})
+    assert main(["train", "--config", str(spec)]) == 0
+    capsys.readouterr()
+    assert main(["subgroup", "--config", str(spec), "--feature", "x0"]) == 2
+    assert capsys.readouterr().err == "config error: feature 'x0' not found or not binary/categorical\n"
+    assert not (tmp_path / "out" / "subgroup_distances.csv").exists()
 
 
 def test_subgroup_quotes_a_categorical_level_with_a_comma(tmp_path):
@@ -465,6 +511,22 @@ def test_written_files_have_lf_line_ends(tmp_path):
     files = [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
     assert len(files) == 19  # 4 checkpoints, 4 logs, 4 reports, summary, 3 + 2 synth files, margin pairs
     assert [p for p in files if b"\r" in p.read_bytes()] == []
+
+
+def test_config_that_is_a_directory_exits_2_naming_it(tmp_path, capsys):
+    assert main(["train", "--config", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: cannot read config file {tmp_path}: Is a directory\n"
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["the-file", "below-it"])
+@pytest.mark.parametrize("command", ["evaluate", "synth", "margin-study"])
+def test_out_that_is_a_file_exits_2_naming_it(tmp_path, capsys, command, below):
+    spec = write_spec(tmp_path, seeds=[0])
+    out = spec / "out" if below else spec
+    args = {"evaluate": ["--config", str(spec)], "synth": ["--n", "30"], "margin-study": ["--n", "100"]}[command]
+    assert main([command, *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot make output directory {out}: ") and err.count("\n") == 1
 
 
 def test_out_root_env_variable(tmp_path, monkeypatch):

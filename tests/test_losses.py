@@ -421,7 +421,7 @@ def test_nll_descends_under_gradient_step():
     before = loss_value()
     ad.zero_grads(model.all_params())
     ad.backward(before)
-    for p in model.encoder_params() + model.hazard_params():
+    for p in model.encoder.parameters() + model.hazard_net.parameters():
         p.values -= 0.05 * p.grad
     assert loss_value().item() < before.item()
 

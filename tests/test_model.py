@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from survcontrast import autodiff as ad
 from survcontrast.autodiff import Tensor
+from survcontrast.data import DataError
 from survcontrast.model import (
     ACTIVATIONS,
     Mlp,
@@ -191,14 +194,14 @@ def test_parameters_are_views_of_one_flat_buffer():
     model = init_model(small_config(), seed=12)
     flat, grads = model.params.values[0], model.params.grad[0]
     start = 0
-    for p in model.projection_params() + model.encoder_params() + model.hazard_params():
+    for p in model.projection.parameters() + model.encoder.parameters() + model.hazard_net.parameters():
         stop = start + p.values.size
         assert np.shares_memory(p.values, flat[start:stop]) and np.shares_memory(p.grad, grads[start:stop])
         start = stop
     assert start == flat.size
     # each optimizer's networks are one contiguous slice: projection | encoder | hazard
-    n_proj = sum(p.values.size for p in model.projection_params())
-    n_haz = sum(p.values.size for p in model.hazard_params())
+    n_proj = sum(p.values.size for p in model.projection.parameters())
+    n_haz = sum(p.values.size for p in model.hazard_net.parameters())
     for head, cols in (("projection", slice(0, flat.size - n_haz)), ("hazard", slice(n_proj, flat.size))):
         part = model.trainable(head)
         assert np.shares_memory(part.values, flat[cols]) and part.values.size == flat[cols].size
@@ -318,15 +321,59 @@ def _saved_checkpoint(tmp_path):
 
 def test_load_rejects_a_short_checkpoint(tmp_path):
     path, payload = _saved_checkpoint(tmp_path)
-    payload["params"]["hazard"].pop()
+    payload["params"].pop()
     path.write_text(json.dumps(payload))
-    with pytest.raises(ad.ShapeError, match="hazard network stores 1 layers, its config needs 2"):
+    with pytest.raises(ad.ShapeError, match="params holds 406 values, its config lays out 407"):
         HazardModel.load(path)
 
 
 def test_load_rejects_a_wrong_shaped_layer(tmp_path):
     path, payload = _saved_checkpoint(tmp_path)
-    payload["params"]["encoder"][1][0] = np.zeros((8, 5)).tolist()  # the config asks for 8 x 8
+    model = init_model(small_config(), seed=13)
+    # the encoder's layer 1 w stored as 8 x 5 where the config asks for 8 x 8
+    start = model.projection.flat.cols + sum(p.values.size for p in model.encoder.layers[0])
+    payload["params"][start : start + 64] = [0.0] * 40
     path.write_text(json.dumps(payload))
-    with pytest.raises(ad.ShapeError, match=r"encoder network layer 1 w has shape \(8, 5\)"):
+    with pytest.raises(ad.ShapeError, match="params holds 383 values, its config lays out 407"):
         HazardModel.load(path)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [[[0.5]], [None], [True], [0.5, [0.5]], 0.5],
+    ids=["nested-list", "null", "bool", "ragged", "scalar"],
+)
+def test_load_rejects_params_that_are_not_a_flat_list_of_numbers(tmp_path, params):
+    path, payload = _saved_checkpoint(tmp_path)
+    payload["params"] = params
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match=f"checkpoint {path} is malformed: ValueError: "):
+        HazardModel.load(path)
+
+
+@st.composite
+def checkpoint_models(draw):
+    dims, depths = st.integers(1, 6), st.integers(1, 3)
+    config = ModelConfig(input_dim=draw(dims), n_time_bins=draw(dims), hidden_dim=draw(dims), depth=draw(depths),
+                         embedding_dim=draw(dims), projection_depth=draw(depths),
+                         activation=draw(st.sampled_from(["relu", "sigmoid"])))
+    model = init_model(config, seed=draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=model.params.cols)
+    # the smallest buffer (every dim and depth 1) holds 6 values
+    values[rng.permutation(values.size)[:4]] = [-0.0, 5e-324, 1e300, 1.0 / 3.0]
+    model.params.values[0] = values
+    return model
+
+
+@settings(max_examples=100, deadline=None)
+@given(checkpoint_models())
+def test_checkpoint_roundtrip_is_bitwise_and_resaves_the_same_bytes(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.json", Path(tmp) / "second.json"
+        model.save(first)
+        loaded = HazardModel.load(first)
+        loaded.save(second)
+        assert (loaded.config, loaded.seed) == (model.config, model.seed)
+        np.testing.assert_array_equal(loaded.params.values.view(np.uint64), model.params.values.view(np.uint64))
+        assert second.read_bytes() == first.read_bytes()

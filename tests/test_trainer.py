@@ -118,33 +118,33 @@ def test_contrastive_step_never_touches_hazard_net():
     model = make_model(data)
     config = quick_config()
     opt = tr.Adam(model.trainable("projection"), lr=1e-3)
-    hazard_before = [p.values.copy() for p in model.hazard_params()]
-    proj_before = [p.values.copy() for p in model.projection_params()]
+    hazard_before = [p.values.copy() for p in model.hazard_net.parameters()]
+    proj_before = [p.values.copy() for p in model.projection.parameters()]
     tr.contrastive_step(model, one_batch(data), config, opt, "nll+snce", alpha=0.0)
-    for p, before in zip(model.hazard_params(), hazard_before):
+    for p, before in zip(model.hazard_net.parameters(), hazard_before):
         np.testing.assert_array_equal(p.values, before)
-    assert any(not np.array_equal(p.values, b) for p, b in zip(model.projection_params(), proj_before))
+    assert any(not np.array_equal(p.values, b) for p, b in zip(model.projection.parameters(), proj_before))
 
 
 def test_likelihood_step_never_touches_projection():
     data = make_data(n=100)
     model = make_model(data)
     opt = tr.Adam(model.trainable("hazard"), lr=1e-3)
-    proj_before = [p.values.copy() for p in model.projection_params()]
-    hazard_before = [p.values.copy() for p in model.hazard_params()]
+    proj_before = [p.values.copy() for p in model.projection.parameters()]
+    hazard_before = [p.values.copy() for p in model.hazard_net.parameters()]
     tr.likelihood_step(model, one_batch(data), opt)
-    for p, before in zip(model.projection_params(), proj_before):
+    for p, before in zip(model.projection.parameters(), proj_before):
         np.testing.assert_array_equal(p.values, before)
-    assert any(not np.array_equal(p.values, b) for p, b in zip(model.hazard_params(), hazard_before))
+    assert any(not np.array_equal(p.values, b) for p, b in zip(model.hazard_net.parameters(), hazard_before))
 
 
 def test_ranking_step_never_touches_projection():
     data = make_data(n=100)
     model = make_model(data)
     opt = tr.Adam(model.trainable("hazard"), lr=1e-3)
-    proj_before = [p.values.copy() for p in model.projection_params()]
+    proj_before = [p.values.copy() for p in model.projection.parameters()]
     tr.ranking_step(model, one_batch(data), quick_config(), opt, "nll+rank", alpha=0.0)
-    for p, before in zip(model.projection_params(), proj_before):
+    for p, before in zip(model.projection.parameters(), proj_before):
         np.testing.assert_array_equal(p.values, before)
 
 
@@ -194,7 +194,7 @@ def test_flat_slice_step_equals_per_tensor_adam():
     data = make_data(n=100)
     model, oracle = make_model(data, seed=4), make_model(data, seed=4)
     opt = tr.Adam(model.trainable("hazard"), lr=1e-2)
-    leaves = oracle.encoder_params() + oracle.hazard_params()
+    leaves = oracle.encoder.parameters() + oracle.hazard_net.parameters()
     moments = [(np.zeros_like(p.values), np.zeros_like(p.values)) for p in leaves]
     rng = np.random.default_rng(4)
     for t in range(1, 6):
@@ -249,7 +249,7 @@ def test_one_epoch_trains_the_projection_exactly_when_the_table_names_it(monkeyp
     assert network == PAPER_NETWORKS[variant]
     data = make_data(n=100)
     model = make_model(data)
-    params = {"projection": model.projection_params, "hazard": model.hazard_params}
+    params = {"projection": model.projection.parameters, "hazard": model.hazard_net.parameters}
     moved = []  # the networks each auxiliary step changed
 
     def spy(step):
@@ -263,9 +263,9 @@ def test_one_epoch_trains_the_projection_exactly_when_the_table_names_it(monkeyp
 
     for name in ("contrastive_step", "ranking_step"):
         monkeypatch.setattr(tr, name, spy(getattr(tr, name)))
-    projection = [p.values.copy() for p in model.projection_params()]
+    projection = [p.values.copy() for p in model.projection.parameters()]
     tr.train(data, model, quick_config(epochs=1), variant)
-    changed = any(not np.array_equal(p.values, b) for p, b in zip(model.projection_params(), projection))
+    changed = any(not np.array_equal(p.values, b) for p, b in zip(model.projection.parameters(), projection))
     assert changed == (network == "projection")
     if network is None:
         assert moved == []
