@@ -13,7 +13,10 @@ Commands:
 
 Experiment specs are JSON or TOML files; every flag mirrors a spec field
 and ``--seed/--variant/--out`` override it (``ablate`` runs all four
-variants and takes no ``--variant``). A relative output directory, the
+variants and takes no ``--variant``). ``train``, ``ablate`` and ``sweep``
+train their independent (variant, seed) runs in forked worker processes,
+one per usable CPU while memory allows; the outputs do not depend on the
+worker count. A relative output directory, the
 ``--out`` of ``synth`` and ``margin-study`` included, goes under
 ``$SURVCONTRAST_OUT`` when that is set. Outputs are plain CSV/JSON with
 stable formatting, so identical specs reproduce identical bytes; every CSV
@@ -23,7 +26,9 @@ as ``.12g``).
 Exit codes, each failure with one ``<kind> error: <message>`` line on stderr:
 
 * 0 success
-* 2 bad input: configuration, data files or checkpoints
+* 2 bad input: configuration, data files or checkpoints; or memory
+  exhausted (``memory error``), naming the run it was raised in, or a
+  worker process killed outright
 * 3 runtime divergence (a non-finite loss), naming the run
 * 4 a metric undefined on the test split (e.g. too few events), naming the run
 """
@@ -34,6 +39,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,7 +58,7 @@ from .autodiff import ShapeError
 from .data import DataError, PreparedData, RawDataset, Schema, check_field_types, load_csv, prepare, write_csv
 from .model import HazardModel, ModelConfig, init_model, survival_from_hazard
 from .synth import GENERATORS, SynthConfig, generate_paired_exponential, margin_study
-from .trainer import VARIANTS, TrainConfig, TrainingDiverged, train
+from .trainer import AUX_NETWORK, VARIANTS, TrainConfig, TrainingDiverged, train
 
 OUT_ROOT_ENV = "SURVCONTRAST_OUT"
 DEFAULT_SEEDS = list(range(10))
@@ -189,28 +195,195 @@ def checkpoint_path(out: Path, variant: str, seed: int) -> Path:
 # commands
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def naming(prefix: str):
+    """Prefix the message of a run's divergence, undefined metric or memory
+    exhaustion raised inside with ``prefix``, the run that raised it."""
+    try:
+        yield
+    except (TrainingDiverged, M.MetricError, MemoryError) as exc:
+        # numpy's MemoryError subclass is built from a shape and a dtype, not a message
+        raise (MemoryError if isinstance(exc, MemoryError) else type(exc))(f"{prefix}{exc}") from exc
+
+
 def run_one(data: PreparedData, spec: ExperimentSpec, variant: str, seed: int, out: Path, **train_overrides):
     """Train one (variant, seed) run on ``data``, prepared for ``seed``, and write its files."""
     model_config = configure(ModelConfig, "model config", spec.model,
                              input_dim=data.n_features, n_time_bins=data.n_time_bins)
-    model = init_model(model_config, seed)
     config = configure(TrainConfig, "train config", {**spec.train, **train_overrides}, seed=seed)
-    try:
-        model, log = train(data, model, config, variant)
-    except TrainingDiverged as exc:
-        raise TrainingDiverged(f"{run_name(variant, seed)}: {exc}") from exc
-    (out / "checkpoints").mkdir(parents=True, exist_ok=True)
-    (out / "logs").mkdir(parents=True, exist_ok=True)
-    model.save(checkpoint_path(out, variant, seed))
-    log.to_csv(out / "logs" / f"{run_name(variant, seed)}.csv")
+    with naming(f"{run_name(variant, seed)}: "):
+        model, log = train(data, init_model(model_config, seed), config, variant)
+        (out / "checkpoints").mkdir(parents=True, exist_ok=True)
+        (out / "logs").mkdir(parents=True, exist_ok=True)
+        model.save(checkpoint_path(out, variant, seed))
+        log.to_csv(out / "logs" / f"{run_name(variant, seed)}.csv")
     return model, log
 
 
+# ---------------------------------------------------------------------------
+# running independent runs side by side
+# ---------------------------------------------------------------------------
+
+# a pool takes the longest runs first: an auxiliary step through the
+# projection head costs most, then the ranking penalty, then none
+SUBMIT_RANK = {"projection": 0, "hazard": 1, None: 2}
+# the working memory a worker's run is budgeted, estimated from the peak-RSS
+# table of ROADMAP.md item 10: about 64 MB, plus about 64 bytes per pair of
+# validation rows, which are scored as one batch of 2V x 2V pair blocks
+RUN_BASE_BYTES = 64 << 20
+VAL_PAIR_BYTES = 64
+CGROUP = Path("/sys/fs/cgroup")  # this process's cgroup, as a container mounts it
+OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads")
+_worker_run = None  # in a pool's worker, the function that does one run
+
+
+def _cgroup_ints(*names: str) -> list[int] | None:
+    """The integers in this process's cgroup files ``names``, in order; None
+    if one cannot be read or holds a word that is not an integer (``max``)."""
+    try:
+        return [int(word) for name in names for word in (CGROUP / name).read_text().split()]
+    except (OSError, ValueError):
+        return None
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on, lowered to a cgroup's CPU quota (v2, then v1)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    quota = _cgroup_ints("cpu.max") or _cgroup_ints("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")
+    if quota and quota[0] > 0:
+        cpus = min(cpus, max(1, quota[0] // quota[1]))
+    return cpus
+
+
+def available_memory() -> int:
+    """Bytes that may still be allocated: the system's available memory,
+    lowered to the headroom under a cgroup's memory limit (v2, then v1);
+    unbounded where none of them can be read."""
+    headroom = []
+    try:
+        with open("/proc/meminfo") as fh:
+            headroom += [int(line.split()[1]) << 10 for line in fh if line.startswith("MemAvailable:")]
+    except OSError:
+        pass
+    for limit, usage in (("memory.max", "memory.current"),
+                         ("memory/memory.limit_in_bytes", "memory/memory.usage_in_bytes")):
+        used = _cgroup_ints(limit, usage)
+        if used:
+            headroom.append(used[0] - used[1])
+    return min(headroom, default=sys.maxsize)
+
+
+def run_bytes(prepared: dict[int, PreparedData]) -> int:
+    """The working memory budgeted to one run on the largest of ``prepared``."""
+    val = max(data.split.validation.size for data in prepared.values())
+    return RUN_BASE_BYTES + VAL_PAIR_BYTES * val * val
+
+
+def loaded_libraries() -> set[str]:
+    """The paths of the shared libraries mapped into this process (Linux); empty elsewhere."""
+    try:
+        with open("/proc/self/maps") as fh:
+            return {line.split(maxsplit=5)[-1].strip() for line in fh if ".so" in line}
+    except OSError:
+        return set()
+
+
+def blas_thread_setters() -> list:
+    """The thread-count setter of each OpenBLAS build loaded in this process;
+    empty when none is loaded or can be opened, as with a numpy built on another BLAS."""
+    import ctypes
+
+    setters = []
+    for path in sorted(path for path in loaded_libraries() if "openblas" in Path(path).name.lower()):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # e.g. a mapping of a file since deleted
+            continue
+        name = next((name for name in OPENBLAS_SETTERS if hasattr(lib, name)), None)
+        if name is not None:
+            setters.append(getattr(lib, name))
+            setters[-1].argtypes, setters[-1].restype = [ctypes.c_int], None
+    return setters
+
+
+# signal is imported by the workers alone, so that importing the package does not load it
+def _start_worker(run, blas_setters) -> None:
+    import signal
+
+    global _worker_run
+    _worker_run = run  # a closure over the prepared data, inherited through fork, never pickled
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an idle worker leaves Ctrl-C to the parent
+    for set_threads in blas_setters:  # N workers with N BLAS threads each would oversubscribe the CPUs
+        set_threads(1)
+
+
+def _run_in_worker(*job):
+    import signal
+
+    signal.signal(signal.SIGINT, signal.default_int_handler)  # Ctrl-C stops the run in progress
+    try:
+        return _worker_run(*job)
+    finally:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def run_all(jobs: list[tuple], run, budget: int, done=lambda job, result: None) -> list:
+    """``[run(*job) for job in jobs]``, each job a (variant, seed, ...) tuple
+    whose run needs about ``budget`` bytes of working memory.
+
+    The jobs are spread over forked workers, longest first: one per usable
+    CPU, but no more than there are jobs or than the available memory holds
+    at ``budget`` each. With one worker, without ``fork``, or without an
+    OpenBLAS to pin to one thread per worker, they run in this process.
+    Either way ``done(job, result)`` is called, and the first failure raised,
+    in the order of ``jobs``, so output and exit code are the serial loop's;
+    on a failure, pending jobs are cancelled and running ones finish. A
+    worker killed outright (as by the kernel's out-of-memory killer) is a
+    ``MemoryError``. No worker outlives the call.
+    """
+    workers = min(usable_cpus(), len(jobs))
+    blas_setters = []
+    if workers > 1:
+        import multiprocessing
+
+        workers = min(workers, max(1, available_memory() // budget))
+        if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+            blas_setters = blas_thread_setters()
+        if not blas_setters:  # unpinned workers oversubscribe the CPUs: slower than one at a time
+            workers = 1
+    if workers == 1:
+        return _in_order(jobs, (run(*job) for job in jobs), done)
+
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(run, blas_setters))
+    try:
+        submit = sorted(range(len(jobs)), key=lambda i: SUBMIT_RANK[AUX_NETWORK[jobs[i][0]]])
+        futures = {i: pool.submit(_run_in_worker, *jobs[i]) for i in submit}
+        return _in_order(jobs, (futures[i].result() for i in range(len(jobs))), done)
+    except BrokenProcessPool:
+        raise MemoryError("a worker process was killed while training, as the kernel does when memory runs out; "
+                          "runs that finished kept their files") from None
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _in_order(jobs: list[tuple], results, done) -> list:
+    collected = []
+    for job, result in zip(jobs, results):
+        done(job, result)
+        collected.append(result)
+    return collected
+
+
 def train_variants(spec: ExperimentSpec, out: Path, prepared: dict[int, PreparedData]) -> None:
-    for variant in spec.variants:
-        for seed in spec.seeds:
-            run_one(prepared[seed], spec, variant, seed, out)
-            print(f"trained {run_name(variant, seed)}")
+    def run(variant, seed):
+        run_one(prepared[seed], spec, variant, seed, out)
+
+    run_all([(variant, seed) for variant in spec.variants for seed in spec.seeds], run, run_bytes(prepared),
+            done=lambda job, _: print(f"trained {run_name(*job)}"))
 
 
 def cmd_train(args) -> int:
@@ -228,10 +401,8 @@ def load_checkpoint(out: Path, variant: str, seed: int) -> HazardModel:
 def score_test_split(data: PreparedData, model: HazardModel, run: str) -> M.MetricReport:
     """The report of ``model`` on the test split; an undefined metric names ``run``."""
     x, tau, delta = data.subset(data.split.test)
-    try:
+    with naming(f"{run}: "):
         return M.evaluate_hazards(model.hazard_curve(x), tau, delta)
-    except M.MetricError as exc:
-        raise M.MetricError(f"{run}: {exc}") from exc
 
 
 def aggregate_reports(reports: list[M.MetricReport]) -> dict:
@@ -337,7 +508,7 @@ def cmd_sweep(args) -> int:
     values = {}  # by the label that names the value's row and directory
     for entry in filter(None, args.values.split(",")):
         try:
-            value = float(entry)
+            value = float(entry) + 0.0  # -0 is 0
         except ValueError:
             raise ConfigError(f"sweep --values entry {entry!r} is not a number") from None
         label = format(value, "g")
@@ -347,26 +518,24 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep needs a non-empty --values list")
     spec, out, prepared = open_experiment(args)
-    variant = spec.variants[0]
     percentile_mode = spec.train.get("alpha_percentile") is not None
 
-    rows = []
-    for label, value in values.items():
+    def run(variant, seed, label):
+        value = values[label]
         if args.param == "beta":
             overrides = {"beta": value}
-        elif percentile_mode:
-            overrides = {"alpha_percentile": value if value > 0 else None, "alpha": 0.0}
+        elif percentile_mode:  # 0 turns the percentile off; a negative one is rejected
+            overrides = {"alpha_percentile": value or None, "alpha": 0.0}
         else:
             overrides = {"alpha": value}
         sub = out / f"{args.param}_{label}"
-        reports = []
-        for seed in spec.seeds:
-            try:  # both failures already name the run; add its sweep directory
-                model, _ = run_one(prepared[seed], spec, variant, seed, sub, **overrides)
-                reports.append(score_test_split(prepared[seed], model, run_name(variant, seed)))
-            except (TrainingDiverged, M.MetricError) as exc:
-                raise type(exc)(f"{sub.name}/{exc}") from exc
-        rows.append((f"{args.param}={label}", aggregate_reports(reports)))
+        with naming(f"{sub.name}/"):  # a run's failure already names the run; add its sweep directory
+            model, _ = run_one(prepared[seed], spec, variant, seed, sub, **overrides)
+            return score_test_split(prepared[seed], model, run_name(variant, seed))
+
+    reports = iter(run_all([(spec.variants[0], seed, label) for label in values for seed in spec.seeds], run,
+                           run_bytes(prepared)))
+    rows = [(f"{args.param}={label}", aggregate_reports([next(reports) for _ in spec.seeds])) for label in values]
     write_summary(out / "sweep.csv", rows)
     print_summary(rows)
     return 0
@@ -478,6 +647,7 @@ FAILURES = {
     ShapeError: ("shape", 2),
     TrainingDiverged: ("runtime", 3),
     M.MetricError: ("metric", 4),
+    MemoryError: ("memory", 2),
 }
 
 

@@ -12,9 +12,9 @@ scores the auxiliary loss and which step runs; :func:`pair_weights` alone
 tells uniform from outcome-weighted negatives. The auxiliary step is
 skipped entirely when its coefficient is zero, which makes a zero-beta run
 bit-identical to the likelihood-only variant. Validation is one ``Batch``
-with fixed views, scored by the steps' own forward and losses. Each step
-and each validation loss runs with numpy raising on overflow, division by
-zero and invalid values, so a diverging run stops with a
+with fixed views, scored by the steps' own forward and losses. Each step,
+each validation loss and the validation setup run with numpy raising on
+overflow, division by zero and invalid values, so a diverging run stops with a
 ``TrainingDiverged`` naming its stage, whichever optimizer it uses.
 
 Every random decision (batch order, corruption draws, validation views)
@@ -79,6 +79,8 @@ class TrainConfig:
             raise ValueError("beta must be non-negative")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
+        if self.alpha < 0:
+            raise ValueError("alpha must be non-negative")
         if self.nu <= 0:
             raise ValueError("nu must be positive")
         if not 0.0 <= self.corruption_rate <= 1.0:
@@ -166,18 +168,24 @@ def make_optimizer(kind: str, param: Tensor, lr: float):
 # losses and update steps
 # ---------------------------------------------------------------------------
 
-def _finite_loss(stage: str, where: str, step, *args) -> float:
-    """``step(*args)``, a loss value, run with numpy raising on overflow,
-    division by zero and invalid values. Such a fault or a non-finite loss
-    is a ``TrainingDiverged`` naming the stage's loss, or the optimizer
-    state when an optimizer's update raised, and ``where``."""
+def _guarded(what: str, where: str, step, *args):
+    """``step(*args)`` run with numpy raising on overflow, division by zero
+    and invalid values. Such a fault is a ``TrainingDiverged`` naming
+    ``what``, or the optimizer state when an optimizer's update raised, and
+    ``where``."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            value = step(*args)
+            return step(*args)
     except FloatingPointError as exc:
         if isinstance(inspect.trace(0)[-1].frame.f_locals.get("self"), (Adam, Sgd)):  # the frame that raised
             raise TrainingDiverged(f"non-finite optimizer state ({exc}) at {where}") from None
-        raise TrainingDiverged(f"non-finite {stage} loss at {where} ({exc})") from None
+        raise TrainingDiverged(f"non-finite {what} at {where} ({exc})") from None
+
+
+def _finite_loss(stage: str, where: str, step, *args) -> float:
+    """``step(*args)``, a loss value, under :func:`_guarded`; a non-finite
+    loss is a ``TrainingDiverged`` too."""
+    value = _guarded(f"{stage} loss", where, step, *args)
     if not np.isfinite(value):
         raise TrainingDiverged(f"non-finite {stage} loss at {where}")
     return value
@@ -225,7 +233,9 @@ def _aux_step(model, batch: Batch, config: TrainConfig, optimizer, variant: str,
 
 # The two auxiliary steps take one signature and differ only in the network
 # their optimizer holds; they stay separate functions so that the benchmark's
-# tracer (perfbench/tracing.py) times each under its own name.
+# tracer (perfbench/tracing.py) times each under its own name. The tracer sees
+# only the process it is installed in, so not the runs that a command trains in
+# worker processes (cli.run_all); those it times on one usable CPU (``taskset -c 0``).
 def contrastive_step(model, batch: Batch, config: TrainConfig, optimizer, variant: str, alpha: float) -> float:
     """Auxiliary step on encoder + projection head; hazard net untouched."""
     return _aux_step(model, batch, config, optimizer, variant, alpha)
@@ -269,10 +279,23 @@ def train(
     batch_rng, corrupt_rng, val_rng = (np.random.default_rng(s) for s in ss.spawn(3))
 
     train_idx = data.split.train
-    alpha = config.alpha
-    if config.alpha_percentile is not None:
-        alpha = losses.resolve_alpha_percentile(data.tau[train_idx], data.delta[train_idx], config.alpha_percentile)
-        logger.info("alpha percentile %.1f resolved to %.3f bins", config.alpha_percentile, alpha)
+
+    def setup():
+        alpha = config.alpha
+        if config.alpha_percentile is not None:
+            alpha = losses.resolve_alpha_percentile(data.tau[train_idx], data.delta[train_idx],
+                                                    config.alpha_percentile)
+            logger.info("alpha percentile %.1f resolved to %.3f bins", config.alpha_percentile, alpha)
+        # one fixed corruption of the validation set keeps the early-stopping
+        # signal deterministic and comparable across epochs; the view rngs feed
+        # nothing else, so skipping the views changes no other draw
+        val_idx = data.split.validation
+        val = Batch(val_idx, data.x[val_idx], None, data.tau[val_idx], data.delta[val_idx])
+        if views:
+            val.x_view = corrupt(val.x, data.train_marginals, config.corruption_rate, val_rng)
+        return alpha, val, pair_weights(val, variant, config, alpha) if views else None
+
+    alpha, val, val_weights = _guarded("value", "validation setup", setup)
 
     opt_like = make_optimizer(config.optimizer, model.trainable("hazard"), config.lr_nll)
     opt_aux = None
@@ -280,15 +303,6 @@ def train(
         opt_aux = make_optimizer(config.optimizer, model.trainable(network), config.lr_contrastive)
     # looked up here, not at import, so a tracer's wrappers are the ones called
     aux_step = ranking_step if network == "hazard" else contrastive_step
-
-    # one fixed corruption of the validation set keeps the early-stopping
-    # signal deterministic and comparable across epochs; the view rngs feed
-    # nothing else, so skipping the views changes no other draw
-    val_idx = data.split.validation
-    val = Batch(val_idx, data.x[val_idx], None, data.tau[val_idx], data.delta[val_idx])
-    if views:
-        val.x_view = corrupt(val.x, data.train_marginals, config.corruption_rate, val_rng)
-    val_weights = pair_weights(val, variant, config, alpha) if views else None
 
     log = TrainLog(variant=variant, alpha_resolved=alpha)
     best_total = np.inf

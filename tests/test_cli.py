@@ -374,6 +374,32 @@ def test_sweep_repeated_value_exits_2_naming_it(tmp_path, capsys, values):
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_negative_zero_repeats_zero(tmp_path, capsys):
+    # -0 used to write alpha_-0/ beside alpha_0/, with identical rows
+    spec = write_spec(tmp_path, seeds=[0])
+    assert main(["sweep", "--config", str(spec), "--param", "alpha", "--values", "0,-0"]) == 2
+    assert capsys.readouterr().err == "config error: sweep --values entry '-0' repeats 0; both would write alpha_0/\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("train", [{}, {"alpha_percentile": 10.0}])
+def test_sweep_negative_alpha_exits_2(tmp_path, capsys, train):
+    # a negative margin used to train as alpha = 0, and a negative percentile as no percentile
+    spec = write_spec(tmp_path, seeds=[0], train={"epochs": 1, **train})
+    assert main(["sweep", "--config", str(spec), "--param", "alpha", "--values", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid train config: alpha") and err.count("\n") == 1
+
+
+def test_overflow_in_validation_setup_exits_3_naming_run_and_stage(tmp_path, capsys):
+    # a subnormal sigma overflows the validation pair weights before the first batch; this used
+    # to print a RuntimeWarning and blame "epoch 0, batch 0", or end in a traceback under -W error
+    spec = write_spec(tmp_path, seeds=[0], train={"sigma": 1e-320})
+    assert main(["train", "--config", str(spec)]) == 3
+    assert capsys.readouterr().err == ("runtime error: nll_snce_seed0: non-finite value at validation setup "
+                                       "(overflow encountered in divide)\n")
+
+
 def test_subgroup_on_binary_feature(tmp_path):
     # append a synthetic binary column by using the oracle generator's raw
     # features and a custom csv with a binary flag

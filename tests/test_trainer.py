@@ -87,6 +87,7 @@ def test_sgd_step():
         {"corruption_rate": 1.5},
         {"optimizer": "rmsprop"},
         {"batch_size": 1},
+        {"alpha": -1.0},  # used to train silently as alpha = 0
     ],
 )
 def test_config_validation(kw):
