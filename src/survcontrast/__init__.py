@@ -1,5 +1,7 @@
 """Discrete-time survival analysis with outcome-weighted contrastive learning."""
 
+import logging
+
 from .data import PreparedData, Schema, discretize, load_csv, prepare, split_dataset
 from .losses import (
     build_pair_weights,
@@ -16,6 +18,10 @@ from .synth import SynthConfig, generate_discrete_oracle, generate_paired_expone
 from .trainer import TrainConfig, TrainLog, train
 
 __version__ = "0.1.0"
+
+# a library leaves its log records to the application; without a handler here,
+# Python's last-resort handler would print every warning to stderr
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "PreparedData",

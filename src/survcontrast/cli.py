@@ -86,6 +86,8 @@ class DatasetSpec:
 
     def __post_init__(self):
         check_field_types(self, "dataset.")
+        if self.n_bins is not None and self.n_bins < 2:
+            raise ValueError("dataset.n_bins must be >= 2")
 
 
 @dataclass
@@ -110,6 +112,8 @@ class ExperimentSpec:
             raise ValueError("seeds must be distinct")
         if min(self.seeds) < 0:
             raise ValueError("seeds must be non-negative")
+        if self.n_bins is not None and self.n_bins < 2:
+            raise ValueError("n_bins must be >= 2")
         for v in self.variants:
             if v not in VARIANTS:
                 raise ValueError(f"unknown variant {v!r}; expected one of {VARIANTS}")
@@ -391,11 +395,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def load_checkpoint(out: Path, variant: str, seed: int) -> HazardModel:
+def load_checkpoint(out: Path, variant: str, seed: int, data: PreparedData) -> HazardModel:
+    """The run's checkpoint, which must fit ``data``: its features and time bins."""
     path = checkpoint_path(out, variant, seed)
     if not path.exists():
         raise ConfigError(f"missing checkpoint: {path} (run train first)")
-    return HazardModel.load(path)
+    model = HazardModel.load(path)
+    trained = (model.config.input_dim, model.config.n_time_bins)
+    if trained != (data.n_features, data.n_time_bins):
+        raise ConfigError(f"checkpoint {path} was trained on {trained[0]} features x {trained[1]} time bins, "
+                          f"the data has {data.n_features} x {data.n_time_bins}; train it on this spec first")
+    return model
 
 
 def score_test_split(data: PreparedData, model: HazardModel, run: str) -> M.MetricReport:
@@ -435,7 +445,8 @@ def evaluate_variants(spec: ExperimentSpec, out: Path, prepared: dict[int, Prepa
     for variant in spec.variants:
         reports = []
         for seed in spec.seeds:
-            report = score_test_split(prepared[seed], load_checkpoint(out, variant, seed), run_name(variant, seed))
+            data = prepared[seed]
+            report = score_test_split(data, load_checkpoint(out, variant, seed, data), run_name(variant, seed))
             report.to_json(out / "reports" / f"{run_name(variant, seed)}.json")
             reports.append(report)
         summary.append((variant, aggregate_reports(reports)))
@@ -460,9 +471,8 @@ def cmd_ablate(args) -> int:
 
 def cmd_subgroup(args) -> int:
     spec, out, prepared = open_experiment(args)
-    seed = spec.seeds[0]
-    model = load_checkpoint(out, spec.variants[0], seed)
-    data = prepared[seed]
+    data = prepared[spec.seeds[0]]
+    model = load_checkpoint(out, spec.variants[0], spec.seeds[0], data)
 
     groups = subgroup_columns(data.feature_names, data.feature_kinds, args.feature)
     if not groups:
@@ -568,6 +578,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_margin_study(args) -> int:
+    if args.bins < 2:
+        raise ConfigError("margin-study --bins must be >= 2")
     config = configure(SynthConfig, "synthetic config", dict(n_samples=args.n, seed=args.seed))
     pairs = margin_study(generate_paired_exponential(config), n_bins=args.bins)
     write_csv(resolve_out(".", args.out) / "margin_pairs.csv", ["anchor_tau", "censoring_gap", "truth_gap"], pairs)

@@ -174,9 +174,7 @@ class HazardModel:
         self._heads = {"projection": slice(0, sum(sizes[:2])), "hazard": slice(sizes[0], start)}
 
     def encode(self, x: Tensor) -> Tensor:
-        if x.cols != self.config.input_dim:
-            raise ad.ShapeError(f"expected {self.config.input_dim} features, got {x.cols}")
-        return self.encoder(x)
+        return self.encoder(x)  # the encoder raises ShapeError on a wrong width
 
     def project(self, h: Tensor) -> Tensor:
         return self.projection(h)

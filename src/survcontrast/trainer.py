@@ -12,10 +12,12 @@ scores the auxiliary loss and which step runs; :func:`pair_weights` alone
 tells uniform from outcome-weighted negatives. The auxiliary step is
 skipped entirely when its coefficient is zero, which makes a zero-beta run
 bit-identical to the likelihood-only variant. Validation is one ``Batch``
-with fixed views, scored by the steps' own forward and losses. Each step,
-each validation loss and the validation setup run with numpy raising on
-overflow, division by zero and invalid values, so a diverging run stops with a
-``TrainingDiverged`` naming its stage, whichever optimizer it uses.
+with fixed views, scored by the steps' own forward and losses. A step
+computes its loss's gradient and ``train`` then applies the optimizer's
+update, as a stage of its own. Each stage (a gradient, an update, a
+validation loss and the validation setup) runs under one guard, with numpy
+raising on overflow, division by zero and invalid values, so a diverging run
+stops with a ``TrainingDiverged`` naming its stage.
 
 Every random decision (batch order, corruption draws, validation views)
 comes from independent streams spawned from one seed, so reruns reproduce
@@ -24,7 +26,6 @@ parameters exactly and corruption draws can never perturb batch order.
 
 from __future__ import annotations
 
-import inspect
 import logging
 import time
 from dataclasses import astuple, dataclass, field, fields
@@ -165,29 +166,20 @@ def make_optimizer(kind: str, param: Tensor, lr: float):
 
 
 # ---------------------------------------------------------------------------
-# losses and update steps
+# losses and gradient steps
 # ---------------------------------------------------------------------------
 
-def _guarded(what: str, where: str, step, *args):
-    """``step(*args)`` run with numpy raising on overflow, division by zero
-    and invalid values. Such a fault is a ``TrainingDiverged`` naming
-    ``what``, or the optimizer state when an optimizer's update raised, and
-    ``where``."""
+def _guarded(stage: str, where: str, run, *args):
+    """``run(*args)`` with numpy raising on overflow, division by zero and
+    invalid values. Such a fault, or a non-finite float result, is a
+    ``TrainingDiverged`` naming ``stage`` and ``where``."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return step(*args)
+            value = run(*args)
     except FloatingPointError as exc:
-        if isinstance(inspect.trace(0)[-1].frame.f_locals.get("self"), (Adam, Sgd)):  # the frame that raised
-            raise TrainingDiverged(f"non-finite optimizer state ({exc}) at {where}") from None
-        raise TrainingDiverged(f"non-finite {what} at {where} ({exc})") from None
-
-
-def _finite_loss(stage: str, where: str, step, *args) -> float:
-    """``step(*args)``, a loss value, under :func:`_guarded`; a non-finite
-    loss is a ``TrainingDiverged`` too."""
-    value = _guarded(f"{stage} loss", where, step, *args)
-    if not np.isfinite(value):
-        raise TrainingDiverged(f"non-finite {stage} loss at {where}")
+        raise TrainingDiverged(f"non-finite {stage} at {where} ({exc})") from None
+    if isinstance(value, float) and not np.isfinite(value):
+        raise TrainingDiverged(f"non-finite {stage} at {where} (value {value})")
     return value
 
 
@@ -221,37 +213,36 @@ def aux_loss(model, batch: Batch, variant: str, config: TrainConfig, alpha: floa
     return losses.snce_loss(emb, weights, config.nu)
 
 
-def _aux_step(model, batch: Batch, config: TrainConfig, optimizer, variant: str, alpha: float) -> float:
-    # the optimized objective carries the balance factor; the returned value
-    # is the unscaled loss for logging
+def _aux_step(model, batch: Batch, config: TrainConfig, variant: str, alpha: float) -> float:
+    # the back-propagated objective carries the balance factor; the returned
+    # value is the unscaled loss for logging
     raw = aux_loss(model, batch, variant, config, alpha)
     ad.zero_grads([model.params])
     ad.backward(ad.scale(raw, config.beta))
-    optimizer.step()
     return raw.item()
 
 
-# The two auxiliary steps take one signature and differ only in the network
-# their optimizer holds; they stay separate functions so that the benchmark's
-# tracer (perfbench/tracing.py) times each under its own name. The tracer sees
-# only the process it is installed in, so not the runs that a command trains in
-# worker processes (cli.run_all); those it times on one usable CPU (``taskset -c 0``).
-def contrastive_step(model, batch: Batch, config: TrainConfig, optimizer, variant: str, alpha: float) -> float:
-    """Auxiliary step on encoder + projection head; hazard net untouched."""
-    return _aux_step(model, batch, config, optimizer, variant, alpha)
+# The two auxiliary steps take one signature and one body, and differ only in
+# the network their loss reaches; they stay separate functions so that the
+# benchmark's tracer (perfbench/tracing.py) times each under its own name. The
+# tracer sees only the process it is installed in, so not the runs that a
+# command trains in worker processes (cli.run_all); those it times on one
+# usable CPU (``taskset -c 0``).
+def contrastive_step(model, batch: Batch, config: TrainConfig, variant: str, alpha: float) -> float:
+    """Auxiliary gradient on encoder + projection head; hazard net's is zero."""
+    return _aux_step(model, batch, config, variant, alpha)
 
 
-def ranking_step(model, batch: Batch, config: TrainConfig, optimizer, variant: str, alpha: float) -> float:
-    """Auxiliary step on encoder + hazard network (risk-ordering penalty)."""
-    return _aux_step(model, batch, config, optimizer, variant, alpha)
+def ranking_step(model, batch: Batch, config: TrainConfig, variant: str, alpha: float) -> float:
+    """Auxiliary gradient on encoder + hazard network (risk-ordering penalty)."""
+    return _aux_step(model, batch, config, variant, alpha)
 
 
-def likelihood_step(model, batch: Batch, optimizer) -> float:
-    """Likelihood step on encoder + hazard network; projection untouched."""
+def likelihood_step(model, batch: Batch) -> float:
+    """Likelihood gradient on encoder + hazard network; projection's is zero."""
     loss = losses.nll_loss(hazards(model, batch), batch.tau, batch.delta)
     ad.zero_grads([model.params])
     ad.backward(loss)
-    optimizer.step()
     return loss.item()
 
 
@@ -316,18 +307,20 @@ def train(
         for k, batch in enumerate(batches):
             where = f"epoch {epoch}, batch {k}"
             if opt_aux is not None:
-                aux_sum += _finite_loss("auxiliary", where, aux_step, model, batch, config, opt_aux, variant, alpha)
-            nll_sum += _finite_loss("likelihood", where, likelihood_step, model, batch, opt_like)
+                aux_sum += _guarded("auxiliary loss", where, aux_step, model, batch, config, variant, alpha)
+                _guarded("optimizer state", where, opt_aux.step)
+            nll_sum += _guarded("likelihood loss", where, likelihood_step, model, batch)
+            _guarded("optimizer state", where, opt_like.step)
             n_batches += 1
 
         where = f"epoch {epoch}"
         # each keeps only the float: a kept Tensor would pin the validation graph through the next epoch
-        val_nll = _finite_loss("validation", where,
-                               lambda: losses.nll_loss(hazards(model, val), val.tau, val.delta).item())
+        val_nll = _guarded("validation loss", where,
+                           lambda: losses.nll_loss(hazards(model, val), val.tau, val.delta).item())
         val_aux = 0.0
         if network is not None and val.size >= 2:
-            val_aux = _finite_loss("validation", where,
-                                   lambda: aux_loss(model, val, variant, config, alpha, val_weights).item())
+            val_aux = _guarded("validation loss", where,
+                               lambda: aux_loss(model, val, variant, config, alpha, val_weights).item())
         val_total = val_nll + config.beta * val_aux
         train_nll = nll_sum / max(n_batches, 1)
         train_aux = aux_sum / max(n_batches, 1)

@@ -156,6 +156,12 @@ def test_ablate_prepares_each_seed_once(tmp_path, monkeypatch):
     assert len(list((tmp_path / "out" / "reports").glob("*_seed*.json"))) == 8
 
 
+def package_env() -> dict:
+    """This process's environment with the package's ``src`` first on ``PYTHONPATH``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_commands_run_without_scipy(tmp_path):
     # a None entry in sys.modules makes every import of scipy or a submodule fail
     spec = str(write_spec(tmp_path, seeds=[0], train={"epochs": 1}))
@@ -166,12 +172,21 @@ def test_commands_run_without_scipy(tmp_path):
         *(f"assert main([{command!r}, '--config', {spec!r}]) == 0" for command in ("train", "evaluate", "ablate")),
         "print(sorted(name for name, module in sys.modules.items() if name.startswith('scipy') and module))",
     ])
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code], capture_output=True, text=True,
-                          env=env)
+                          env=package_env())
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"  # the loaded scipy modules
+
+
+def test_library_notices_stay_off_stderr(tmp_path):
+    # batches of 4 rows often hold no comparable or acceptable pair, and each such batch
+    # logs a notice, which Python's last-resort handler used to print: 230 lines here
+    spec = write_spec(tmp_path, synthetic={"n_samples": 600}, variants=["nll+snce", "nll+rank"], seeds=[0],
+                      train={"epochs": 3, "batch_size": 4})
+    done = subprocess.run([sys.executable, "-m", "survcontrast.cli", "train", "--config", str(spec)],
+                          capture_output=True, text=True, env=package_env())
+    assert done.returncode == 0
+    assert done.stderr == ""
 
 
 def test_evaluate_missing_checkpoint_exits_2(tmp_path, capsys):
@@ -263,6 +278,32 @@ def test_corrupt_checkpoint_exits_2_naming_it(tmp_path, capsys, corrupt):
     assert len(err) == 1 and err[0].startswith(f"data error: checkpoint {path} ")
 
 
+@pytest.mark.parametrize("command", [["evaluate"], ["subgroup", "--feature", "flag"]])
+def test_checkpoint_trained_on_another_grid_exits_2_naming_both_shapes(tmp_path, capsys, command):
+    # trained on 8 bins, scored on 6: evaluate used to exit 0 and write the reports, subgroup to exit 4
+    spec = write_flag_spec(tmp_path, n_bins=8)
+    assert main(["train", "--config", str(spec)]) == 0
+    write_flag_spec(tmp_path, n_bins=6)
+    capsys.readouterr()
+    assert main([command[0], "--config", str(spec), *command[1:]]) == 2
+    path = tmp_path / "out" / "checkpoints" / "nll_seed0.json"
+    assert capsys.readouterr().err == (f"config error: checkpoint {path} was trained on 4 features x 8 time bins, "
+                                       "the data has 4 x 6; train it on this spec first\n")
+    assert not list((tmp_path / "out").glob("reports/*.json")) + list((tmp_path / "out").glob("subgroup_*.csv"))
+
+
+def test_checkpoint_trained_on_other_features_exits_2_naming_both_shapes(tmp_path, capsys):
+    # a wider dataset used to end in the encoder's shape error, which names no checkpoint
+    spec = write_spec(tmp_path, seeds=[0], synthetic={"feature_dim": 5})
+    assert main(["train", "--config", str(spec)]) == 0
+    spec = write_spec(tmp_path, seeds=[0], synthetic={"feature_dim": 6})
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(spec)]) == 2
+    path = tmp_path / "out" / "checkpoints" / "nll_snce_seed0.json"
+    assert capsys.readouterr().err == (f"config error: checkpoint {path} was trained on 5 features x 10 time bins, "
+                                       "the data has 6 x 10; train it on this spec first\n")
+
+
 def test_evaluate_single_seed_zero_std(tmp_path):
     spec = write_spec(tmp_path, seeds=[1])
     assert main(["train", "--config", str(spec)]) == 0
@@ -338,7 +379,7 @@ def test_sweep_names_a_run_whose_optimizer_state_overflows(tmp_path, capsys):
     assert main(["sweep", "--config", str(spec), "--param", "beta", "--values", "1,1e300"]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("runtime error: beta_1e+300/nll_snce_seed0: non-finite optimizer state")
-    assert re.search(r"at epoch \d+, batch \d+$", err[0])
+    assert re.search(r"at epoch \d+, batch \d+ \(.+\)$", err[0])
 
 
 def test_sgd_sweep_names_a_run_whose_parameters_overflow(tmp_path, capsys):
@@ -400,9 +441,8 @@ def test_overflow_in_validation_setup_exits_3_naming_run_and_stage(tmp_path, cap
                                        "(overflow encountered in divide)\n")
 
 
-def test_subgroup_on_binary_feature(tmp_path):
-    # append a synthetic binary column by using the oracle generator's raw
-    # features and a custom csv with a binary flag
+def write_flag_spec(tmp_path, n_bins=8):
+    """A spec over a 200-row CSV of three real features and one binary ``flag``."""
     rng = np.random.default_rng(0)
     n = 200
     x = rng.uniform(size=(n, 3))
@@ -430,7 +470,7 @@ def test_subgroup_on_binary_feature(tmp_path):
         )
     )
     spec = {
-        "dataset": {"csv": str(csv_path), "schema": str(schema_path), "n_bins": 8},
+        "dataset": {"csv": str(csv_path), "schema": str(schema_path), "n_bins": n_bins},
         "variants": ["nll"],
         "seeds": [0],
         "model": {"hidden_dim": 8, "depth": 2, "embedding_dim": 4},
@@ -439,6 +479,12 @@ def test_subgroup_on_binary_feature(tmp_path):
     }
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
+    return spec_path
+
+
+def test_subgroup_on_binary_feature(tmp_path):
+    # a synthetic binary column in a custom csv
+    spec_path = write_flag_spec(tmp_path)
     assert main(["train", "--config", str(spec_path)]) == 0
     assert main(["subgroup", "--config", str(spec_path), "--feature", "flag"]) == 0
     dist = (tmp_path / "out" / "subgroup_distances.csv").read_text().splitlines()
@@ -520,6 +566,31 @@ def test_margin_study_command(tmp_path, capsys):
 def test_margin_study_bad_size_exits_2(tmp_path, capsys):
     assert main(["margin-study", "--n", "0", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "config error: invalid synthetic config: n_samples must be >= 1\n"
+
+
+@pytest.mark.parametrize("bins", ["1", "0"])
+def test_margin_study_bins_below_2_is_a_config_error(tmp_path, capsys, bins):
+    # used to print "data error: n_bins must be >= 2"
+    assert main(["margin-study", "--bins", bins, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: margin-study --bins must be >= 2\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("where", ["spec", "dataset"])
+def test_spec_n_bins_below_2_is_a_config_error(tmp_path, capsys, where):
+    # used to print "data error: n_bins must be >= 2" after the data was read
+    spec = write_dataset_spec(tmp_path, json.dumps({"columns": GOOD_COLUMNS}))
+    raw = json.loads(spec.read_text())
+    if where == "spec":
+        raw["n_bins"] = 1
+    else:
+        raw["n_bins"] = None
+        raw["dataset"]["n_bins"] = 1
+    spec.write_text(json.dumps(raw))
+    assert main(["train", "--config", str(spec)]) == 2
+    prefix = "dataset." if where == "dataset" else ""
+    assert capsys.readouterr().err == f"config error: invalid spec: {prefix}n_bins must be >= 2\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_truth_needs_paired_kind(tmp_path, capsys):

@@ -121,7 +121,8 @@ def test_contrastive_step_never_touches_hazard_net():
     opt = tr.Adam(model.trainable("projection"), lr=1e-3)
     hazard_before = [p.values.copy() for p in model.hazard_net.parameters()]
     proj_before = [p.values.copy() for p in model.projection.parameters()]
-    tr.contrastive_step(model, one_batch(data), config, opt, "nll+snce", alpha=0.0)
+    tr.contrastive_step(model, one_batch(data), config, "nll+snce", alpha=0.0)
+    opt.step()
     for p, before in zip(model.hazard_net.parameters(), hazard_before):
         np.testing.assert_array_equal(p.values, before)
     assert any(not np.array_equal(p.values, b) for p, b in zip(model.projection.parameters(), proj_before))
@@ -133,7 +134,8 @@ def test_likelihood_step_never_touches_projection():
     opt = tr.Adam(model.trainable("hazard"), lr=1e-3)
     proj_before = [p.values.copy() for p in model.projection.parameters()]
     hazard_before = [p.values.copy() for p in model.hazard_net.parameters()]
-    tr.likelihood_step(model, one_batch(data), opt)
+    tr.likelihood_step(model, one_batch(data))
+    opt.step()
     for p, before in zip(model.projection.parameters(), proj_before):
         np.testing.assert_array_equal(p.values, before)
     assert any(not np.array_equal(p.values, b) for p, b in zip(model.hazard_net.parameters(), hazard_before))
@@ -144,7 +146,8 @@ def test_ranking_step_never_touches_projection():
     model = make_model(data)
     opt = tr.Adam(model.trainable("hazard"), lr=1e-3)
     proj_before = [p.values.copy() for p in model.projection.parameters()]
-    tr.ranking_step(model, one_batch(data), quick_config(), opt, "nll+rank", alpha=0.0)
+    tr.ranking_step(model, one_batch(data), quick_config(), "nll+rank", alpha=0.0)
+    opt.step()
     for p, before in zip(model.projection.parameters(), proj_before):
         np.testing.assert_array_equal(p.values, before)
 
@@ -156,7 +159,8 @@ def test_contrastive_step_tape_has_the_fused_loss(monkeypatch):
     tapes = []
     backward = tr.ad.backward
     monkeypatch.setattr(tr.ad, "backward", lambda root: tapes.append(backward(root)) or tapes[-1])
-    tr.contrastive_step(model, one_batch(data), quick_config(), opt, "nll+snce", alpha=0.0)
+    tr.contrastive_step(model, one_batch(data), quick_config(), "nll+snce", alpha=0.0)
+    opt.step()
     # leaves included: 40 nodes with the loss as 16 autodiff ops and each layer
     # as matmul + add, 20 with the loss and each layer one node; 6 with each
     # network one node: two network leaves, two networks, the loss and its scale
@@ -170,7 +174,8 @@ def test_likelihood_step_tape_has_the_fused_ops(monkeypatch):
     tapes = []
     backward = tr.ad.backward
     monkeypatch.setattr(tr.ad, "backward", lambda root: tapes.append(backward(root)) or tapes[-1])
-    tr.likelihood_step(model, one_batch(data), opt)
+    tr.likelihood_step(model, one_batch(data))
+    opt.step()
     # 45 nodes with the loss as 16 autodiff ops and each layer as matmul + add;
     # 24 with 12 leaves, 6 layers, 4 relus, the sigmoid and the loss; 6 with
     # each network one node: two network leaves, two networks, the sigmoid and the loss
@@ -184,7 +189,8 @@ def test_ranking_step_tape_has_the_fused_ops(monkeypatch):
     tapes = []
     backward = tr.ad.backward
     monkeypatch.setattr(tr.ad, "backward", lambda root: tapes.append(backward(root)) or tapes[-1])
-    tr.ranking_step(model, one_batch(data), quick_config(), opt, "nll+rank", alpha=0.0)
+    tr.ranking_step(model, one_batch(data), quick_config(), "nll+rank", alpha=0.0)
+    opt.step()
     # 38 nodes with the loss as 15 autodiff ops and each layer one node; 7 with
     # the loss and each network one node: the likelihood step's 6 and the scale
     assert len(tapes) == 1 and len(tapes[0]) == 7
@@ -251,19 +257,29 @@ def test_one_epoch_trains_the_projection_exactly_when_the_table_names_it(monkeyp
     data = make_data(n=100)
     model = make_model(data)
     params = {"projection": model.projection.parameters, "hazard": model.hazard_net.parameters}
-    moved = []  # the networks each auxiliary step changed
+    moved = []  # the networks each auxiliary step's optimizer update changed
+    pending = []  # an auxiliary gradient whose update is next
 
-    def spy(step):
+    def spy_gradient(step):
         def traced(*args):
-            before = {name: [p.values.copy() for p in get()] for name, get in params.items()}
-            out = step(*args)
-            moved.append({name for name, get in params.items()
-                          if any(not np.array_equal(p.values, b) for p, b in zip(get(), before[name]))})
-            return out
+            pending.append(step)
+            return step(*args)
         return traced
 
+    adam_step = tr.Adam.step
+
+    def spy_update(opt):
+        if not pending:
+            return adam_step(opt)
+        pending.clear()
+        before = {name: [p.values.copy() for p in get()] for name, get in params.items()}
+        adam_step(opt)
+        moved.append({name for name, get in params.items()
+                      if any(not np.array_equal(p.values, b) for p, b in zip(get(), before[name]))})
+
     for name in ("contrastive_step", "ranking_step"):
-        monkeypatch.setattr(tr, name, spy(getattr(tr, name)))
+        monkeypatch.setattr(tr, name, spy_gradient(getattr(tr, name)))
+    monkeypatch.setattr(tr.Adam, "step", spy_update)
     projection = [p.values.copy() for p in model.projection.parameters()]
     tr.train(data, model, quick_config(epochs=1), variant)
     changed = any(not np.array_equal(p.values, b) for p, b in zip(model.projection.parameters(), projection))
@@ -304,6 +320,26 @@ def test_only_the_contrastive_variants_corrupt_views(monkeypatch, variant, corru
     n_train = len(data.split.train)
     n_steps = len(log.epochs) * (len(range(0, n_train, config.batch_size)) - (n_train % config.batch_size == 1))
     assert len(calls) == corruptions * (n_steps + 1)  # one per training batch, one for validation
+
+
+def test_a_fault_in_an_optimizer_update_is_named_optimizer_state(monkeypatch):
+    # a stand-in optimizer that overflows: the guard, not the optimizer's class, names the stage
+    class Overflowing:
+        def step(self):
+            np.multiply(np.float64(1e308), 10.0)
+
+    monkeypatch.setattr(tr, "make_optimizer", lambda kind, param, lr: Overflowing())
+    data = make_data(n=100)
+    with pytest.raises(tr.TrainingDiverged) as caught:
+        tr.train(data, make_model(data), quick_config(epochs=1), "nll+snce")
+    assert str(caught.value) == "non-finite optimizer state at epoch 0, batch 0 (overflow encountered in multiply)"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_a_non_finite_result_without_a_numpy_fault_is_named_too(value):
+    with pytest.raises(tr.TrainingDiverged) as caught:
+        tr._guarded("likelihood loss", "epoch 0, batch 0", lambda: value)
+    assert str(caught.value) == f"non-finite likelihood loss at epoch 0, batch 0 (value {value})"
 
 
 def test_non_finite_validation_aux_loss_raises():
