@@ -55,7 +55,8 @@ import numpy as np
 
 from . import metrics as M
 from .autodiff import ShapeError
-from .data import DataError, PreparedData, RawDataset, Schema, check_field_types, load_csv, prepare, write_csv
+from .data import (DataError, PreparedData, RawDataset, Schema, at_least, check_fields, domain, load_csv, prepare,
+                   write_csv)
 from .model import HazardModel, ModelConfig, init_model, survival_from_hazard
 from .synth import GENERATORS, SynthConfig, generate_paired_exponential, margin_study
 from .trainer import AUX_NETWORK, VARIANTS, TrainConfig, TrainingDiverged, train
@@ -82,41 +83,31 @@ class DatasetSpec:
     # paths must be strings: open() takes an int as a file descriptor (0 reads stdin)
     csv: str
     schema: str
-    n_bins: int | None = None
+    n_bins: int | None = at_least(2, None)
 
     def __post_init__(self):
-        check_field_types(self, "dataset.")
-        if self.n_bins is not None and self.n_bins < 2:
-            raise ValueError("dataset.n_bins must be >= 2")
+        check_fields(self, "dataset.")
 
 
 @dataclass
 class ExperimentSpec:
     dataset: dict | None = None  # DatasetSpec fields; a DatasetSpec once constructed
     synthetic: dict | None = None  # SynthConfig fields
-    variants: list[str] = field(default_factory=lambda: ["nll+snce"])
-    seeds: list[int] = field(default_factory=lambda: list(DEFAULT_SEEDS))
+    variants: list[str] = domain(lambda v: v and set(v) <= set(VARIANTS),
+                                 lambda: f"a non-empty list of names from {VARIANTS}",
+                                 default_factory=lambda: ["nll+snce"])
+    seeds: list[int] = domain(lambda v: v and len(set(v)) == len(v) and min(v) >= 0,
+                              lambda: "a non-empty list of distinct non-negative ints",
+                              default_factory=lambda: list(DEFAULT_SEEDS))
     model: dict = field(default_factory=dict)
     train: dict = field(default_factory=dict)
-    n_bins: int | None = None
+    n_bins: int | None = at_least(2, None)
     out: str = "runs/experiment"
 
     def __post_init__(self):
-        check_field_types(self)
+        check_fields(self)
         if (self.dataset is None) == (self.synthetic is None):
             raise ValueError("exactly one of 'dataset' or 'synthetic' must be given")
-        for key in ("variants", "seeds"):
-            if not getattr(self, key):
-                raise ValueError(f"'{key}' must not be empty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("seeds must be distinct")
-        if min(self.seeds) < 0:
-            raise ValueError("seeds must be non-negative")
-        if self.n_bins is not None and self.n_bins < 2:
-            raise ValueError("n_bins must be >= 2")
-        for v in self.variants:
-            if v not in VARIANTS:
-                raise ValueError(f"unknown variant {v!r}; expected one of {VARIANTS}")
         if self.dataset is not None:
             self.dataset = DatasetSpec(**self.dataset)
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -69,27 +69,61 @@ FIELD_CHECKS = {
 }
 
 
-def check_field_types(config, prefix: str = "") -> None:
-    """Raise TypeError naming the first field of the dataclass ``config``
-    (as ``prefix`` + field name) whose value does not fit its annotation;
-    values are never converted."""
+def domain(accepts, describe, default=MISSING, **kw):
+    """A dataclass field whose (well-typed, non-null) values must satisfy
+    ``accepts``; ``describe()`` completes the sentence "<field> must be"."""
+    return field(default=default, metadata={"domain": (accepts, describe)}, **kw)
+
+
+def at_least(low: int, default=MISSING):
+    return domain(lambda v: v >= low, lambda: f">= {low}", default)
+
+
+def non_negative(default=MISSING):
+    return domain(lambda v: v >= 0, lambda: "non-negative", default)
+
+
+def positive(default=MISSING):
+    return domain(lambda v: v > 0, lambda: "positive", default)
+
+
+def within(low, high, default=MISSING):
+    return domain(lambda v: low <= v <= high, lambda: f"in [{low}, {high}]", default)
+
+
+def one_of(choices, default=MISSING):
+    """``choices()`` is called at check time, so it may name a table defined
+    after the dataclass."""
+    return domain(lambda v: v in choices(), lambda: f"one of {tuple(choices())}", default)
+
+
+def describe_domain(f) -> str | None:
+    """What the field ``f`` must be beyond its type; None if any value of it is."""
+    return f.metadata["domain"][1]() if "domain" in f.metadata else None
+
+
+def check_fields(config, prefix: str = "") -> None:
+    """Check each field of the dataclass ``config`` in order, named as
+    ``prefix`` + field name: a value that does not fit the annotation raises
+    TypeError (values are never converted), and one outside the field's
+    declared domain raises ValueError ``<prefix><field> must be <domain>``."""
     for f in fields(config):
         accepts, noun = FIELD_CHECKS[f.type]
         value = getattr(config, f.name)
         if not accepts(value):
             raise TypeError(f"'{prefix}{f.name}' must be {noun}, not {type(value).__name__} {value!r}")
+        if value is not None and "domain" in f.metadata and not f.metadata["domain"][0](value):
+            raise ValueError(f"{prefix}{f.name} must be {describe_domain(f)}")
 
 
 @dataclass
 class ColumnSpec:
     name: str
     kind: str  # real | binary | categorical; checked for features only
-    role: str = "feature"
+    role: str = one_of(lambda: COLUMN_ROLES, "feature")
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.role not in COLUMN_ROLES:
-            raise DataError(f"unknown role {self.role!r} for column {self.name!r}; expected one of {COLUMN_ROLES}")
+        check_fields(self)
         if self.role == "feature" and self.kind not in FEATURE_KINDS:
             raise DataError(f"unknown feature kind {self.kind!r} for column {self.name!r}")
 

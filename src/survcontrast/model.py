@@ -20,30 +20,24 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import DataError, check_field_types
+from .data import DataError, at_least, check_fields, one_of
 
-# the per-layer ops by name; Mlp applies their math (ACTIVATION_PARTS) inside its one node
+# the per-layer ops by name: Mlp applies their math (ACTIVATION_PARTS) inside its one node, and
+# MlpConfig accepts its keys; ACTIVATIONS is kept for the benchmark's tracer (perfbench/tracing.py)
 ACTIVATIONS = {"relu": ad.relu, "sigmoid": ad.sigmoid}
 ACTIVATION_PARTS = {"relu": ad.relu_parts, "sigmoid": ad.sigmoid_parts}
 
 
 @dataclass
 class MlpConfig:
-    input_dim: int
-    hidden_dim: int
-    depth: int  # number of weight matrices, including the output layer
-    output_dim: int
-    activation: str = "relu"
+    input_dim: int = at_least(1)
+    hidden_dim: int = at_least(1)
+    depth: int = at_least(1)  # number of weight matrices, including the output layer
+    output_dim: int = at_least(1)
+    activation: str = one_of(lambda: ACTIVATION_PARTS, "relu")
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        for name in ("input_dim", "hidden_dim", "output_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+        check_fields(self)
 
     def layer_dims(self) -> list[tuple[int, int]]:
         dims = [self.input_dim] + [self.hidden_dim] * (self.depth - 1) + [self.output_dim]
@@ -54,18 +48,16 @@ class MlpConfig:
 class ModelConfig:
     """Shapes and activations for the three networks."""
 
-    input_dim: int
-    n_time_bins: int  # t_max + 1 hazard outputs
-    hidden_dim: int = 32
-    depth: int = 3
-    embedding_dim: int = 16
-    projection_depth: int = 2
-    activation: str = "relu"
+    input_dim: int = at_least(1)
+    n_time_bins: int = at_least(1)  # t_max + 1 hazard outputs
+    hidden_dim: int = at_least(1, 32)
+    depth: int = at_least(1, 3)
+    embedding_dim: int = at_least(1, 16)
+    projection_depth: int = at_least(1, 2)
+    activation: str = one_of(lambda: ACTIVATION_PARTS, "relu")
 
     def __post_init__(self):
-        check_field_types(self)
-        for network in (self.encoder, self.projection, self.hazard_net):
-            network()  # MlpConfig checks the network's shape
+        check_fields(self)
 
     def encoder(self) -> MlpConfig:
         return MlpConfig(self.input_dim, self.hidden_dim, self.depth, self.hidden_dim, self.activation)

@@ -23,45 +23,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RawDataset, check_field_types, discretize, from_arrays
+from .data import RawDataset, at_least, check_fields, discretize, from_arrays, non_negative, one_of, within
 from .losses import comparability
 from .model import pmf_from_hazard
 
 
 @dataclass
 class SynthConfig:
-    n_samples: int
-    feature_dim: int = 4
-    seed: int = 0
-    kind: str = "paired_exponential"
+    n_samples: int = at_least(1)
+    feature_dim: int = at_least(1, 4)
+    seed: int = non_negative(0)
+    kind: str = one_of(lambda: GENERATORS, "paired_exponential")
     # exponential parameters act as the mean (scale) by default; "rate"
     # flips the interpretation
-    exponential_param: str = "mean"
+    exponential_param: str = one_of(lambda: ("mean", "rate"), "mean")
     # discrete-oracle settings
-    n_bins: int = 60
+    n_bins: int = at_least(2, 60)
     hazard_intercept: float = -3.0
     hazard_slope: float = 2.5
     feature_scale: float = 1.5
-    censor_rate: float = 0.0
+    censor_rate: float = within(0, 1, 0.0)
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.kind not in GENERATORS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.feature_dim < 1:
-            raise ValueError("feature_dim must be >= 1")
+        check_fields(self)
         if self.kind == "paired_exponential" and self.feature_dim < 4:
             raise ValueError("paired_exponential needs feature_dim >= 4")
-        if not 0.0 <= self.censor_rate <= 1.0:
-            raise ValueError("censor_rate must be in [0, 1]")
-        if self.n_bins < 2:
-            raise ValueError("n_bins must be >= 2")
-        if self.exponential_param not in ("mean", "rate"):
-            raise ValueError("exponential_param must be 'mean' or 'rate'")
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +140,8 @@ def oracle_hazards(config: SynthConfig, x: np.ndarray, time_logits=None) -> np.n
         u = np.arange(config.n_bins) / (config.n_bins - 1)
         time_logits = config.hazard_intercept + config.hazard_slope * u
     logits = (x - 0.5) @ a[:, None] + np.asarray(time_logits)[None, :]
-    return 1.0 / (1.0 + np.exp(-logits))
+    with np.errstate(over="ignore"):  # exp(-logits) = inf gives the exact limit, a hazard of 0
+        return 1.0 / (1.0 + np.exp(-logits))
 
 
 def generate_discrete_oracle(config: SynthConfig, time_logits=None) -> OracleData:

@@ -35,7 +35,8 @@ import numpy as np
 from . import autodiff as ad
 from . import losses
 from .autodiff import Tensor
-from .data import Batch, DataError, PreparedData, check_field_types, corrupt, iterate_batches, write_csv
+from .data import (Batch, DataError, PreparedData, at_least, check_fields, corrupt, iterate_batches, non_negative,
+                   one_of, positive, within, write_csv)
 from .model import HazardModel
 
 logger = logging.getLogger(__name__)
@@ -51,49 +52,23 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    epochs: int = 500
-    batch_size: int = 64
-    lr_contrastive: float = 1e-3  # auxiliary-step learning rate
-    lr_nll: float = 1e-3  # likelihood-step learning rate
-    optimizer: str = "adam"
-    beta: float = 1.0
-    sigma: float = 0.75
-    alpha: float = 0.0  # margin in discrete bins
-    alpha_percentile: float | None = None  # overrides alpha when set
-    nu: float = 0.07
-    corruption_rate: float = 0.5
-    ranking_kappa: float = 0.1
-    patience: int = 10
-    seed: int = 0
+    epochs: int = at_least(1, 500)
+    batch_size: int = at_least(2, 64)
+    lr_contrastive: float = positive(1e-3)  # auxiliary-step learning rate
+    lr_nll: float = positive(1e-3)  # likelihood-step learning rate
+    optimizer: str = one_of(lambda: ("adam", "sgd"), "adam")
+    beta: float = non_negative(1.0)
+    sigma: float = positive(0.75)
+    alpha: float = non_negative(0.0)  # margin in discrete bins
+    alpha_percentile: float | None = within(0, 100, None)  # overrides alpha when set
+    nu: float = positive(0.07)
+    corruption_rate: float = within(0, 1, 0.5)
+    ranking_kappa: float = positive(0.1)
+    patience: int = at_least(1, 10)
+    seed: int = non_negative(0)
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.lr_contrastive <= 0 or self.lr_nll <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2")
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
-        if not 0.0 <= self.corruption_rate <= 1.0:
-            raise ValueError("corruption_rate must be in [0, 1]")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.ranking_kappa <= 0:
-            raise ValueError("ranking_kappa must be positive")
-        if self.alpha_percentile is not None and not 0.0 <= self.alpha_percentile <= 100.0:
-            raise ValueError("alpha_percentile must be in [0, 100]")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        check_fields(self)
 
 
 @dataclass

@@ -1,5 +1,7 @@
 import importlib.util
+import json
 import subprocess
+import time
 from pathlib import Path
 
 import pytest
@@ -78,3 +80,75 @@ def test_a_failing_run_exits_2_and_removes_the_export(repo, capsys):
     assert ab.main(["--outputs", "HEAD", "--", "run", "--out", "res"]) == 2
     assert "exited 1: config error: bad" in capsys.readouterr().err
     assert left_behind(repo) == []
+
+
+# a stand-in benchmark: its wall_s is the number in its tree's speed.txt; it
+# logs that number to $AB_BENCH_LOG and leaves a sleeping child behind
+BENCH = '''import json, os, subprocess, sys
+from pathlib import Path
+
+tree = Path(__file__).resolve().parent.parent
+speed = float((tree / "speed.txt").read_text())
+child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"],
+                         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+with open(os.environ["AB_BENCH_LOG"], "a") as fh:
+    fh.write(f"{speed:g} {child.pid} {' '.join(sys.argv[1:])}\\n")
+metrics = {"wall_s": {"value": speed, "unit": "s"}, "ok_frac": {"value": 1.0, "unit": "frac"}}
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}))
+'''
+BENCHMARK = {"end_to_end": [{"name": "wall_s", "better": "lower"}, {"name": "ok_frac", "better": "higher"}]}
+
+
+@pytest.fixture
+def bench_repo(repo, monkeypatch):
+    """The throwaway repository with a stand-in ``perfbench/run.py``, committed
+    at speed 2; the working tree is then changed to speed 1."""
+    (repo / "perfbench").mkdir()
+    (repo / "perfbench" / "run.py").write_text(BENCH)
+    (repo / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    (repo / "speed.txt").write_text("2\n")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "bench")
+    (repo / "speed.txt").write_text("1\n")
+    monkeypatch.setenv("AB_BENCH_LOG", str(repo.parent / "bench.log"))
+    return repo
+
+
+def alive(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie that has not been reaped counts as ended)."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except (OSError, IndexError):
+        return False
+
+
+def test_bench_alternates_sides_and_reports_each_metric(bench_repo, capsys):
+    assert ab.main(["--bench", "HEAD", "--workload", "w", "--pairs", "3", "--seconds", "0.5"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:6] == ["pair 1 rev: failed 0/1 wall_s=2 ok_frac=1", "pair 1 work: failed 0/1 wall_s=1 ok_frac=1",
+                       "pair 2 work: failed 0/1 wall_s=1 ok_frac=1", "pair 2 rev: failed 0/1 wall_s=2 ok_frac=1",
+                       "pair 3 rev: failed 0/1 wall_s=2 ok_frac=1", "pair 3 work: failed 0/1 wall_s=1 ok_frac=1"]
+    assert out[7] == "wall_s (lower is better): rev 2 [2, 2], work 1 [1, 1], work better in 3/3, sign-test p=0.25"
+    assert out[8] == "ok_frac (higher is better): rev 1 [1, 1], work 1 [1, 1], work better in 0/3, sign-test p=1"
+    logged = [line.split() for line in (bench_repo.parent / "bench.log").read_text().splitlines()]
+    assert [line[0] for line in logged] == ["2", "1", "1", "2", "2", "1"]
+    assert all(line[2:] == ["--workload", "w", "--seconds", "0.5"] for line in logged)
+    assert left_behind(bench_repo) == []
+    # each run's process group is killed when the run ends, its sleeping child too
+    deadline = time.monotonic() + 10
+    while any(alive(int(line[1])) for line in logged) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(alive(int(line[1])) for line in logged)
+
+
+def test_bench_run_that_cannot_run_exits_2_and_removes_the_export(bench_repo, capsys):
+    (bench_repo / "perfbench" / "run.py").write_text("raise SystemExit(2)\n")
+    assert ab.main(["--bench", "HEAD", "--workload", "w", "--pairs", "2"]) == 2
+    assert "run.py exited 2" in capsys.readouterr().err
+    assert left_behind(bench_repo) == []
+
+
+def test_sign_test_is_two_sided():
+    assert ab.sign_test(6, 0) == ab.sign_test(0, 6) == 2 / 64
+    assert ab.sign_test(0, 0) == 1.0
+    assert ab.sign_test(5, 1) == pytest.approx(2 * 7 / 64)

@@ -666,6 +666,7 @@ DATASET_SPEC = {key: value for key, value in BASE_SPEC.items() if key != "synthe
 
 
 @pytest.mark.parametrize("extra", [[], ["--seed", "1"]], ids=["no-override", "seed-override"])
+# the three cases whose wording became "<field> must be <domain>" keep the ids they had before
 @pytest.mark.parametrize(
     "raw,message",
     [
@@ -676,8 +677,10 @@ DATASET_SPEC = {key: value for key, value in BASE_SPEC.items() if key != "synthe
         ({**BASE_SPEC, "seeds": 0}, "'seeds' must be a list of ints"),
         ({**BASE_SPEC, "seeds": [0, "1"]}, "'seeds' must be a list of ints"),
         ({**BASE_SPEC, "seeds": [True]}, "'seeds' must be a list of ints"),
-        ({**BASE_SPEC, "seeds": []}, "'seeds' must not be empty"),
-        ({**BASE_SPEC, "variants": []}, "'variants' must not be empty"),
+        pytest.param({**BASE_SPEC, "seeds": []}, "seeds must be a non-empty list of distinct non-negative ints",
+                     id="raw7-'seeds' must not be empty"),
+        pytest.param({**BASE_SPEC, "variants": []}, "variants must be a non-empty list of names from (",
+                     id="raw8-'variants' must not be empty"),
         ({**BASE_SPEC, "out": 5}, "'out' must be a string, not int"),
         ({**BASE_SPEC, "n_bins": "x"}, "'n_bins' must be an int or null"),
         ({**BASE_SPEC, "n_bins": True}, "'n_bins' must be an int or null"),
@@ -696,7 +699,8 @@ DATASET_SPEC = {key: value for key, value in BASE_SPEC.items() if key != "synthe
          "'dataset.schema' must be a string, not list"),
         ({**DATASET_SPEC, "dataset": {"csv": "d.csv", "schema": "s.json", "bins": 8}},
          "unexpected keyword argument 'bins'"),
-        ({**BASE_SPEC, "seeds": [0, -1]}, "seeds must be non-negative"),
+        pytest.param({**BASE_SPEC, "seeds": [0, -1]}, "seeds must be a non-empty list of distinct non-negative ints",
+                     id="raw24-seeds must be non-negative"),
     ],
 )
 def test_malformed_spec_shape_exits_2(tmp_path, capsys, raw, message, extra):
@@ -739,6 +743,32 @@ def test_bad_config_value_exits_2_without_traceback(tmp_path, capsys, changes):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("name", ["projection_depth", "embedding_dim"])
+def test_model_fault_names_the_spec_field(tmp_path, capsys, name):
+    # used to name a field of the network built from it: "depth" or "output_dim"
+    spec = write_spec(tmp_path, seeds=[0], model={name: 0})
+    assert main(["train", "--config", str(spec)]) == 2
+    assert capsys.readouterr().err == f"config error: invalid model config: {name} must be >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "change,code,err",
+    [
+        ({"hazard_slope": -800}, 0, ""),
+        ({"feature_scale": 1e300}, 0, ""),
+        ({"feature_scale": -1e300}, 0, ""),
+        # every hazard 0: each row is censored at the last bin, so all times are equal
+        ({"hazard_intercept": -1e300}, 2, "data error: degenerate grid: all raw times identical\n"),
+    ],
+    ids=["hazard_slope=-800", "feature_scale=1e300", "feature_scale=-1e300", "hazard_intercept=-1e300"],
+)
+def test_saturated_oracle_hazard_is_zero_without_a_warning(tmp_path, capsys, change, code, err):
+    # exp(-logits) overflows to inf, which gives the hazard's exact limit, 0, with no RuntimeWarning to fail on
+    spec = write_spec(tmp_path, seeds=[0], train={"epochs": 1}, synthetic={"kind": "discrete_oracle", **change})
+    assert main(["train", "--config", str(spec)]) == code
+    assert capsys.readouterr().err == err
 
 
 def write_dataset_spec(tmp_path, schema_text, dataset_keys=("csv", "schema")):

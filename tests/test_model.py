@@ -351,6 +351,15 @@ def test_load_rejects_params_that_are_not_a_flat_list_of_numbers(tmp_path, param
         HazardModel.load(path)
 
 
+def test_load_names_a_checkpoint_config_field_out_of_range(tmp_path):
+    # used to name the hazard network's "output_dim"
+    path, payload = _saved_checkpoint(tmp_path)
+    payload["config"]["n_time_bins"] = 0
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match=f"checkpoint {path} is malformed: ValueError: n_time_bins must be >= 1$"):
+        HazardModel.load(path)
+
+
 @st.composite
 def checkpoint_models(draw):
     dims, depths = st.integers(1, 6), st.integers(1, 3)

@@ -1,32 +1,49 @@
-"""Check that a survcontrast command writes the same bytes at a git revision
-as in the working tree.
+"""Check a change against a git revision: the same bytes out of a
+survcontrast command, or the benchmark's end-to-end metrics side by side.
 
     python tools/ab.py --outputs REV -- <survcontrast args>
+    python tools/ab.py --bench REV --workload NAME --pairs N [--seconds S]
 
 Run from inside the repository. REV is exported with ``git archive`` into a
 temporary directory (no worktree, nothing written under ``.git``), which is
-removed on every exit path. ``python -m survcontrast.cli <args>`` then runs
-twice, one run after the other and from the current directory: first
-against the exported tree's ``src/``, then against the working tree's. Each
-run gets a fresh ``$SURVCONTRAST_OUT`` at the same path, moved aside when
-the run ends, so relative outputs land apart and any printed output path
-reads the same in both. An absolute ``--out`` would put both runs' outputs
-in one place, so it is rejected; so is a run that writes nothing under
-``$SURVCONTRAST_OUT``, as a spec with an absolute ``out`` does.
+removed on every exit path.
 
-The two output trees and the two standard outputs are compared byte by
-byte. Prints ``equal`` with the file count and exits 0, or prints the first
-differing path (``stdout`` for the standard output) and exits 1. Exits 2
-when a run fails or the arguments are unusable. Uses only the standard
-library.
+``--outputs``: ``python -m survcontrast.cli <args>`` runs twice, one run
+after the other and from the current directory: first against the exported
+tree's ``src/``, then against the working tree's. Each run gets a fresh
+``$SURVCONTRAST_OUT`` at the same path, moved aside when the run ends, so
+relative outputs land apart and any printed output path reads the same in
+both. An absolute ``--out`` would put both runs' outputs in one place, so it
+is rejected; so is a run that writes nothing under ``$SURVCONTRAST_OUT``, as
+a spec with an absolute ``out`` does. The two output trees and the two
+standard outputs are compared byte by byte. Prints ``equal`` with the file
+count and exits 0, or prints the first differing path (``stdout`` for the
+standard output) and exits 1.
+
+``--bench``: N pairs of processes, each tree running its own
+``perfbench/run.py --workload NAME`` (with ``--seconds S`` when given), one
+process at a time; the revision runs first in odd pairs and the working
+tree first in even ones. Each process gets its own session and is killed
+with its whole process group when it ends, so no worker it forked outlives
+this tool. Prints every run's metrics, then, for each end-to-end metric of
+the working tree's ``BENCHMARK.json``: the median and quartiles of each
+side, the pairs in which the working tree is better (by the metric's
+``better``; a tie counts for neither) and the two-sided sign-test p-value
+over the untied pairs. Exits 0, or 1 when a run reports a failed check.
+
+Both modes exit 2 when a run fails or the arguments are unusable. Uses
+only the standard library.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import json
+import math
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -114,14 +131,90 @@ def compare_outputs(rev: str, command: list[str]) -> int:
         return 0
 
 
+def bench_run(tree: Path, workload: str, seconds: float | None) -> dict:
+    """One process of ``tree``'s own ``perfbench/run.py``: its result line,
+    ``{"correct", "attempted", "failed", "metrics"}``."""
+    script = tree / "perfbench" / "run.py"
+    command = [sys.executable, str(script), "--workload", workload]
+    if seconds is not None:
+        command += ["--seconds", str(seconds)]
+    proc = subprocess.Popen(command, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate()
+    finally:
+        try:  # the run's session is its own process group: end whatever it left running
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    if proc.returncode not in (0, 1):  # 1: a check failed, and the result is still printed
+        raise Unusable(f"{script} exited {proc.returncode}: {stderr.decode(errors='replace').strip()}")
+    try:
+        return json.loads(stdout.decode().strip().splitlines()[-1])
+    except (IndexError, ValueError) as exc:
+        raise Unusable(f"{script} printed no result line: {exc}") from None
+
+
+def quartiles(values: list[float]) -> list[float]:
+    return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+
+
+def sign_test(wins: int, losses: int) -> float:
+    """Two-sided sign-test p-value of ``wins`` against ``losses``."""
+    n, k = wins + losses, min(wins, losses)
+    return min(1.0, 2 * sum(math.comb(n, i) for i in range(k + 1)) / 2**n)
+
+
+def compare_bench(rev: str, workload: str | None, pairs: int | None, seconds: float | None) -> int:
+    if workload is None or pairs is None or pairs < 1:
+        raise Unusable("--bench needs --workload and --pairs N >= 1")
+    root = repo_root()
+    end_to_end = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+    runs = {"rev": [], "work": []}
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        trees = {"rev": Path(tmp) / "rev", "work": root}
+        export(root, rev, trees["rev"])
+        for pair in range(1, pairs + 1):
+            for side in ("rev", "work") if pair % 2 else ("work", "rev"):
+                result = bench_run(trees[side], workload, seconds)
+                runs[side].append(result)
+                shown = " ".join(f"{name}={m['value']:.6g}" for name, m in result["metrics"].items())
+                print(f"pair {pair} {side}: failed {result['failed']}/{result['attempted']} {shown}", flush=True)
+    print(f"{workload}: work (the working tree) against rev ({rev}) over {pairs} pairs, as median [q1, q3]")
+    for metric in end_to_end:
+        name = metric["name"]
+        values = {side: [r["metrics"][name]["value"] for r in results if name in r["metrics"]]
+                  for side, results in runs.items()}
+        if len(values["rev"]) != pairs or len(values["work"]) != pairs:
+            print(f"{name}: not reported by every run")
+            continue
+        sign = 1 if metric["better"] == "lower" else -1
+        gains = [sign * (r - w) for r, w in zip(values["rev"], values["work"])]
+        wins, losses = sum(g > 0 for g in gains), sum(g < 0 for g in gains)
+        q = {side: quartiles(v) for side, v in values.items()}
+        print(f"{name} ({metric['better']} is better): rev {q['rev'][1]:.6g} [{q['rev'][0]:.6g}, {q['rev'][2]:.6g}], "
+              f"work {q['work'][1]:.6g} [{q['work'][0]:.6g}, {q['work'][2]:.6g}], "
+              f"work better in {wins}/{pairs}, sign-test p={sign_test(wins, losses):.3g}")
+    return int(any(r["failed"] for results in runs.values() for r in results))
+
+
 def main(argv: list[str]) -> int:
     before, command = (argv[: argv.index("--")], argv[argv.index("--") + 1 :]) if "--" in argv else (argv, [])
     parser = argparse.ArgumentParser(prog="ab.py", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--outputs", metavar="REV", required=True,
-                        help="the revision whose outputs the working tree's must equal")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--outputs", metavar="REV", help="the revision whose outputs the working tree's must equal")
+    mode.add_argument("--bench", metavar="REV",
+                      help="the revision whose benchmark metrics to set beside the working tree's")
+    parser.add_argument("--workload", help="with --bench: the workload of BENCHMARK.json to run")
+    parser.add_argument("--pairs", type=int, help="with --bench: the number of (revision, working tree) pairs of runs")
+    parser.add_argument("--seconds", type=float, help="with --bench: perfbench's --seconds (default its run_seconds)")
     args = parser.parse_args(before)
     try:
+        if args.bench is not None:
+            if command:
+                raise Unusable("--bench takes no survcontrast arguments")
+            return compare_bench(args.bench, args.workload, args.pairs, args.seconds)
         return compare_outputs(args.outputs, command)
     except Unusable as exc:
         print(f"ab.py: {exc}", file=sys.stderr)
