@@ -93,8 +93,8 @@ class DatasetSpec:
 class ExperimentSpec:
     dataset: dict | None = None  # DatasetSpec fields; a DatasetSpec once constructed
     synthetic: dict | None = None  # SynthConfig fields
-    variants: list[str] = domain(lambda v: v and set(v) <= set(VARIANTS),
-                                 lambda: f"a non-empty list of names from {VARIANTS}",
+    variants: list[str] = domain(lambda v: v and set(v) <= set(VARIANTS) and len(set(v)) == len(v),
+                                 lambda: f"a non-empty list of names from {VARIANTS}, without repeats",
                                  default_factory=lambda: ["nll+snce"])
     seeds: list[int] = domain(lambda v: v and len(set(v)) == len(v) and min(v) >= 0,
                               lambda: "a non-empty list of distinct non-negative ints",

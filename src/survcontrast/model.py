@@ -43,6 +43,10 @@ class MlpConfig:
         dims = [self.input_dim] + [self.hidden_dim] * (self.depth - 1) + [self.output_dim]
         return list(zip(dims[:-1], dims[1:]))
 
+    def n_params(self) -> int:
+        """Length of the network's buffer: every layer's weights and bias."""
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in self.layer_dims())
+
 
 @dataclass
 class ModelConfig:
@@ -69,41 +73,35 @@ class ModelConfig:
         return MlpConfig(self.hidden_dim, self.hidden_dim, self.depth, self.n_time_bins, self.activation)
 
 
+def _leaf(values: np.ndarray, grad: np.ndarray) -> Tensor:
+    """A trainable leaf whose ``values`` and ``grad`` are the given arrays (views kept)."""
+    leaf = Tensor(values)
+    leaf.requires_grad, leaf.grad = True, grad
+    return leaf
+
+
 class Mlp:
     """Stack of linear layers with the configured activation between them.
 
-    The layers' weights and biases are views into one 1 x n leaf, ``flat``,
-    laid out ``w0 b0 w1 b1 ...``; a forward pass is one tape node whose
-    parents are the input and ``flat``.
+    The network is laid over 1 x n arrays ``values`` and ``grad`` that its
+    caller allocates (n is :meth:`MlpConfig.n_params`): its leaf ``flat`` and
+    each layer's ``w``/``b`` leaves are views into them, laid out
+    ``w0 b0 w1 b1 ...``. A forward pass is one tape node whose parents are
+    the input and ``flat``.
     """
 
-    def __init__(self, config: MlpConfig, params: list[tuple[Tensor, Tensor]]):
+    def __init__(self, config: MlpConfig, values: np.ndarray, grad: np.ndarray):
         self.config = config
-        self.layers = params  # [(weights in_dim x out_dim, bias 1 x out_dim), ...]
-        values = np.concatenate([p.values.reshape(-1) for p in self.parameters()])[None, :]
-        self.bind(values, np.zeros_like(values))
-
-    @classmethod
-    def init(cls, config: MlpConfig, rng: np.random.Generator) -> "Mlp":
-        # He fan-in scaling, zero biases.
-        params = []
-        for fan_in, fan_out in config.layer_dims():
-            w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-            params.append((Tensor(w, requires_grad=True), Tensor(np.zeros((1, fan_out)), requires_grad=True)))
-        return cls(config, params)
-
-    def bind(self, values: np.ndarray, grad: np.ndarray) -> None:
-        """Make ``flat`` the 1 x n arrays ``values`` and ``grad`` (views kept)
-        and every layer's ``w``/``b`` a view into them."""
-        self.flat = Tensor(values)
-        self.flat.requires_grad = True
-        self.flat.grad = grad
+        self.flat = _leaf(values, grad)
+        self.layers = []  # [(weights in_dim x out_dim, bias 1 x out_dim), ...]
         start = 0
-        for p in self.parameters():
-            stop = start + p.values.size
-            p.values = values[0, start:stop].reshape(p.shape)
-            p.grad = grad[0, start:stop].reshape(p.shape)
-            start = stop
+        for fan_in, fan_out in config.layer_dims():
+            pair = []
+            for shape in ((fan_in, fan_out), (1, fan_out)):
+                stop = start + shape[0] * shape[1]
+                pair.append(_leaf(values[0, start:stop].reshape(shape), grad[0, start:stop].reshape(shape)))
+                start = stop
+            self.layers.append(tuple(pair))
 
     def __call__(self, x: Tensor) -> Tensor:
         """The network as one node. Its pullback walks the layers in reverse
@@ -142,28 +140,25 @@ class Mlp:
 class HazardModel:
     """Encoder + projection head + hazard network with shared latent space.
 
-    All parameters live in one flat buffer, laid out ``projection | encoder |
-    hazard``, and every leaf's ``values`` and ``grad`` (each network's
-    ``flat`` and its layers' ``w``/``b``) are views into it and into its
-    gradient twin. So the encoder with either head is one
+    The model allocates its parameters once: ``params``, one 1 x n buffer
+    laid out ``projection | encoder | hazard``, and its gradient twin, both
+    zero. Each network is laid over its slice of the two: every leaf's
+    ``values`` and ``grad`` (each network's ``flat`` and its layers'
+    ``w``/``b``) are views into them. The encoder with either head is thus one
     contiguous slice (:meth:`trainable`), which an optimizer updates in one
-    vectorized step.
+    vectorized step. :func:`init_model` draws the weights in place and
+    :meth:`load` fills the buffer from a checkpoint.
     """
 
-    def __init__(self, config: ModelConfig, encoder: Mlp, projection: Mlp, hazard_net: Mlp, seed: int):
+    def __init__(self, config: ModelConfig, seed: int):
         self.config = config
-        self.encoder = encoder
-        self.projection = projection
-        self.hazard_net = hazard_net
         self.seed = seed
-        nets = (projection, encoder, hazard_net)
-        self.params = Tensor(np.concatenate([net.flat.values for net in nets], axis=1), requires_grad=True)
-        sizes = [net.flat.cols for net in nets]
-        start = 0
-        for net, size in zip(nets, sizes):
-            net.bind(self.params.values[:, start : start + size], self.params.grad[:, start : start + size])
-            start += size
-        self._heads = {"projection": slice(0, sum(sizes[:2])), "hazard": slice(sizes[0], start)}
+        nets = (config.projection(), config.encoder(), config.hazard_net())
+        cuts = np.cumsum([0] + [net.n_params() for net in nets])
+        self.params = Tensor(np.zeros((1, cuts[-1])), requires_grad=True)
+        self.projection, self.encoder, self.hazard_net = (
+            Mlp(net, self.params.values[:, a:b], self.params.grad[:, a:b]) for net, a, b in zip(nets, cuts, cuts[1:]))
+        self._heads = {"projection": slice(0, cuts[2]), "hazard": slice(cuts[1], cuts[3])}
 
     def encode(self, x: Tensor) -> Tensor:
         return self.encoder(x)  # the encoder raises ShapeError on a wrong width
@@ -191,9 +186,7 @@ class HazardModel:
         """The encoder and ``head`` ("projection" or "hazard") as one tensor
         whose ``values`` and ``grad`` are a contiguous slice of the buffer."""
         cols = self._heads[head]
-        part = Tensor(self.params.values[:, cols], requires_grad=True)
-        part.grad = self.params.grad[:, cols]
-        return part
+        return _leaf(self.params.values[:, cols], self.params.grad[:, cols])
 
     def snapshot(self) -> np.ndarray:
         return self.params.values.copy()
@@ -212,12 +205,16 @@ class HazardModel:
 
     @classmethod
     def load(cls, path) -> "HazardModel":
-        """Rebuild a saved model; raises ShapeError when the stored buffer is not
-        the length its config lays out, DataError for any other fault."""
+        """Lay out a saved model and fill its buffer, drawing nothing; raises
+        ShapeError when the stored buffer is not the length its config lays
+        out, DataError for any other fault."""
         try:
             with open(path) as fh:
                 payload = json.load(fh)
-            model = init_model(ModelConfig(**payload["config"]), payload["seed"])
+            seed = payload["seed"]
+            if type(seed) is not int or seed < 0:  # bool, a subclass of int, is not a seed
+                raise ValueError(f"seed must be a non-negative int, not {seed!r}")
+            model = cls(ModelConfig(**payload["config"]), seed)
             values = np.asarray(payload["params"])
             if values.ndim != 1 or values.dtype.kind not in "iuf":
                 raise ValueError("params must be one flat list of numbers; retrain a checkpoint of the nested layout")
@@ -232,16 +229,18 @@ class HazardModel:
 
 
 def init_model(config: ModelConfig, seed: int) -> HazardModel:
-    """Deterministic He-initialized model; same seed gives identical weights."""
-    ss = np.random.SeedSequence(seed)
-    enc_rng, proj_rng, haz_rng = (np.random.default_rng(s) for s in ss.spawn(3))
-    return HazardModel(
-        config,
-        Mlp.init(config.encoder(), enc_rng),
-        Mlp.init(config.projection(), proj_rng),
-        Mlp.init(config.hazard_net(), haz_rng),
-        seed,
-    )
+    """Deterministic He-initialized model; same seed gives identical weights.
+
+    The encoder, projection head and hazard network each draw their weights,
+    layer by layer with fan-in scaling, from one of three streams spawned
+    from ``seed``; biases stay zero.
+    """
+    model = HazardModel(config, seed)
+    streams = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3))
+    for net, rng in zip((model.encoder, model.projection, model.hazard_net), streams):
+        for w, _ in net.layers:
+            w.values[...] = rng.normal(0.0, np.sqrt(2.0 / w.rows), size=w.shape)
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -711,6 +711,18 @@ def test_malformed_spec_shape_exits_2(tmp_path, capsys, raw, message, extra):
     assert len(err) == 1 and err[0].startswith("config error: ") and message in err[0]
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("variants,extra", [(["nll", "nll"], []), (["nll+snce"], ["--variant", "nll", "nll"])],
+                         ids=["spec", "flag"])
+def test_repeated_variant_exits_2(tmp_path, capsys, command, variants, extra):
+    # both used to exit 0: train trained the run twice, evaluate wrote its summary row twice
+    spec = write_spec(tmp_path, variants=variants, seeds=[0])
+    assert main([command, "--config", str(spec), *extra]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: invalid spec: variants must be a non-empty list")
+    assert err[0].endswith(", without repeats")
+
+
 @pytest.mark.parametrize(
     "changes",
     [
@@ -1106,6 +1118,15 @@ def test_readme_specs_load(tmp_path):
         path = tmp_path / f"spec{i}.json"
         path.write_text(json.dumps(raw))
         assert isinstance(cli.load_spec(path), cli.ExperimentSpec)
+
+
+def test_readme_library_block_runs():
+    code = re.search(r"^## Library use\n\n```python\n(.*?)```", README.read_text(), re.S | re.M).group(1)
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code], capture_output=True, text=True,
+                          env=package_env())
+    assert done.returncode == 0, done.stderr
+    ci, ibs, ddc, dcal_pass = done.stdout.split()  # the block's one print
+    assert all(0.0 <= float(v) <= 1.0 for v in (ci, ibs, ddc)) and dcal_pass in ("True", "False")
 
 
 def test_readme_commands_parse():

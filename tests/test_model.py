@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from survcontrast import autodiff as ad
+from survcontrast import model as model_module
 from survcontrast.autodiff import Tensor
 from survcontrast.data import DataError
 from survcontrast.model import (
@@ -206,13 +208,15 @@ def test_parameters_are_views_of_one_flat_buffer():
         part = model.trainable(head)
         assert np.shares_memory(part.values, flat[cols]) and part.values.size == flat[cols].size
         assert np.shares_memory(part.grad, grads[cols]) and part.grad.size == grads[cols].size
-    # the buffer keeps Mlp.init's draws from the three spawned streams
+    # the buffer holds He draws from three streams spawned from the seed, taken in encoder,
+    # projection, hazard order layer by layer (fan-in scaling), and zero biases
+    layers = {"encoder": [(6, 8), (8, 8)], "projection": [(8, 8), (8, 4)], "hazard": [(8, 8), (8, 11)]}
     streams = (np.random.default_rng(s) for s in np.random.SeedSequence(12).spawn(3))
-    config = small_config()
-    for net, want in zip((model.encoder, model.projection, model.hazard_net),
-                         (Mlp.init(c, r) for c, r in zip((config.encoder(), config.projection(), config.hazard_net()), streams))):
-        for p, q in zip(net.parameters(), want.parameters()):
-            np.testing.assert_array_equal(p.values, q.values)
+    draws = {net: [np.concatenate([rng.normal(0.0, np.sqrt(2.0 / i), size=(i, o)).ravel(), np.zeros(o)])
+                   for i, o in layers[net]]
+             for net, rng in zip(layers, streams)}
+    want = np.concatenate([part for net in ("projection", "encoder", "hazard") for part in draws[net]])
+    np.testing.assert_array_equal(flat.view(np.uint64), want.view(np.uint64))
 
 
 def test_snapshot_restore_roundtrip():
@@ -239,9 +243,9 @@ def mlp_cases(draw):
     rows, input_dim, hidden_dim, output_dim = (draw(st.integers(1, 6)) for _ in range(4))
     config = MlpConfig(input_dim, hidden_dim, depth, output_dim, activation)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    net = Mlp.init(config, rng)
     # weights of scale 1e3 push hidden sigmoids onto their clamp
-    net.flat.values[...] = rng.normal(size=net.flat.shape) * draw(st.sampled_from([1.0, 1e3]))
+    values = rng.normal(size=(1, config.n_params())) * draw(st.sampled_from([1.0, 1e3]))
+    net = Mlp(config, values, np.zeros_like(values))
     x = rng.uniform(-3, 3, size=(rows, input_dim))
     if draw(st.booleans()):
         # a zero weight column and bias put a unit exactly on the ReLU kink for every row
@@ -349,6 +353,31 @@ def test_load_rejects_params_that_are_not_a_flat_list_of_numbers(tmp_path, param
     path.write_text(json.dumps(payload))
     with pytest.raises(DataError, match=f"checkpoint {path} is malformed: ValueError: "):
         HazardModel.load(path)
+
+
+@pytest.mark.parametrize("seed", [None, True, -1, "x", 1.5], ids=["null", "bool", "negative", "string", "float"])
+def test_load_rejects_a_seed_that_is_not_a_non_negative_int(tmp_path, seed):
+    # null and true used to load, null seeding a throwaway init from OS entropy
+    path, payload = _saved_checkpoint(tmp_path)
+    payload["seed"] = seed
+    path.write_text(json.dumps(payload))
+    message = f"checkpoint {path} is malformed: ValueError: seed must be a non-negative int, not {seed!r}"
+    with pytest.raises(DataError, match=re.escape(message) + "$"):
+        HazardModel.load(path)
+
+
+def test_load_draws_nothing(tmp_path, monkeypatch):
+    path, _ = _saved_checkpoint(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load drew random numbers")
+
+    monkeypatch.setattr(model_module, "init_model", refuse)
+    monkeypatch.setattr(model_module.np.random, "default_rng", refuse)
+    monkeypatch.setattr(model_module.np.random, "SeedSequence", refuse)
+    loaded = HazardModel.load(path)
+    assert loaded.seed == 13
+    np.testing.assert_array_equal(loaded.params.values[0], json.loads(path.read_text())["params"])
 
 
 def test_load_names_a_checkpoint_config_field_out_of_range(tmp_path):
