@@ -26,9 +26,11 @@ as ``.12g``).
 Exit codes, each failure with one ``<kind> error: <message>`` line on stderr:
 
 * 0 success
-* 2 bad input: configuration, data files or checkpoints; or memory
-  exhausted (``memory error``), naming the run it was raised in, or a
-  worker process killed outright
+* 2 bad input: configuration (``config error``), data files or checkpoints
+  (``data error``), or a path a command reads or writes that cannot be
+  opened or made (``file error``, naming the path and the OS reason); or
+  memory exhausted (``memory error``), naming the run it was raised in, or
+  a worker process killed outright
 * 3 runtime divergence (a non-finite loss), naming the run
 * 4 a metric undefined on the test split (e.g. too few events), naming the run
 """
@@ -54,7 +56,6 @@ except ModuleNotFoundError:  # python < 3.11
 import numpy as np
 
 from . import metrics as M
-from .autodiff import ShapeError
 from .data import (DataError, PreparedData, RawDataset, Schema, at_least, check_fields, domain, load_csv, prepare,
                    write_csv)
 from .model import HazardModel, ModelConfig, init_model, survival_from_hazard
@@ -125,10 +126,6 @@ def load_spec(path, overrides: dict | None = None) -> ExperimentSpec:
         else:
             with open(path) as fh:
                 raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except OSError as exc:  # a directory, or a file it may not read
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     except (json.JSONDecodeError, ValueError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -143,10 +140,7 @@ def resolve_out(spec_out: str, flag_out: str | None) -> Path:
     path = Path(out)
     if root and not path.is_absolute():
         path = Path(root) / path
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file, or a directory it may not write
-        raise ConfigError(f"cannot make output directory {path}: {exc.strerror}") from None
+    path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -156,10 +150,7 @@ def resolve_out(spec_out: str, flag_out: str | None) -> Path:
 
 def load_raw(spec: ExperimentSpec) -> RawDataset:
     if spec.dataset is not None:
-        try:  # a schema or CSV fault stays a DataError
-            return load_csv(spec.dataset.csv, Schema.from_json(spec.dataset.schema))
-        except OSError as exc:  # a missing file or a directory
-            raise ConfigError(str(exc)) from exc
+        return load_csv(spec.dataset.csv, Schema.from_json(spec.dataset.schema))
     cfg = configure(SynthConfig, "synthetic config", spec.synthetic)
     return GENERATORS[cfg.kind](cfg).to_raw()
 
@@ -474,24 +465,25 @@ def cmd_subgroup(args) -> int:
 
     curve_rows = []
     dist_rows = []
+    lines = []  # one per subgroup, in order, a skipped one included
     for label, column in groups:
         for level in (0, 1) if len(groups) == 1 else (1,):
             members = np.flatnonzero(np.isclose(x[:, column], level) if len(groups) == 1 else x[:, column] > 0.5)
             name = f"{label}={level}" if len(groups) == 1 else label
             if members.size < 5:
-                print(f"warning: subgroup {name} has {members.size} samples, skipped", file=sys.stderr)
+                lines.append(f"{name}: n={members.size} skipped, fewer than 5 test rows")
                 continue
             km = M.kaplan_meier(tau[members], delta[members], n_bins=data.n_time_bins)
             mean_curve = surv[members].mean(axis=0)
             distance = M.wasserstein_to_km(mean_curve, km)
             dist_rows.append((name, members.size, distance))
+            lines.append(f"{name}: n={members.size} wasserstein={distance:.4f}")
             for t in range(data.n_time_bins):
                 curve_rows.append((name, t, mean_curve[t], km.values[t]))
 
     write_csv(out / "subgroup_curves.csv", ["subgroup", "t", "model_mean", "kaplan_meier"], curve_rows)
     write_csv(out / "subgroup_distances.csv", ["subgroup", "n", "wasserstein"], dist_rows)
-    for name, n, d in dist_rows:
-        print(f"{name}: n={n} wasserstein={d:.4f}")
+    print("\n".join(lines))
     return 0
 
 
@@ -519,6 +511,9 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep needs a non-empty --values list")
     spec, out, prepared = open_experiment(args)
+    if len(spec.variants) > 1:
+        raise ConfigError(f"sweep trains one variant, the spec gives {len(spec.variants)}: "
+                          f"{', '.join(spec.variants)}; pick one with --variant")
     percentile_mode = spec.train.get("alpha_percentile") is not None
 
     def run(variant, seed, label):
@@ -647,10 +642,10 @@ def build_parser() -> argparse.ArgumentParser:
 FAILURES = {
     ConfigError: ("config", 2),
     DataError: ("data", 2),
-    ShapeError: ("shape", 2),
     TrainingDiverged: ("runtime", 3),
     M.MetricError: ("metric", 4),
     MemoryError: ("memory", 2),
+    OSError: ("file", 2),
 }
 
 
@@ -660,7 +655,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except tuple(FAILURES) as exc:
         kind, code = next(v for cls, v in FAILURES.items() if isinstance(exc, cls))
-        print(f"{kind} error: {exc}", file=sys.stderr)
+        # a path fault names its file; one that names none, such as a broken stdout pipe, is its own text
+        message = f"{exc.filename}: {exc.strerror}" if isinstance(exc, OSError) and exc.filename is not None else exc
+        print(f"{kind} error: {message}", file=sys.stderr)
         return code
 
 

@@ -206,8 +206,8 @@ class HazardModel:
     @classmethod
     def load(cls, path) -> "HazardModel":
         """Lay out a saved model and fill its buffer, drawing nothing; raises
-        ShapeError when the stored buffer is not the length its config lays
-        out, DataError for any other fault."""
+        DataError for a malformed checkpoint, a buffer of another length than
+        its config lays out included."""
         try:
             with open(path) as fh:
                 payload = json.load(fh)
@@ -223,7 +223,8 @@ class HazardModel:
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"checkpoint {path} is malformed: {type(exc).__name__}: {exc}") from exc
         if values.size != model.params.cols:
-            raise ad.ShapeError(f"{path}: params holds {values.size} values, its config lays out {model.params.cols}")
+            raise DataError(f"checkpoint {path} is malformed: params holds {values.size} values, "
+                            f"its config lays out {model.params.cols}")
         model.params.values[0] = values
         return model
 

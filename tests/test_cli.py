@@ -81,7 +81,7 @@ def test_invalid_sigma_exits_2(tmp_path, capsys):
 
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "nope.json")]) == 2
-    assert "not found" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"file error: {tmp_path / 'nope.json'}: No such file or directory\n"
 
 
 def test_divergence_exits_3(tmp_path, capsys):
@@ -217,7 +217,8 @@ def test_malformed_checkpoint_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["evaluate", "--config", str(spec)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("shape error:") and f"params holds {n - 1} values, its config lays out {n}" in err
+    assert err.startswith(f"data error: checkpoint {path} is malformed:")
+    assert f"params holds {n - 1} values, its config lays out {n}" in err and err.count("\n") == 1
 
 
 def test_nested_layout_checkpoint_exits_2_asking_for_a_flat_list(tmp_path, capsys):
@@ -393,6 +394,15 @@ def test_sgd_sweep_names_a_run_whose_parameters_overflow(tmp_path, capsys):
     assert re.search(r"at epoch \d+, batch \d+ \(overflow encountered in \w+\)$", err[0])
 
 
+def test_sweep_of_two_variants_exits_2_naming_them(tmp_path, capsys):
+    # it used to sweep the first variant alone and drop the others without a word
+    spec = write_spec(tmp_path, variants=["nll", "nll+snce"], seeds=[0])
+    assert main(["sweep", "--config", str(spec), "--param", "beta", "--values", "0.1,10"]) == 2
+    assert capsys.readouterr().err == ("config error: sweep trains one variant, the spec gives 2: nll, nll+snce; "
+                                       "pick one with --variant\n")
+    assert not list((tmp_path / "out").glob("beta_*"))
+
+
 def test_sweep_empty_values_exits_2(tmp_path, capsys):
     spec = write_spec(tmp_path, seeds=[0])
     assert main(["sweep", "--config", str(spec), "--param", "beta", "--values", ""]) == 2
@@ -441,12 +451,15 @@ def test_overflow_in_validation_setup_exits_3_naming_run_and_stage(tmp_path, cap
                                        "(overflow encountered in divide)\n")
 
 
-def write_flag_spec(tmp_path, n_bins=8):
-    """A spec over a 200-row CSV of three real features and one binary ``flag``."""
+def write_flag_spec(tmp_path, n_bins=8, rare_flag=False):
+    """A spec over a 200-row CSV of three real features and one binary ``flag``,
+    set in half the rows or, with ``rare_flag``, in the first row alone."""
     rng = np.random.default_rng(0)
     n = 200
     x = rng.uniform(size=(n, 3))
     flag = rng.integers(0, 2, size=n)
+    if rare_flag:
+        flag = (np.arange(n) == 0).astype(int)
     times = rng.uniform(1, 30, size=n)
     events = rng.integers(0, 2, size=n)
     csv_path = tmp_path / "data.csv"
@@ -492,6 +505,21 @@ def test_subgroup_on_binary_feature(tmp_path):
     assert len(dist) == 3  # flag=0 and flag=1
     curves = (tmp_path / "out" / "subgroup_curves.csv").read_text().splitlines()
     assert len(curves) == 1 + 2 * 8
+
+
+def test_subgroup_prints_a_skipped_subgroup_on_stdout(tmp_path, capsys):
+    # a subgroup of under 5 test rows used to be a warning on stderr of a command that succeeds
+    spec = write_flag_spec(tmp_path, rare_flag=True)
+    assert main(["train", "--config", str(spec)]) == 0
+    capsys.readouterr()
+    assert main(["subgroup", "--config", str(spec), "--feature", "flag"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 2 and re.fullmatch(r"flag=0: n=\d+ wasserstein=\d\.\d{4}", lines[0])
+    assert re.fullmatch(r"flag=1: n=[01] skipped, fewer than 5 test rows", lines[1])
+    dist = (tmp_path / "out" / "subgroup_distances.csv").read_text().splitlines()
+    assert len(dist) == 2 and dist[1].startswith("flag=0,")
 
 
 def test_subgroup_on_a_real_feature_exits_2(tmp_path, capsys):
@@ -612,7 +640,7 @@ def test_written_files_have_lf_line_ends(tmp_path):
 
 def test_config_that_is_a_directory_exits_2_naming_it(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == f"config error: cannot read config file {tmp_path}: Is a directory\n"
+    assert capsys.readouterr().err == f"file error: {tmp_path}: Is a directory\n"
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["the-file", "below-it"])
@@ -623,7 +651,67 @@ def test_out_that_is_a_file_exits_2_naming_it(tmp_path, capsys, command, below):
     args = {"evaluate": ["--config", str(spec)], "synth": ["--n", "30"], "margin-study": ["--n", "100"]}[command]
     assert main([command, *args, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: cannot make output directory {out}: ") and err.count("\n") == 1
+    reason = "Not a directory" if below else "File exists"
+    assert err == f"file error: {out}: {reason}\n"
+
+
+# every path a command writes, and the checkpoint evaluate reads, blocked by a file where
+# a directory goes or a directory where a file goes: (command, path under out/, made, CPUs)
+BLOCKED_PATHS = [
+    ("train", "checkpoints", "file", 1),
+    ("train", "logs", "file", 1),
+    ("train", "logs", "file", 2),  # raised in a forked worker
+    ("train", "checkpoints/nll_seed0.json", "dir", 1),
+    ("evaluate", "reports", "file", 1),
+    ("evaluate", "reports/summary.csv", "dir", 1),
+    ("evaluate", "checkpoints/nll_seed0.json", "dir", 1),
+    ("subgroup", "subgroup_curves.csv", "dir", 1),
+    ("sweep", "sweep.csv", "dir", 1),
+    ("sweep", "beta_1", "file", 1),
+    ("synth", "synth.csv", "dir", 1),
+    ("synth", "schema.json", "dir", 1),
+    ("margin-study", "margin_pairs.csv", "dir", 1),
+]
+
+
+@pytest.mark.parametrize(("command", "blocked", "made", "cpus"), BLOCKED_PATHS,
+                         ids=[f"{c}-{p}-a-{m}-{n}cpu" for c, p, m, n in BLOCKED_PATHS])
+def test_a_blocked_path_exits_2_naming_it(tmp_path, capsys, monkeypatch, command, blocked, made, cpus):
+    # each of these used to end in a traceback
+    from test_jobs import use_cpus  # test_jobs imports this module
+
+    use_cpus(monkeypatch, cpus)
+    spec = str(write_flag_spec(tmp_path))
+    out = tmp_path / "out"
+    if command in ("evaluate", "subgroup"):
+        assert main(["train", "--config", spec]) == 0
+    path = out / blocked
+    path.unlink(missing_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.mkdir() if made == "dir" else path.write_text("")
+    args = {"train": ["--config", spec, "--seed", "0", "1"], "evaluate": ["--config", spec],
+            "subgroup": ["--config", spec, "--feature", "flag"],
+            "sweep": ["--config", spec, "--param", "beta", "--values", "1"],
+            "synth": ["--n", "30", "--out", str(out)], "margin-study": ["--n", "100", "--out", str(out)]}[command]
+    capsys.readouterr()
+    assert main([command, *args]) == 2
+    err = capsys.readouterr().err.splitlines()
+    # a file in a directory's place fails the first write below it: beta_1/checkpoints for beta_1
+    assert len(err) == 1
+    assert re.fullmatch(rf"file error: {re.escape(str(path))}(/\w+)?: (File exists|Not a directory|Is a directory)",
+                        err[0])
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root writes into a read-only directory")
+def test_a_read_only_out_exits_2_naming_it(tmp_path, capsys):
+    spec = write_flag_spec(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir(mode=0o555)
+    try:
+        assert main(["train", "--config", str(spec)]) == 2
+    finally:
+        out.chmod(0o755)
+    assert capsys.readouterr().err == f"file error: {out / 'checkpoints'}: Permission denied\n"
 
 
 def test_out_root_env_variable(tmp_path, monkeypatch):
@@ -969,11 +1057,11 @@ def _dataset_path_is_a_directory(key):
     return point
 
 
-# a file that opens but does not decode is a data fault; one that does not open is a config fault
+# a file that opens but does not decode is a data fault; one that does not open is a file fault
 @pytest.mark.parametrize(
     ("break_file", "kind"),
-    [(_non_utf8_csv, "data"), (_dataset_path_is_a_directory("csv"), "config"),
-     (_dataset_path_is_a_directory("schema"), "config")],
+    [(_non_utf8_csv, "data"), (_dataset_path_is_a_directory("csv"), "file"),
+     (_dataset_path_is_a_directory("schema"), "file")],
     ids=["csv-not-utf8", "csv-is-a-directory", "schema-is-a-directory"],
 )
 def test_unreadable_dataset_file_exits_2_naming_it(tmp_path, capsys, break_file, kind):
@@ -982,6 +1070,7 @@ def test_unreadable_dataset_file_exits_2_naming_it(tmp_path, capsys, break_file,
     assert main(["train", "--config", str(spec)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"{kind} error: ") and str(path) in err[0]
+    assert kind != "file" or err[0] == f"file error: {path}: Is a directory"
 
 
 def test_toml_spec(tmp_path):

@@ -327,7 +327,7 @@ def test_load_rejects_a_short_checkpoint(tmp_path):
     path, payload = _saved_checkpoint(tmp_path)
     payload["params"].pop()
     path.write_text(json.dumps(payload))
-    with pytest.raises(ad.ShapeError, match="params holds 406 values, its config lays out 407"):
+    with pytest.raises(DataError, match="is malformed: params holds 406 values, its config lays out 407"):
         HazardModel.load(path)
 
 
@@ -338,7 +338,7 @@ def test_load_rejects_a_wrong_shaped_layer(tmp_path):
     start = model.projection.flat.cols + sum(p.values.size for p in model.encoder.layers[0])
     payload["params"][start : start + 64] = [0.0] * 40
     path.write_text(json.dumps(payload))
-    with pytest.raises(ad.ShapeError, match="params holds 383 values, its config lays out 407"):
+    with pytest.raises(DataError, match="is malformed: params holds 383 values, its config lays out 407"):
         HazardModel.load(path)
 
 
