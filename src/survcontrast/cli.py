@@ -18,7 +18,8 @@ train their independent (variant, seed) runs in forked worker processes,
 one per usable CPU while memory allows; the outputs do not depend on the
 worker count. A relative output directory, the
 ``--out`` of ``synth`` and ``margin-study`` included, goes under
-``$SURVCONTRAST_OUT`` when that is set. Outputs are plain CSV/JSON with
+``$SURVCONTRAST_OUT`` when that is set. Every file is read as UTF-8, with or
+without a byte-order mark, and written as UTF-8. Outputs are plain CSV/JSON with
 stable formatting, so identical specs reproduce identical bytes; every CSV
 goes through ``data.write_csv`` (LF line ends, csv-module quoting, floats
 as ``.12g``).
@@ -42,8 +43,9 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 try:
     import tomllib
@@ -56,8 +58,7 @@ except ModuleNotFoundError:  # python < 3.11
 import numpy as np
 
 from . import metrics as M
-from .data import (DataError, PreparedData, RawDataset, Schema, at_least, check_fields, domain, load_csv, prepare,
-                   write_csv)
+from .data import DataError, PreparedData, Schema, at_least, check_fields, domain, load_csv, prepare, write_csv
 from .model import HazardModel, ModelConfig, init_model, survival_from_hazard
 from .synth import GENERATORS, SynthConfig, generate_paired_exponential, margin_study
 from .trainer import AUX_NETWORK, VARIANTS, TrainConfig, TrainingDiverged, train
@@ -120,13 +121,9 @@ def load_spec(path, overrides: dict | None = None) -> ExperimentSpec:
     if path.suffix == ".toml" and tomllib is None:
         raise ConfigError("TOML specs need python >= 3.11 or the tomli package; use JSON instead")
     try:
-        if path.suffix == ".toml":
-            with open(path, "rb") as fh:
-                raw = tomllib.load(fh)
-        else:
-            with open(path) as fh:
-                raw = json.load(fh)
-    except (json.JSONDecodeError, ValueError) as exc:
+        with open(path, encoding="utf-8-sig", newline="") as fh:  # newline="": TOML rejects a lone CR itself
+            raw = tomllib.loads(fh.read()) if path.suffix == ".toml" else json.load(fh)
+    except ValueError as exc:  # a decoding fault too
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"spec {path} must be an object at the top level, not {type(raw).__name__}")
@@ -145,24 +142,46 @@ def resolve_out(spec_out: str, flag_out: str | None) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# dataset assembly
+# opening an experiment: its configs, output directory and data
 # ---------------------------------------------------------------------------
 
-def load_raw(spec: ExperimentSpec) -> RawDataset:
-    if spec.dataset is not None:
-        return load_csv(spec.dataset.csv, Schema.from_json(spec.dataset.schema))
-    cfg = configure(SynthConfig, "synthetic config", spec.synthetic)
-    return GENERATORS[cfg.kind](cfg).to_raw()
+class Experiment(NamedTuple):
+    """What every spec-driven command works from."""
+
+    spec: ExperimentSpec  # with the flags applied
+    out: Path
+    prepared: dict[int, PreparedData]  # the dataset prepared once for each seed
+    model: ModelConfig
+    train: TrainConfig  # of the first seed; a run replaces the seed with its own
+    sweep: dict[str, TrainConfig]  # by sweep label, the train config of each swept value
 
 
-def open_experiment(args) -> tuple[ExperimentSpec, Path, dict[int, PreparedData]]:
-    """The spec with the flags applied, its output directory (made before the
-    data is read) and the dataset prepared once for each of its seeds."""
+def open_experiment(args, sweep: dict[str, float] | None = None) -> Experiment:
+    """Check every config of the spec, then make the output directory and
+    prepare the data. The synthetic and train configs, those of the
+    ``--param`` values ``sweep`` gives by label included, are built before the
+    directory is made; the model config, which takes the data's shape (the
+    same for every seed), once the data is prepared, before any run starts."""
     spec = load_spec(args.config, spec_overrides(args))
+    if sweep and len(spec.variants) > 1:
+        raise ConfigError(f"sweep trains one variant, the spec gives {len(spec.variants)}: "
+                          f"{', '.join(spec.variants)}; pick one with --variant")
+    synthetic = None if spec.synthetic is None else configure(SynthConfig, "synthetic config", spec.synthetic)
+
+    def train_config(**overrides):
+        return configure(TrainConfig, "train config", {**spec.train, **overrides}, seed=spec.seeds[0])
+
+    base = train_config()
+    swept = {label: train_config(**sweep_overrides(args.param, value, base)) for label, value in (sweep or {}).items()}
     out = resolve_out(spec.out, args.out)
-    raw = load_raw(spec)
+    raw = (GENERATORS[synthetic.kind](synthetic).to_raw() if synthetic is not None
+           else load_csv(spec.dataset.csv, Schema.from_json(spec.dataset.schema)))
     n_bins = spec.dataset.n_bins if spec.n_bins is None and spec.dataset is not None else spec.n_bins
-    return spec, out, {seed: prepare(raw, seed=seed, n_bins=n_bins) for seed in spec.seeds}
+    prepared = {seed: prepare(raw, seed=seed, n_bins=n_bins) for seed in spec.seeds}
+    data = prepared[spec.seeds[0]]
+    model_config = configure(ModelConfig, "model config", spec.model,
+                             input_dim=data.n_features, n_time_bins=data.n_time_bins)
+    return Experiment(spec, out, prepared, model_config, base, swept)
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +211,11 @@ def naming(prefix: str):
         raise (MemoryError if isinstance(exc, MemoryError) else type(exc))(f"{prefix}{exc}") from exc
 
 
-def run_one(data: PreparedData, spec: ExperimentSpec, variant: str, seed: int, out: Path, **train_overrides):
-    """Train one (variant, seed) run on ``data``, prepared for ``seed``, and write its files."""
-    model_config = configure(ModelConfig, "model config", spec.model,
-                             input_dim=data.n_features, n_time_bins=data.n_time_bins)
-    config = configure(TrainConfig, "train config", {**spec.train, **train_overrides}, seed=seed)
+def run_one(data: PreparedData, model_config: ModelConfig, config: TrainConfig, variant: str, seed: int, out: Path):
+    """Train one (variant, seed) run on ``data``, prepared for ``seed``, with
+    ``config`` given that seed, and write its files."""
     with naming(f"{run_name(variant, seed)}: "):
-        model, log = train(data, init_model(model_config, seed), config, variant)
+        model, log = train(data, init_model(model_config, seed), replace(config, seed=seed), variant)
         (out / "checkpoints").mkdir(parents=True, exist_ok=True)
         (out / "logs").mkdir(parents=True, exist_ok=True)
         model.save(checkpoint_path(out, variant, seed))
@@ -364,16 +381,16 @@ def _in_order(jobs: list[tuple], results, done) -> list:
     return collected
 
 
-def train_variants(spec: ExperimentSpec, out: Path, prepared: dict[int, PreparedData]) -> None:
+def train_variants(exp: Experiment) -> None:
     def run(variant, seed):
-        run_one(prepared[seed], spec, variant, seed, out)
+        run_one(exp.prepared[seed], exp.model, exp.train, variant, seed, exp.out)
 
-    run_all([(variant, seed) for variant in spec.variants for seed in spec.seeds], run, run_bytes(prepared),
-            done=lambda job, _: print(f"trained {run_name(*job)}"))
+    run_all([(variant, seed) for variant in exp.spec.variants for seed in exp.spec.seeds], run,
+            run_bytes(exp.prepared), done=lambda job, _: print(f"trained {run_name(*job)}"))
 
 
 def cmd_train(args) -> int:
-    train_variants(*open_experiment(args))
+    train_variants(open_experiment(args))
     return 0
 
 
@@ -420,24 +437,24 @@ def print_summary(rows: list[tuple[str, dict]]) -> None:
               f"ddc={agg['ddc_mean']:.4f}±{agg['ddc_std']:.4f} dcal={agg['dcal_passes']}/{agg['n_seeds']}")
 
 
-def evaluate_variants(spec: ExperimentSpec, out: Path, prepared: dict[int, PreparedData]) -> list[tuple[str, dict]]:
-    """Score every checkpoint under ``out`` on its seed's test split."""
-    (out / "reports").mkdir(parents=True, exist_ok=True)
+def evaluate_variants(exp: Experiment) -> list[tuple[str, dict]]:
+    """Score every checkpoint under the experiment's output directory on its seed's test split."""
+    (exp.out / "reports").mkdir(parents=True, exist_ok=True)
     summary = []
-    for variant in spec.variants:
+    for variant in exp.spec.variants:
         reports = []
-        for seed in spec.seeds:
-            data = prepared[seed]
-            report = score_test_split(data, load_checkpoint(out, variant, seed, data), run_name(variant, seed))
-            report.to_json(out / "reports" / f"{run_name(variant, seed)}.json")
+        for seed in exp.spec.seeds:
+            data = exp.prepared[seed]
+            report = score_test_split(data, load_checkpoint(exp.out, variant, seed, data), run_name(variant, seed))
+            report.to_json(exp.out / "reports" / f"{run_name(variant, seed)}.json")
             reports.append(report)
         summary.append((variant, aggregate_reports(reports)))
-    write_summary(out / "reports" / "summary.csv", summary)
+    write_summary(exp.out / "reports" / "summary.csv", summary)
     return summary
 
 
 def cmd_evaluate(args) -> int:
-    print_summary(evaluate_variants(*open_experiment(args)))
+    print_summary(evaluate_variants(open_experiment(args)))
     return 0
 
 
@@ -446,13 +463,13 @@ def cmd_ablate(args) -> int:
     opening of the experiment."""
     args.variant = list(VARIANTS)
     experiment = open_experiment(args)
-    train_variants(*experiment)
-    print_summary(evaluate_variants(*experiment))
+    train_variants(experiment)
+    print_summary(evaluate_variants(experiment))
     return 0
 
 
 def cmd_subgroup(args) -> int:
-    spec, out, prepared = open_experiment(args)
+    spec, out, prepared, *_ = open_experiment(args)
     data = prepared[spec.seeds[0]]
     model = load_checkpoint(out, spec.variants[0], spec.seeds[0], data)
 
@@ -466,20 +483,18 @@ def cmd_subgroup(args) -> int:
     curve_rows = []
     dist_rows = []
     lines = []  # one per subgroup, in order, a skipped one included
-    for label, column in groups:
-        for level in (0, 1) if len(groups) == 1 else (1,):
-            members = np.flatnonzero(np.isclose(x[:, column], level) if len(groups) == 1 else x[:, column] > 0.5)
-            name = f"{label}={level}" if len(groups) == 1 else label
-            if members.size < 5:
-                lines.append(f"{name}: n={members.size} skipped, fewer than 5 test rows")
-                continue
-            km = M.kaplan_meier(tau[members], delta[members], n_bins=data.n_time_bins)
-            mean_curve = surv[members].mean(axis=0)
-            distance = M.wasserstein_to_km(mean_curve, km)
-            dist_rows.append((name, members.size, distance))
-            lines.append(f"{name}: n={members.size} wasserstein={distance:.4f}")
-            for t in range(data.n_time_bins):
-                curve_rows.append((name, t, mean_curve[t], km.values[t]))
+    for name, column, level in groups:
+        members = np.flatnonzero(x[:, column] == level)
+        if members.size < 5:
+            lines.append(f"{name}: n={members.size} skipped, fewer than 5 test rows")
+            continue
+        km = M.kaplan_meier(tau[members], delta[members], n_bins=data.n_time_bins).values
+        mean_curve = surv[members].mean(axis=0)
+        distance = M.wasserstein_to_km(mean_curve, km)
+        dist_rows.append((name, members.size, distance))
+        lines.append(f"{name}: n={members.size} wasserstein={distance:.4f}")
+        for t in range(data.n_time_bins):
+            curve_rows.append((name, t, mean_curve[t], km[t]))
 
     write_csv(out / "subgroup_curves.csv", ["subgroup", "t", "model_mean", "kaplan_meier"], curve_rows)
     write_csv(out / "subgroup_distances.csv", ["subgroup", "n", "wasserstein"], dist_rows)
@@ -487,13 +502,16 @@ def cmd_subgroup(args) -> int:
     return 0
 
 
-def subgroup_columns(feature_names: list[str], feature_kinds: list[str], feature: str) -> list[tuple[str, int]]:
-    """Binary feature or one categorical level (``grade=low``) -> one column;
-    categorical -> one column per level; a real feature or an unknown name -> none."""
+def subgroup_columns(feature_names: list[str], feature_kinds: list[str], feature: str) -> list[tuple[str, int, int]]:
+    """The (name, column, level) of each subgroup of ``feature``, whose rows
+    hold ``level`` in ``column`` of the prepared features: a binary feature or
+    one categorical level (``grade=low``) gives ``<feature>=0`` and
+    ``<feature>=1``, a categorical feature one ``<feature>=<level>`` per level
+    (its one-hot column at 1), and a real feature or an unknown name none."""
     if feature in feature_names:
         j = feature_names.index(feature)
-        return [(feature, j)] if feature_kinds[j] != "real" else []
-    return [(name, j) for j, (name, kind) in enumerate(zip(feature_names, feature_kinds))
+        return [(f"{feature}={level}", j, level) for level in (0, 1)] if feature_kinds[j] != "real" else []
+    return [(name, j, 1) for j, (name, kind) in enumerate(zip(feature_names, feature_kinds))
             if kind == "categorical" and name.startswith(f"{feature}=")]
 
 
@@ -510,23 +528,13 @@ def cmd_sweep(args) -> int:
         values[label] = value
     if not values:
         raise ConfigError("sweep needs a non-empty --values list")
-    spec, out, prepared = open_experiment(args)
-    if len(spec.variants) > 1:
-        raise ConfigError(f"sweep trains one variant, the spec gives {len(spec.variants)}: "
-                          f"{', '.join(spec.variants)}; pick one with --variant")
-    percentile_mode = spec.train.get("alpha_percentile") is not None
+    exp = open_experiment(args, sweep=values)
+    spec, out, prepared = exp.spec, exp.out, exp.prepared
 
     def run(variant, seed, label):
-        value = values[label]
-        if args.param == "beta":
-            overrides = {"beta": value}
-        elif percentile_mode:  # 0 turns the percentile off; a negative one is rejected
-            overrides = {"alpha_percentile": value or None, "alpha": 0.0}
-        else:
-            overrides = {"alpha": value}
         sub = out / f"{args.param}_{label}"
         with naming(f"{sub.name}/"):  # a run's failure already names the run; add its sweep directory
-            model, _ = run_one(prepared[seed], spec, variant, seed, sub, **overrides)
+            model, _ = run_one(prepared[seed], exp.model, exp.sweep[label], variant, seed, sub)
             return score_test_split(prepared[seed], model, run_name(variant, seed))
 
     reports = iter(run_all([(spec.variants[0], seed, label) for label in values for seed in spec.seeds], run,
@@ -535,6 +543,16 @@ def cmd_sweep(args) -> int:
     write_summary(out / "sweep.csv", rows)
     print_summary(rows)
     return 0
+
+
+def sweep_overrides(param: str, value: float, train_config: TrainConfig) -> dict:
+    """The train fields a sweep of ``param`` sets to ``value``; an alpha
+    sweep sets the percentile instead when ``train_config`` has one."""
+    if param == "beta":
+        return {"beta": value}
+    if train_config.alpha_percentile is not None:  # 0 turns the percentile off; a negative one is rejected
+        return {"alpha_percentile": value or None, "alpha": 0.0}
+    return {"alpha": value}
 
 
 def cmd_synth(args) -> int:
@@ -557,7 +575,7 @@ def cmd_synth(args) -> int:
             {"name": "event", "kind": "binary", "role": "event"},
         ]
     }
-    with open(out_dir / "schema.json", "w") as fh:
+    with open(out_dir / "schema.json", "w", encoding="utf-8") as fh:
         json.dump(schema, fh, indent=2, sort_keys=True)
     print(f"wrote {out_dir / 'synth.csv'}")
     return 0

@@ -18,9 +18,11 @@ binary value other than 0/1. Faults are found column by column: the time
 column, then the event column, then the features in schema order, each
 from its first row down; the first one raises naming its row.
 
-Feature normalization is min-max fitted on the training split only and
-then frozen, so evaluation splits may exceed [0, 1] but never leak
-statistics. A value that lands more than ``MAX_SPANS`` training ranges
+Real features are min-max normalized, fitted on the training split only
+and then frozen, so evaluation splits may exceed [0, 1] but never leak
+statistics; a binary or one-hot column keeps its 0/1 values, so a value
+means the same in every split whether or not the training split holds
+both. A value that lands more than ``MAX_SPANS`` training ranges
 outside the training range, where the networks' arithmetic would
 overflow, rejects the dataset naming its row.
 """
@@ -136,7 +138,7 @@ class Schema:
     def from_json(cls, path) -> "Schema":
         """Read ``{"columns": [{"name", "kind", "role"}, ...]}`` from a JSON
         file; a malformed file raises :class:`DataError` naming it."""
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             try:
                 raw = json.load(fh)
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -203,7 +205,7 @@ def load_csv(path, schema: Schema) -> RawDataset:
     text (naming it), a schema column missing from the header, or the first
     faulty cell (naming its row).
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
@@ -256,7 +258,7 @@ def load_csv(path, schema: Schema) -> RawDataset:
 def write_csv(path, header, rows) -> None:
     """The one CSV writer: LF line ends, csv-module quoting, floats (numpy
     floats too) as ``.12g`` and every other value through ``str``."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -319,8 +321,8 @@ def discretize(raw_times, n_bins: int) -> tuple[TimeGrid, np.ndarray]:
     return grid, grid.to_bin(t)
 
 
-def default_n_bins(raw_times, cap: int = 100) -> int:
-    return int(min(cap, max(2, np.unique(raw_times).size)))
+def default_n_bins(raw_times) -> int:
+    return int(min(100, max(2, np.unique(raw_times).size)))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +399,7 @@ def split_dataset(events, seed: int) -> Split:
 
 @dataclass
 class PreparedData:
-    x: np.ndarray  # (n, p) imputed + normalized features
+    x: np.ndarray  # (n, p) imputed features, the real ones normalized
     tau: np.ndarray  # (n,) discrete time bins
     delta: np.ndarray  # (n,) event indicators
     grid: TimeGrid
@@ -419,12 +421,14 @@ class PreparedData:
 
 
 def prepare(raw: RawDataset, seed: int, n_bins: int | None = None) -> PreparedData:
-    """Split, impute from the train split, min-max normalize, discretize.
+    """Split, impute from the train split, min-max normalize the real
+    features, discretize.
 
-    Imputation and normalization are fit on the training split alone; the
-    time grid (and the default bin count) is built from every row's time,
-    so a validation or test row holding the largest time sets the grid's
-    end (README, "CLI").
+    Imputation and normalization are fit on the training split alone; a
+    binary or one-hot column keeps its imputed 0/1 values. The time grid
+    (and the default bin count) is built from every row's time, so a
+    validation or test row holding the largest time sets the grid's end
+    (README, "CLI").
     """
     split = split_dataset(raw.events, seed)
     x = raw.features.copy()
@@ -443,8 +447,9 @@ def prepare(raw: RawDataset, seed: int, n_bins: int | None = None) -> PreparedDa
         nan_mask = np.isnan(x[:, j])
         x[nan_mask, j] = fill
 
-    lo = x[split.train].min(axis=0)
-    hi = x[split.train].max(axis=0)
+    real = np.array([kind == "real" for kind in raw.source_kinds], dtype=bool)
+    lo = np.where(real, x[split.train].min(axis=0), 0.0)  # a binary or one-hot column keeps its 0/1 values
+    hi = np.where(real, x[split.train].max(axis=0), 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
         span = np.where(hi > lo, hi - lo, 1.0)
         x = (x - lo) / span

@@ -307,27 +307,24 @@ def _chi2_tail(statistic: float) -> float:
     return ans * fac
 
 
-def wasserstein_to_km(mean_curve, km_curve) -> float:
+def wasserstein_to_km(mean_curve: np.ndarray, km_curve: np.ndarray) -> float:
     """Wasserstein-1 between the time distributions implied by two survival
-    curves, on the grid rescaled to [0, 1] so values are scale-free."""
-    a = mean_curve.values if isinstance(mean_curve, SurvivalCurve) else np.asarray(mean_curve, dtype=np.float64)
-    b = km_curve.values if isinstance(km_curve, SurvivalCurve) else np.asarray(km_curve, dtype=np.float64)
+    curves, given as arrays of their values, on the grid rescaled to [0, 1] so values are scale-free."""
+    a, b = np.asarray(mean_curve, dtype=np.float64), np.asarray(km_curve, dtype=np.float64)
     if a.shape != b.shape:
         raise MetricError(f"grid mismatch: {a.shape} vs {b.shape}")
     return float(np.abs(a - b).sum() / a.size)
 
 
-def calibration_plot_data(risks: np.ndarray, taus, deltas, quantiles=N_CAL_BINS) -> np.ndarray:
-    """(predicted, observed) pairs: at each predicted cumulative-density
-    level, the observed fraction of events whose predicted risk at their
-    event time does not exceed it. The ideal curve is the diagonal."""
+def calibration_plot_data(risks: np.ndarray, taus, deltas, n_levels: int = N_CAL_BINS) -> np.ndarray:
+    """(predicted, observed) pairs: at each of the ``n_levels`` predicted
+    cumulative-density levels ``1/n_levels, ..., 1``, the observed fraction of
+    events whose predicted risk at their event time does not exceed it. The
+    ideal curve is the diagonal."""
     risks = np.atleast_2d(np.asarray(risks, dtype=np.float64))
     taus = np.asarray(taus, dtype=int)
     deltas = np.asarray(deltas, dtype=int)
-    if isinstance(quantiles, int):
-        levels = (np.arange(quantiles) + 1) / quantiles
-    else:
-        levels = np.asarray(quantiles, dtype=np.float64)
+    levels = (np.arange(n_levels) + 1) / n_levels
     events = deltas == 1
     r_vals = risks[np.flatnonzero(events), taus[events]]
     observed = [(r_vals <= q).mean() if r_vals.size else math.nan for q in levels]
@@ -356,7 +353,7 @@ class MetricReport:
         return {**asdict(self), "dcal_pass": self.dcal_pass}
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
 
 

@@ -200,7 +200,7 @@ class HazardModel:
         """Write ``{"config", "seed", "params"}`` as JSON; ``params`` is the
         buffer as one flat list, in the layout of :meth:`snapshot`."""
         payload = {"config": asdict(self.config), "seed": self.seed, "params": self.params.values[0].tolist()}
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(payload, sort_keys=True))  # json.dump would run the pure-Python encoder
 
     @classmethod
@@ -209,7 +209,7 @@ class HazardModel:
         DataError for a malformed checkpoint, a buffer of another length than
         its config lays out included."""
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 payload = json.load(fh)
             seed = payload["seed"]
             if type(seed) is not int or seed < 0:  # bool, a subclass of int, is not a seed
@@ -258,21 +258,12 @@ def survival_from_hazard(hazards: np.ndarray) -> np.ndarray:
     return surv
 
 
-def pmf_from_hazard(hazards: np.ndarray, tau=None) -> np.ndarray:
-    """P(T = t) = hazard(t) * S(t - 1), with S(-1) = 1.
-
-    Returns the full pmf matrix, or the column(s) at ``tau`` when given.
-    """
+def pmf_from_hazard(hazards: np.ndarray) -> np.ndarray:
+    """The pmf matrix P(T = t) = hazard(t) * S(t - 1), with S(-1) = 1."""
     h = np.atleast_2d(np.asarray(hazards, dtype=np.float64))
     surv = survival_from_hazard(h)
     prev = np.concatenate([np.ones((h.shape[0], 1)), surv[:, :-1]], axis=1)
-    pmf = h * prev
-    if tau is None:
-        return pmf
-    tau = np.asarray(tau, dtype=int)
-    if np.any(tau < 0) or np.any(tau >= h.shape[1]):
-        raise ValueError("tau out of range")
-    return pmf[np.arange(h.shape[0]), tau]
+    return h * prev
 
 
 def risk_from_hazard(hazards: np.ndarray) -> np.ndarray:

@@ -62,9 +62,6 @@ class PairedExponentialData:
     true_event_times: np.ndarray  # kept for censored rows too
     censor_times: np.ndarray
 
-    def __len__(self) -> int:
-        return self.observed_times.size
-
     def to_raw(self) -> RawDataset:
         return from_arrays(self.features, self.observed_times, self.events)
 
@@ -120,9 +117,6 @@ class OracleData:
     taus: np.ndarray
     deltas: np.ndarray
     true_hazards: np.ndarray  # (n, n_bins), the generating hazard rows
-
-    def __len__(self) -> int:
-        return self.taus.size
 
     def to_raw(self) -> RawDataset:
         return from_arrays(self.features, self.taus.astype(float), self.deltas)

@@ -44,6 +44,7 @@ logger = logging.getLogger(__name__)
 # the network each variant's auxiliary step trains together with the encoder
 AUX_NETWORK = {"nll": None, "nll+nce": "projection", "nll+rank": "hazard", "nll+snce": "projection"}
 VARIANTS = tuple(AUX_NETWORK)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 
 
 class TrainingDiverged(RuntimeError):
@@ -105,26 +106,23 @@ class Adam:
     slice of a model's flat buffer, so a step is one vectorized update.
     """
 
-    def __init__(self, param: Tensor, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, param: Tensor, lr: float):
         self.param = param
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros_like(param.values)
         self.v = np.zeros_like(param.values)
         self.t = 0
 
     def step(self) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - ADAM_BETA1**self.t
+        b2c = 1.0 - ADAM_BETA2**self.t
         g, m, v = self.param.grad, self.m, self.v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g * g  # an inf moment would freeze its coordinates; train stops on it
-        self.param.values -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g  # an inf moment would freeze its coordinates; train stops on it
+        self.param.values -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
 
 
 class Sgd:

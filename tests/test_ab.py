@@ -61,6 +61,16 @@ def test_one_byte_change_reports_its_file(repo, capsys):
     assert left_behind(repo) == []
 
 
+def test_every_differing_path_is_reported_sorted_with_stdout_last(repo, capsys):
+    cli = repo / "src" / "survcontrast" / "cli.py"
+    cli.write_text(cli.read_text().replace("value 1", "value 2").replace('f"wrote', 'f"made')
+                   + '(out / "extra.txt").write_text("new\\n")\n(out / "a.txt").write_text("value 2\\n")\n')
+    assert ab.main(["--outputs", "HEAD", "--", "run", "--out", "res"]) == 1
+    assert capsys.readouterr().out == ("differs: res/a.txt\ndiffers: res/extra.txt\ndiffers: res/result.txt\n"
+                                       "differs: stdout\n")
+    assert left_behind(repo) == []
+
+
 def test_a_changed_stdout_is_reported(repo, capsys):
     cli = repo / "src" / "survcontrast" / "cli.py"
     cli.write_text(cli.read_text().replace('f"wrote', 'f"made'))

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from survcontrast import cli
 from survcontrast.cli import main
+from survcontrast.data import split_dataset
 from survcontrast.model import ModelConfig
 from survcontrast.synth import SynthConfig
 from survcontrast.trainer import VARIANTS, TrainConfig
@@ -522,6 +523,52 @@ def test_subgroup_prints_a_skipped_subgroup_on_stdout(tmp_path, capsys):
     assert len(dist) == 2 and dist[1].startswith("flag=0,")
 
 
+def write_indicator_spec(tmp_path, kind: str, common: str, rare: str):
+    """A spec over a 200-row CSV of a real ``x0`` and a ``kind`` feature ``g``
+    that holds ``rare`` in six rows of seed 0's test split of 40 and ``common``
+    in every other row, so ``g`` is constant on the training split."""
+    rng = np.random.default_rng(4)
+    n = 200
+    events = rng.integers(0, 2, size=n)
+    cells = np.full(n, common, dtype=object)
+    cells[split_dataset(events, seed=0).test[:6]] = rare
+    with open(tmp_path / "data.csv", "w") as fh:
+        fh.write("x0,g,time,event\n")
+        fh.writelines(f"{rng.uniform()},{cells[i]},{rng.uniform(1, 30)},{events[i]}\n" for i in range(n))
+    (tmp_path / "schema.json").write_text(json.dumps({"columns": [
+        {"name": "x0", "kind": "real", "role": "feature"},
+        {"name": "g", "kind": kind, "role": "feature"},
+        {"name": "time", "kind": "real", "role": "time"},
+        {"name": "event", "kind": "binary", "role": "event"},
+    ]}))
+    return write_spec(tmp_path, synthetic=None, seeds=[0], train={"epochs": 1},
+                      dataset={"csv": str(tmp_path / "data.csv"), "schema": str(tmp_path / "schema.json")})
+
+
+@pytest.mark.parametrize(
+    "kind,common,rare,feature,expected",
+    [
+        ("binary", "1", "0", "g", [("g=0", 6), ("g=1", 34)]),
+        ("binary", "0", "1", "g", [("g=0", 34), ("g=1", 6)]),
+        ("categorical", "low", "high", "g", [("g=high", 6), ("g=low", 34)]),
+        ("categorical", "low", "high", "g=low", [("g=low=0", 6), ("g=low=1", 34)]),
+    ],
+)
+def test_subgroup_of_a_feature_constant_on_the_training_split_counts_its_rows(
+        tmp_path, capsys, kind, common, rare, feature, expected):
+    # prepare shifted a 0/1 column constant on the training split to 0 and -1: with
+    # g = 1 in every training row, subgroup printed "g=0: n=34" and "g=1: n=0 skipped"
+    spec = write_indicator_spec(tmp_path, kind, common, rare)
+    assert main(["train", "--config", str(spec)]) == 0
+    capsys.readouterr()
+    assert main(["subgroup", "--config", str(spec), "--feature", feature]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [re.fullmatch(r"(.+): n=(\d+) wasserstein=\d\.\d{4}", line).groups() for line in lines] == [
+        (name, str(n)) for name, n in expected]
+    dist = list(csv.reader((tmp_path / "out" / "subgroup_distances.csv").read_text().splitlines()))
+    assert [(row[0], int(row[1])) for row in dist[1:]] == expected
+
+
 def test_subgroup_on_a_real_feature_exits_2(tmp_path, capsys):
     # every synthetic feature is real; this used to write header-only CSVs and exit 0
     spec = write_spec(tmp_path, seeds=[0], train={"epochs": 1})
@@ -853,6 +900,33 @@ def test_model_fault_names_the_spec_field(tmp_path, capsys, name):
     assert capsys.readouterr().err == f"config error: invalid model config: {name} must be >= 1\n"
 
 
+@pytest.mark.parametrize("command", [["train"], ["evaluate"], ["ablate"], ["subgroup", "--feature", "x0"],
+                                     ["sweep", "--param", "beta", "--values", "1"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("section,name,value,message", [
+    ("train", "epochs", -1, "invalid train config: epochs must be >= 1"),
+    ("model", "hidden_dim", 0, "invalid model config: hidden_dim must be >= 1"),
+], ids=["train", "model"])
+def test_every_command_checks_the_train_and_model_configs_before_any_run(
+        tmp_path, capsys, command, section, name, value, message):
+    # the configs were built per run, so evaluate and subgroup, which train nothing, exited 0
+    spec = write_spec(tmp_path, seeds=[0, 1], **{section: {name: value}})
+    assert main([command[0], "--config", str(spec), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n" and captured.out == ""
+    assert not (tmp_path / "out" / "checkpoints").exists()
+
+
+@pytest.mark.parametrize("section,change", [("train", {"lr_nll": -1}), ("train", {"seed": 1}),
+                                            ("synthetic", {"censor_rate": 2})])
+def test_a_bad_config_field_is_reported_before_the_output_directory_is_made(tmp_path, capsys, section, change):
+    # a bad train field with a missing CSV was reported as that file's error, after the directory was made
+    missing_data = {"synthetic": None, "dataset": {"csv": "missing.csv", "schema": "missing.json"}}
+    spec = write_spec(tmp_path, **(missing_data if section == "train" else {}), **{section: change})
+    assert main(["train", "--config", str(spec)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: invalid {section} config: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "change,code,err",
     [
@@ -1099,6 +1173,42 @@ patience = 3
     path.write_text(toml)
     assert main(["train", "--config", str(path)]) == 0
     assert (tmp_path / "out_toml" / "checkpoints" / "nll_seed0.json").exists()
+
+
+@pytest.mark.parametrize("spec_suffix,csv_bom,schema_bom", [(".json", True, False), (".toml", False, True)])
+def test_utf8_files_with_or_without_a_bom_are_read_in_an_ascii_locale(tmp_path, spec_suffix, csv_bom, schema_bom):
+    # under LC_ALL=C a UTF-8 schema naming "größe" did not decode; in any locale a CSV
+    # or spec saved with a byte-order mark failed as a missing column or an unparsable spec
+    rng = np.random.default_rng(2)
+    rows = "".join(f"{rng.uniform()},{rng.choice(['groß', 'klein'])},{rng.uniform(1, 30)},{rng.integers(0, 2)}\n"
+                   for _ in range(120))
+    bom = "\ufeff"
+    (tmp_path / "data.csv").write_text(bom * csv_bom + "größe,stufe,time,event\n" + rows, encoding="utf-8")
+    schema = {"columns": [{"name": "größe", "kind": "real", "role": "feature"},
+                          {"name": "stufe", "kind": "categorical", "role": "feature"},
+                          {"name": "time", "kind": "real", "role": "time"},
+                          {"name": "event", "kind": "binary", "role": "event"}]}
+    (tmp_path / "schema.json").write_text(bom * schema_bom + json.dumps(schema, ensure_ascii=False), encoding="utf-8")
+    fields = {"variants": ["nll"], "seeds": [0], "n_bins": 6, "out": str(tmp_path / "out"),
+              "dataset": {"csv": str(tmp_path / "data.csv"), "schema": str(tmp_path / "schema.json")},
+              "model": {"hidden_dim": 4}, "train": {"epochs": 1, "batch_size": 32}}
+    if spec_suffix == ".json":
+        text = json.dumps(fields)
+    else:
+        text = "".join(f"{key} = {json.dumps(value)}\n" for key, value in fields.items() if not isinstance(value, dict))
+        text += "".join(f"[{key}]\n" + "".join(f"{k} = {json.dumps(v)}\n" for k, v in value.items())
+                        for key, value in fields.items() if isinstance(value, dict))
+    spec = tmp_path / f"spec{spec_suffix}"
+    spec.write_text(bom + text, encoding="utf-8")
+    env = dict(package_env(), LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONIOENCODING="utf-8")
+    env.pop("PYTHONUTF8", None)
+    for command in (["train"], ["evaluate"], ["subgroup", "--feature", "stufe"]):
+        done = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "survcontrast.cli", command[0],
+                               "--config", str(spec), *command[1:]], capture_output=True, env=env)
+        assert (done.returncode, done.stderr.decode("utf-8")) == (0, "")
+    assert done.stdout.decode("utf-8").startswith("stufe=groß: n=")
+    distances = (tmp_path / "out" / "subgroup_distances.csv").read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[0] for line in distances] == ["subgroup", "stufe=groß", "stufe=klein"]
 
 
 def test_toml_spec_without_a_toml_parser_exits_2(tmp_path, capsys, monkeypatch):

@@ -413,6 +413,56 @@ def test_prepare_rejects_a_feature_out_of_the_training_scale(where, value, rejec
         sd.prepare(raw, seed=0)
 
 
+@st.composite
+def feature_blocks(draw, n: int):
+    """A RawDataset feature matrix of ``n`` rows and its column kinds: real,
+    binary and one-hot categorical blocks, any of them constant or with
+    missing (NaN) cells."""
+    blocks, kinds = [np.empty((n, 0))], []
+    for kind in draw(st.lists(st.sampled_from(["real", "binary", "categorical"]), min_size=1, max_size=5)):
+        missing = draw(st.lists(st.booleans(), min_size=n, max_size=n)) if draw(st.booleans()) else [False] * n
+        if kind == "real":
+            values = st.just(draw(st.integers(-5, 5))) if draw(st.booleans()) else st.floats(-100, 100)
+            cells = [draw(values) for _ in range(n)]
+            block = np.array(cells, dtype=float)[:, None]
+        else:
+            levels = 2 if kind == "binary" else draw(st.integers(1, 3))
+            level = st.just(draw(st.integers(0, levels - 1))) if draw(st.booleans()) else st.integers(0, levels - 1)
+            cells = [draw(level) for _ in range(n)]
+            block = (np.array(cells, dtype=float)[:, None] if kind == "binary"
+                     else (np.array(cells)[:, None] == np.arange(levels)).astype(float))
+        block[np.array(missing)] = np.nan
+        blocks.append(block)
+        kinds += [kind] * block.shape[1]
+    return np.hstack(blocks), kinds
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(10, 30).flatmap(lambda n: st.tuples(feature_blocks(n), st.integers(0, 3))))
+def test_prepare_scales_real_columns_alone(case):
+    # a binary or one-hot column constant on the training split used to be shifted to 0 and -1
+    (features, kinds), seed = case
+    n, p = features.shape
+    raw = sd.RawDataset(features, np.arange(1.0, n + 1), np.arange(n) % 2, [f"f{j}" for j in range(p)], kinds)
+    prepared = sd.prepare(raw, seed=seed, n_bins=4)
+    train = prepared.split.train
+    for j, kind in enumerate(kinds):
+        col = features[:, j].copy()
+        known = col[train][~np.isnan(col[train])]
+        if kind == "real":
+            fill = float(np.median(known)) if known.size else 0.0
+        else:
+            vals, counts = np.unique(known, return_counts=True)
+            fill = float(vals[np.argmax(counts)]) if known.size else 0.0
+        col[np.isnan(col)] = fill
+        if kind == "real":  # min-max on the training split, a constant column shifted to 0
+            lo, hi = col[train].min(), col[train].max()
+            col = (col - lo) / (hi - lo if hi > lo else 1.0)
+        else:
+            assert set(col) <= {0.0, 1.0}
+        assert np.array_equal(prepared.x[:, j], col), (kind, j)
+
+
 def test_prepare_keeps_outcomes_aligned():
     prepared = make_prepared()
     assert prepared.x.shape[0] == prepared.tau.size == prepared.delta.size

@@ -118,13 +118,15 @@ def test_memory_error_in_a_run_names_it_and_exits_2(tmp_path, capsys, monkeypatc
     assert err == f"memory error: nll_snce_seed1: {exhausted}\n" and "Unable to allocate 7.28 TiB" in err
 
 
-def test_config_error_in_a_worker_exits_2(tmp_path, capsys, two_cpus, no_children):
-    # the train config is checked per run, so in a worker; a negative margin used to train as alpha = 0
+def test_config_error_exits_2_before_any_worker_starts(tmp_path, capsys, two_cpus, no_children, recorded_pools):
+    # the train config is checked once, before the output directory is made and any
+    # run starts; it used to be checked per run, in a worker
     spec = write_spec(tmp_path, **dict(TWO_BY_TWO, train={"alpha": -1.0}))
     assert main(["train", "--config", str(spec)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "config error: invalid train config: alpha must be non-negative\n"
+    assert recorded_pools == [] and not (tmp_path / "out").exists()
 
 
 def test_metric_error_in_a_sweep_worker_names_its_run(tmp_path, capsys, monkeypatch, two_cpus, no_children):

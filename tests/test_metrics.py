@@ -665,7 +665,7 @@ def test_mean_true_curve_close_to_population_km():
     data = generate_discrete_oracle(SynthConfig(n_samples=5000, seed=2024, **ORACLE_KW))
     mean_curve = survival_from_hazard(data.true_hazards).mean(axis=0)
     km = M.kaplan_meier(data.taus, data.deltas, n_bins=data.true_hazards.shape[1])
-    assert M.wasserstein_to_km(mean_curve, km) < 0.05
+    assert M.wasserstein_to_km(mean_curve, km.values) < 0.05
 
 
 def test_true_model_is_calibrated_on_oracle_data():

@@ -147,10 +147,8 @@ def test_survival_matches_loop_oracle():
 
 def test_pmf_cases():
     lam = np.full((1, 5), 0.5)
-    assert pmf_from_hazard(lam, [0])[0] == pytest.approx(0.5)
-    assert pmf_from_hazard(lam, [2])[0] == pytest.approx(0.125)
-    with pytest.raises(ValueError):
-        pmf_from_hazard(lam, [5])
+    assert pmf_from_hazard(lam)[0, 0] == pytest.approx(0.5)
+    assert pmf_from_hazard(lam)[0, 2] == pytest.approx(0.125)
 
 
 def test_pmf_survival_normalization_identity():

@@ -17,8 +17,9 @@ both. An absolute ``--out`` would put both runs' outputs in one place, so it
 is rejected; so is a run that writes nothing under ``$SURVCONTRAST_OUT``, as
 a spec with an absolute ``out`` does. The two output trees and the two
 standard outputs are compared byte by byte. Prints ``equal`` with the file
-count and exits 0, or prints the first differing path (``stdout`` for the
-standard output) and exits 1.
+count and exits 0, or prints one ``differs: <path>`` line for each path that
+one tree lacks or that differs in bytes, sorted, then ``differs: stdout``
+when the standard outputs differ, and exits 1.
 
 ``--bench``: N pairs of processes, each tree running its own
 ``perfbench/run.py --workload NAME`` (with ``--seconds S`` when given), one
@@ -101,14 +102,14 @@ def files(tree: Path) -> dict[str, Path]:
     return {path.relative_to(tree).as_posix(): path for path in tree.rglob("*") if path.is_file()}
 
 
-def first_difference(a: Path, b: Path, stdout_a: bytes, stdout_b: bytes) -> str | None:
-    """The first path, in sorted order, that one tree lacks or that differs
-    in bytes; ``stdout`` when only the standard outputs differ; None if equal."""
+def differences(a: Path, b: Path, stdout_a: bytes, stdout_b: bytes) -> list[str]:
+    """The paths, sorted, that one tree lacks or that differ in bytes, then
+    ``stdout`` when the standard outputs differ; empty if all are equal."""
     files_a, files_b = files(a), files(b)
-    for name in sorted(files_a.keys() | files_b.keys()):
-        if name not in files_a or name not in files_b or files_a[name].read_bytes() != files_b[name].read_bytes():
-            return name
-    return None if stdout_a == stdout_b else "stdout"
+    differing = [name for name in sorted(files_a.keys() | files_b.keys())
+                 if name not in files_a or name not in files_b
+                 or files_a[name].read_bytes() != files_b[name].read_bytes()]
+    return differing + ["stdout"] * (stdout_a != stdout_b)
 
 
 def compare_outputs(rev: str, command: list[str]) -> int:
@@ -123,9 +124,9 @@ def compare_outputs(rev: str, command: list[str]) -> int:
         export(root, rev, tmp / "rev")
         stdout_rev = run(tmp / "rev" / "src", command, tmp / "out", tmp / "out-rev")
         stdout_work = run(root / "src", command, tmp / "out", tmp / "out-work")
-        differing = first_difference(tmp / "out-rev", tmp / "out-work", stdout_rev, stdout_work)
-        if differing is not None:
-            print(f"differs: {differing}")
+        differing = differences(tmp / "out-rev", tmp / "out-work", stdout_rev, stdout_work)
+        if differing:
+            print("\n".join(f"differs: {name}" for name in differing))
             return 1
         print(f"equal: {len(files(tmp / 'out-work'))} files and stdout ({len(stdout_work)} bytes) against {rev}")
         return 0
