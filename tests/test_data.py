@@ -417,12 +417,14 @@ def test_prepare_rejects_a_feature_out_of_the_training_scale(where, value, rejec
 def feature_blocks(draw, n: int):
     """A RawDataset feature matrix of ``n`` rows and its column kinds: real,
     binary and one-hot categorical blocks, any of them constant or with
-    missing (NaN) cells."""
+    missing (NaN) cells. Real cells lie on a grid of quarters in [-100, 100],
+    so no cell lies more than MAX_SPANS training ranges out and ``prepare``
+    accepts every matrix drawn."""
     blocks, kinds = [np.empty((n, 0))], []
     for kind in draw(st.lists(st.sampled_from(["real", "binary", "categorical"]), min_size=1, max_size=5)):
         missing = draw(st.lists(st.booleans(), min_size=n, max_size=n)) if draw(st.booleans()) else [False] * n
         if kind == "real":
-            values = st.just(draw(st.integers(-5, 5))) if draw(st.booleans()) else st.floats(-100, 100)
+            values = st.just(draw(st.integers(-5, 5))) if draw(st.booleans()) else st.integers(-400, 400).map(lambda k: k / 4)
             cells = [draw(values) for _ in range(n)]
             block = np.array(cells, dtype=float)[:, None]
         else:
