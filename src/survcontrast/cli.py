@@ -39,6 +39,7 @@ Exit codes, each failure with one ``<kind> error: <message>`` line on stderr:
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -131,10 +132,21 @@ def load_spec(path, overrides: dict | None = None) -> ExperimentSpec:
     return configure(ExperimentSpec, "spec", {**raw, **overrides}) if overrides else spec
 
 
+def fs_path(path: str) -> Path:
+    """``path``, which the file system must be able to take: one its encoding
+    cannot hold, as a spec's non-ASCII path under an ASCII locale, is an
+    ``OSError`` naming it. Command-line and environment paths always pass,
+    since they arrive as the bytes the file system gave."""
+    try:
+        os.fsencode(path)
+    except UnicodeEncodeError as exc:
+        raise OSError(errno.EILSEQ, f"cannot be encoded as {exc.encoding}", path) from None
+    return Path(path)
+
+
 def resolve_out(spec_out: str, flag_out: str | None) -> Path:
-    out = flag_out or spec_out
     root = os.environ.get(OUT_ROOT_ENV)
-    path = Path(out)
+    path = fs_path(flag_out or spec_out)
     if root and not path.is_absolute():
         path = Path(root) / path
     path.mkdir(parents=True, exist_ok=True)
@@ -175,7 +187,7 @@ def open_experiment(args, sweep: dict[str, float] | None = None) -> Experiment:
     swept = {label: train_config(**sweep_overrides(args.param, value, base)) for label, value in (sweep or {}).items()}
     out = resolve_out(spec.out, args.out)
     raw = (GENERATORS[synthetic.kind](synthetic).to_raw() if synthetic is not None
-           else load_csv(spec.dataset.csv, Schema.from_json(spec.dataset.schema)))
+           else load_csv(fs_path(spec.dataset.csv), Schema.from_json(fs_path(spec.dataset.schema))))
     n_bins = spec.dataset.n_bins if spec.n_bins is None and spec.dataset is not None else spec.n_bins
     prepared = {seed: prepare(raw, seed=seed, n_bins=n_bins) for seed in spec.seeds}
     data = prepared[spec.seeds[0]]
@@ -432,9 +444,11 @@ def write_summary(path: Path, rows: list[tuple[str, dict]]) -> None:
 
 
 def print_summary(rows: list[tuple[str, dict]]) -> None:
+    # "+/-" where stdout cannot encode "±", as under an ASCII locale
+    pm = "±" if "±".encode(sys.stdout.encoding or "utf-8", "ignore") else "+/-"
     for label, agg in rows:
-        print(f"{label}: ci={agg['ci_mean']:.4f}±{agg['ci_std']:.4f} ibs={agg['ibs_mean']:.4f}±{agg['ibs_std']:.4f} "
-              f"ddc={agg['ddc_mean']:.4f}±{agg['ddc_std']:.4f} dcal={agg['dcal_passes']}/{agg['n_seeds']}")
+        print(f"{label}: ci={agg['ci_mean']:.4f}{pm}{agg['ci_std']:.4f} ibs={agg['ibs_mean']:.4f}{pm}{agg['ibs_std']:.4f} "
+              f"ddc={agg['ddc_mean']:.4f}{pm}{agg['ddc_std']:.4f} dcal={agg['dcal_passes']}/{agg['n_seeds']}")
 
 
 def evaluate_variants(exp: Experiment) -> list[tuple[str, dict]]:
@@ -610,6 +624,14 @@ def spec_overrides(args) -> dict:
     return overrides
 
 
+def utf8_argument(value: str) -> str:
+    """A command-line value that names something in a UTF-8 file, decoded as
+    UTF-8: under an ASCII locale its non-ASCII bytes arrive surrogate-escaped
+    and would match no name read from the file. Paths stay as they arrive,
+    so the file system gets back the bytes it was given."""
+    return os.fsencode(value).decode("utf-8", "surrogateescape")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="survcontrast", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -629,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subgroup")
     add_spec_flags(p)
-    p.add_argument("--feature", required=True, help="binary or categorical feature name")
+    p.add_argument("--feature", required=True, type=utf8_argument, help="binary or categorical feature name")
     p.set_defaults(fn=cmd_subgroup)
 
     p = sub.add_parser("sweep")

@@ -17,10 +17,13 @@ rows ``0..M-1`` and their corrupted views in rows ``M..2M-1``; row ``i``
 pairs with row ``(i + M) % 2M``. Views inherit the survival outcome of
 their originals, so the 2M x 2M weights would be the M x M record block,
 diagonal (self and own-view pairs) zeroed, repeated 2 x 2. The block is all
-that is ever built: ``snce_loss`` takes ``log`` of the block and adds it into
-the four quadrants of the logits in place. Each anchor's weight sum is taken
-over the block's row laid twice end to end, in the order of the 2M-long row,
-because numpy's pairwise summation rounds ``2 * rowsum(block)`` differently.
+that is ever built: ``build_pair_weights`` evaluates the comparability rule
+and the kernel once per pair of the batch's distinct (time, event) classes,
+at most 2T x 2T for T time bins, and gathers the block from those tables;
+``snce_loss`` takes ``log`` of the block and adds it into the four quadrants
+of the logits in place. Each anchor's weight sum is taken over the block's
+row laid twice end to end, in the order of the 2M-long row, because numpy's
+pairwise summation rounds ``2 * rowsum(block)`` differently.
 
 ``nll_loss`` is one tape node. With ``g_pmf = -g delta / M`` and
 ``g_1mh = g_pmf [t < tau] + (-g (1 - delta) / M) [t <= tau]``, it pulls ``g``
@@ -32,14 +35,25 @@ was not active.
 ``P`` the row softmax of ``u u^T / nu + log w``, it pulls ``g`` back as
 ``G = g p P`` less ``g p_i`` at (i, partner(i)), ``U = (G / nu) u + ((G / nu)^T u)``,
 ``de = U / |e| + 2 e rowsum(-U e / |e|^2) * 0.5 / |e|``, in the op order of the test oracle.
-Its large arrays live in two reused buffers of the calling thread, so a step
-does not fault in fresh pages: ``logits`` holds the 2M x 2M ``S``, ``S + log w``
-and its exp, which the pullback keeps; ``scratch`` holds what dies inside one
-call (the M x 2M block laid twice for the weight sums, the M x M ``log w``, the
-pullback's softmax). While a view of a buffer is alive, as the logits of a graph
-not yet differentiated are, a fresh one is handed out, so the arithmetic and
-its bits are those of fresh arrays. ``trainer.train`` calls
-:func:`release_buffers` when it returns.
+An anchor whose record's block row is all zero has no usable negative: its
+pick is 0, its term ``log 0 * 0 = -1e30 * 0 = -0.0`` and its row of ``G`` zero,
+so its row of the logits is never computed. ``S`` is formed in full, since a
+row subset of the product takes other BLAS paths and other bits; the rows of
+the k anchors with a negative are gathered from it, and the log weights and
+weight sums are taken for their records alone. The pullback forms those k
+rows of ``G``, a block of rows at a time, and scatters them into a zeroed
+2M x 2M ``G``, so both of its products keep their shapes. When every anchor
+has a negative (uniform weights, or a batch of events) nothing is gathered or
+scattered. The large arrays live in two reused buffers of the calling
+thread, so a step does not fault in fresh pages: ``logits`` holds the
+anchors' rows of ``S``, then ``S + log w`` and its exp, which the pullback
+keeps, in its first k rows (all of ``S``, formed in place, when k = 2M);
+``scratch`` holds what dies inside one call: the records' block rows laid
+twice for the weight sums, the full ``S`` while its rows are gathered, their
+``log w``, and the pullback's ``G``. While a view of a buffer is alive, as the
+logits of a graph not yet differentiated are, a fresh one is handed out, so
+the arithmetic and its bits are those of fresh arrays. ``trainer.train``
+calls :func:`release_buffers` when it returns.
 
 ``ranking_loss`` is one tape node. With ``S = exp(log(1 - h) U)`` (``U`` the
 upper-triangular ones), ``r = 1 - S``, ``at`` the one-hot of ``tau`` and ``A``
@@ -65,6 +79,7 @@ logger = logging.getLogger(__name__)
 
 MASKED_LOG = -1e30  # stands in for log(0) without producing inf*0 NaNs
 NORM_EPS = 1e-30  # guards row normalization against an exactly-zero embedding
+PULLBACK_BLOCK = 32768  # entries of G (256 KB) formed at a time before they are scattered into the gradient
 
 _buffers = threading.local()  # this thread's reused float64 buffers, one per role
 
@@ -142,16 +157,26 @@ class PairWeightMatrix:
 
 
 def build_pair_weights(taus, deltas, sigma: float, alpha: float = 0.0) -> PairWeightMatrix:
-    """Pairwise weights for a batch of M records and their M views."""
+    """Pairwise weights for a batch of M records and their M views.
+
+    A pair's indicator and weight depend only on the two records' classes,
+    (time, event), so both are evaluated once per pair of the batch's
+    distinct classes and gathered into the M x M block.
+    """
     taus = np.asarray(taus, dtype=np.float64)
     deltas = np.asarray(deltas)
     if taus.ndim != 1 or taus.shape != deltas.shape:
         raise ValueError("taus and deltas must be matching 1-D arrays")
-    ind = comparability(deltas[:, None], deltas[None, :], taus[:, None], taus[None, :], alpha)
+    times, time_of = np.unique(taus, return_inverse=True)
+    cls = 2 * time_of + (deltas == 1)  # class 2t + 1 is an event at the t-th distinct time
+    class_tau = np.repeat(times, 2)[:, None]
+    class_delta = np.arange(2 * times.size)[:, None] % 2
+    ind_table = comparability(class_delta, class_delta.T, class_tau, class_tau.T, alpha)
+    w_table = weight(class_tau, class_tau.T, sigma)
+    w_table *= ind_table  # a class against itself weighs weight(t, t) = 0: the gathered diagonal is zero
+    ind = ind_table[cls][:, cls]
     np.fill_diagonal(ind, 0)  # a record against itself or its own view
-    w = weight(taus[:, None], taus[None, :], sigma)
-    w *= ind
-    return PairWeightMatrix(indicators=ind, weights=w)
+    return PairWeightMatrix(indicators=ind, weights=w_table[cls][:, cls])
 
 
 def uniform_pair_weights(m: int) -> PairWeightMatrix:
@@ -245,50 +270,75 @@ def snce_loss(embeddings: Tensor, pair_weights: PairWeightMatrix, nu: float) -> 
     if w.shape != (m, m):
         raise ValueError(f"pair weights {w.shape} do not match {n} embeddings: expected the ({m}, {m}) record block")
 
+    # the records with a usable negative: they and their views are the k anchors that
+    # contribute, and only their rows of the logits are computed
+    used = w.any(axis=1)
+    records = np.flatnonzero(used)
+    anchors = np.concatenate([records, records + m])
+    k = anchors.size
+    w_used = w if k == n else w[records]
     # a row of the 2M x 2M weights is the block's row twice, summed in that order:
-    # 2 * w.sum(axis=1) splits numpy's pairwise sum elsewhere and rounds differently
-    row_sums = np.concatenate([w, w], axis=1, out=_workspace("scratch", m, n)).sum(axis=1, keepdims=True)
-    sum_w = np.tile(row_sums, (2, 1))
-    if not (w.min() >= 0 and np.isfinite(sum_w).all()):
+    # 2 * w.sum(axis=1) splits numpy's pairwise sum elsewhere and rounds differently.
+    # Laid out in the first rows of an M x 2M view, so the buffer does not regrow as k varies
+    row_sums = np.concatenate([w_used, w_used], axis=1,
+                              out=_workspace("scratch", m, n)[:k // 2]).sum(axis=1, keepdims=True)
+    if not (w.min() >= 0 and np.isfinite(row_sums).all()):
         raise ValueError("pair weights must be finite and non-negative")
-    contributes = sum_w > 0
-    n_contrib = int(contributes.sum())
-    if n_contrib == 0:
+    if k == 0:
         logger.warning("snce_loss: no comparable pairs in batch, returning zero loss")
         return ad.constant([[0.0]])
 
-    log_w = _workspace("scratch", m, m)
-    log_w.fill(MASKED_LOG)
-    np.log(w, out=log_w, where=w > 0)
-    log_sum_w = np.log(sum_w, out=np.zeros_like(sum_w), where=contributes)  # of the weighted-mean denominator
-    picks = contributes / n_contrib
+    pick = 1.0 / k
     e = embeddings.values
     norms = np.sqrt((e * e).sum(axis=1, keepdims=True) + NORM_EPS)
     unit = e / norms
     unit_t = unit.T.copy()  # unit @ unit.T and grad @ unit would take other BLAS paths and other bits
-    z = np.matmul(unit, unit_t, out=_workspace("logits", n, n))  # kept by the pullback as ``ex``
-    z *= 1.0 / nu  # S, then S + log w and its exp, all in this one buffer
-    idx = np.arange(n)
-    partner = (idx + m) % n
-    pos = z[idx, partner][:, None]
-    quadrants = z.reshape(2, m, 2, m)
+    # S in full, as a row subset of the product takes other BLAS paths and other bits;
+    # the anchors' rows, gathered into the first k rows of ``logits`` (so the buffer
+    # does not regrow as k varies per batch), become S + log w and its exp, kept by the pullback
+    z = np.matmul(unit, unit_t, out=_workspace("logits" if k == n else "scratch", n, n))
+    if k < n:
+        z = np.take(z, anchors, axis=0, out=_workspace("logits", n, n)[:k], mode="clip")
+    z *= 1.0 / nu
+    partners = (anchors + m) % n
+    pos = z[np.arange(k), partners][:, None]
+    log_w = _workspace("scratch", k // 2, m)
+    log_w.fill(MASKED_LOG)
+    np.log(w_used, out=log_w, where=w_used > 0)
+    quadrants = z.reshape(2, k // 2, 2, m)
     np.add(quadrants, log_w[None, :, None, :], out=quadrants)  # S + log w, the block in each quadrant
     top = z.max(axis=1, keepdims=True)
     ex = np.exp(np.subtract(z, top, out=z), out=z)
     s = ex.sum(axis=1, keepdims=True)
-    per_anchor = (top + np.log(s) - log_sum_w) - pos
+    log_sum_w = np.tile(np.log(row_sums), (2, 1))  # of the weighted-mean denominator
+    terms = ((top + np.log(s) - log_sum_w) - pos) * pick
+    if k < n:
+        # summed over all 2M anchors, as the bits of numpy's pairwise sum depend on the count;
+        # a skipped anchor's term is log 0 times its pick of 0: -1e30 * 0 = -0.0
+        terms, kept = np.full((n, 1), -0.0), terms
+        terms[anchors] = kept
 
     def pull(g):
-        gp = g * picks
-        grad = np.divide(ex, s, out=_workspace("scratch", n, n))
-        grad *= gp
-        grad[idx, partner] -= gp[:, 0]
-        grad *= 1.0 / nu
+        gp = g * pick
+        # both products take G in full; with every anchor used it is formed in place,
+        # else the anchors' rows are formed a block at a time and scattered
+        grad = _workspace("scratch", n, n)
+        block = grad if k == n else np.empty((min(k, max(PULLBACK_BLOCK // n, 1)), n))
+        for lo in range(0, k, len(block)):
+            hi = min(lo + len(block), k)
+            part = np.divide(ex[lo:hi], s[lo:hi], out=block[:hi - lo])
+            part *= gp
+            part[np.arange(hi - lo), partners[lo:hi]] -= gp[0, 0]
+            part *= 1.0 / nu
+            if k < n:
+                grad[anchors[lo:hi]] = part
+        if k < n:
+            grad.reshape(2, m, n)[:, ~used] = 0.0
         g_unit = grad @ unit_t.T + (unit.T @ grad).T
         g_sq = (-g_unit * e / (norms * norms)).sum(axis=1, keepdims=True) * 0.5 / norms
         return g_unit / norms + g_sq * e + g_sq * e
 
-    return ad._make((per_anchor * picks).sum(keepdims=True), (embeddings,), lambda g: (pull(g),))
+    return ad._make(terms.sum(keepdims=True), (embeddings,), lambda g: (pull(g),))
 
 
 def infonce_loss(embeddings: Tensor, nu: float) -> Tensor:

@@ -1175,16 +1175,27 @@ patience = 3
     assert (tmp_path / "out_toml" / "checkpoints" / "nll_seed0.json").exists()
 
 
+def run_in_ascii_locale(*argv, **extra_env) -> subprocess.CompletedProcess:
+    """``python -m survcontrast.cli <argv>`` under the C locale with neither locale
+    coercion nor UTF-8 mode, so that argv, file names and stdout are ASCII."""
+    env = dict(package_env(), LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    for name in ("PYTHONUTF8", "PYTHONIOENCODING"):
+        env.pop(name, None)
+    return subprocess.run([sys.executable, "-X", "utf8=0", "-m", "survcontrast.cli", *argv],
+                          capture_output=True, env=dict(env, **extra_env))
+
+
 @pytest.mark.parametrize("spec_suffix,csv_bom,schema_bom", [(".json", True, False), (".toml", False, True)])
 def test_utf8_files_with_or_without_a_bom_are_read_in_an_ascii_locale(tmp_path, spec_suffix, csv_bom, schema_bom):
-    # under LC_ALL=C a UTF-8 schema naming "größe" did not decode; in any locale a CSV
-    # or spec saved with a byte-order mark failed as a missing column or an unparsable spec
+    # under LC_ALL=C a UTF-8 schema naming "größe" did not decode, and "--feature größe",
+    # surrogate-escaped, matched no column; in any locale a CSV or spec saved with a
+    # byte-order mark failed as a missing column or an unparsable spec
     rng = np.random.default_rng(2)
-    rows = "".join(f"{rng.uniform()},{rng.choice(['groß', 'klein'])},{rng.uniform(1, 30)},{rng.integers(0, 2)}\n"
+    rows = "".join(f"{rng.integers(0, 2)},{rng.choice(['groß', 'klein'])},{rng.uniform(1, 30)},{rng.integers(0, 2)}\n"
                    for _ in range(120))
     bom = "\ufeff"
     (tmp_path / "data.csv").write_text(bom * csv_bom + "größe,stufe,time,event\n" + rows, encoding="utf-8")
-    schema = {"columns": [{"name": "größe", "kind": "real", "role": "feature"},
+    schema = {"columns": [{"name": "größe", "kind": "binary", "role": "feature"},
                           {"name": "stufe", "kind": "categorical", "role": "feature"},
                           {"name": "time", "kind": "real", "role": "time"},
                           {"name": "event", "kind": "binary", "role": "event"}]}
@@ -1200,15 +1211,46 @@ def test_utf8_files_with_or_without_a_bom_are_read_in_an_ascii_locale(tmp_path, 
                         for key, value in fields.items() if isinstance(value, dict))
     spec = tmp_path / f"spec{spec_suffix}"
     spec.write_text(bom + text, encoding="utf-8")
-    env = dict(package_env(), LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONIOENCODING="utf-8")
-    env.pop("PYTHONUTF8", None)
-    for command in (["train"], ["evaluate"], ["subgroup", "--feature", "stufe"]):
-        done = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "survcontrast.cli", command[0],
-                               "--config", str(spec), *command[1:]], capture_output=True, env=env)
+    stdouts = []
+    for command in (["train"], ["evaluate"], ["subgroup", "--feature", "größe"], ["subgroup", "--feature", "stufe"]):
+        done = run_in_ascii_locale(command[0], "--config", str(spec), *command[1:], PYTHONIOENCODING="utf-8")
         assert (done.returncode, done.stderr.decode("utf-8")) == (0, "")
-    assert done.stdout.decode("utf-8").startswith("stufe=groß: n=")
+        stdouts.append(done.stdout.decode("utf-8"))
+    assert stdouts[2].startswith("größe=0: n=") and "\ngröße=1: n=" in stdouts[2]
+    assert stdouts[3].startswith("stufe=groß: n=")
     distances = (tmp_path / "out" / "subgroup_distances.csv").read_text(encoding="utf-8").splitlines()
     assert [line.split(",")[0] for line in distances] == ["subgroup", "stufe=groß", "stufe=klein"]
+
+
+def test_summary_on_an_ascii_stdout_spells_plus_minus(tmp_path, capsys):
+    # "±" on an ASCII stdout ended evaluate, ablate and sweep in a traceback, exit 1,
+    # after every file was written; a UTF-8 stdout keeps its bytes
+    spec = str(write_spec(tmp_path, seeds=[0], train={"epochs": 1}))
+    assert main(["train", "--config", spec]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--config", spec]) == 0
+    utf8 = capsys.readouterr().out
+    assert re.fullmatch(r"nll\+snce: ci=[\d.]+±[\d.]+ ibs=[\d.]+±[\d.]+ ddc=[\d.]+±[\d.]+ dcal=\d/1\n", utf8)
+    done = run_in_ascii_locale("evaluate", "--config", spec)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.decode("ascii") == utf8.replace("±", "+/-")
+
+
+@pytest.mark.parametrize("field", ["out", "csv", "schema"])
+def test_a_spec_path_the_file_system_encoding_cannot_hold_exits_2_naming_it(tmp_path, field):
+    # os.mkdir and open raised UnicodeEncodeError under an ASCII locale: a traceback, exit 1
+    spec = json.loads(write_spec(tmp_path, seeds=[0]).read_text())
+    if field != "out":
+        del spec["synthetic"]
+        spec["dataset"] = {"csv": str(tmp_path / "data.csv"), "schema": str(tmp_path / "schema.json")}
+    path = str(tmp_path / "données")
+    (spec if field == "out" else spec["dataset"])[field] = path
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    done = run_in_ascii_locale("train", "--config", str(tmp_path / "spec.json"))
+    assert (done.returncode, done.stdout) == (2, b"")
+    # stderr escapes what ASCII cannot hold
+    assert done.stderr.decode("ascii") == f"file error: {tmp_path}/donn\\xe9es: cannot be encoded as ascii\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"] * (field != "out") + ["spec.json"]
 
 
 def test_toml_spec_without_a_toml_parser_exits_2(tmp_path, capsys, monkeypatch):

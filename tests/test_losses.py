@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from survcontrast import autodiff as ad
 from survcontrast import losses
 from survcontrast.autodiff import Tensor
+from survcontrast.data import prepare
 from survcontrast.model import ModelConfig, init_model
+from survcontrast.synth import SynthConfig, generate_paired_exponential
 from test_autodiff import sigmoid_masked
 from test_model import mlp_composite
 
@@ -274,14 +276,16 @@ def test_build_pair_weights_matches_elementwise_oracle():
 
 @st.composite
 def pair_weight_inputs(draw):
-    m = draw(st.integers(1, 16))
-    # few distinct times, so ties are common
+    m = draw(st.one_of(st.integers(1, 16), st.integers(17, 600)))
+    # few distinct times, so ties are common; up to 600 records the times and events
+    # come from a drawn seed, as a list that long would outgrow hypothesis's buffer
     if draw(st.booleans()):
-        times = st.integers(0, draw(st.integers(0, 8)))
+        times = np.arange(draw(st.integers(1, 40)))
     else:
-        times = st.sampled_from(draw(st.lists(st.floats(0, 40), min_size=1, max_size=4)))
-    taus = np.asarray(draw(st.lists(times, min_size=m, max_size=m)))
-    deltas = np.asarray(draw(st.lists(st.sampled_from([0, 1]), min_size=m, max_size=m)))
+        times = np.asarray(draw(st.lists(st.floats(0, 40), min_size=1, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    taus = rng.choice(times, m)
+    deltas = rng.integers(0, 2, m)
     if draw(st.booleans()):
         deltas[:] = 0  # all censored
     largest_gap = float(np.ptp(taus))
@@ -692,6 +696,68 @@ def test_snce_on_two_threads_matches_one_thread():
     for (value, grad), runs in zip(want, got):
         assert len(runs) == 20
         assert all(v == value and g.tobytes() == grad.tobytes() for v, g in runs)
+
+
+@pytest.fixture(scope="module")
+def wide_batches():
+    """Outcomes of 512-record batches of prepared synthetic training rows, the
+    shape and censoring of the benchmark's wide-batch training, and embeddings."""
+    raw = generate_paired_exponential(SynthConfig(n_samples=2000, seed=0, feature_dim=12)).to_raw()
+    data = prepare(raw, seed=0, n_bins=30)
+    rng = np.random.default_rng(24)
+    picks = [rng.choice(data.split.train, 512, replace=False) for _ in range(2)]
+    return [(data.tau[idx], data.delta[idx], rng.normal(size=(1024, 16))) for idx in picks]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_snce_on_wide_batches_with_skipped_anchors_bitwise_equals_tiled_composite(wide_batches, alpha):
+    for taus, deltas, z in wide_batches:
+        pw = losses.build_pair_weights(taus, deltas, sigma=3.0, alpha=alpha)
+        used = int(np.count_nonzero(pw.weights.any(axis=1)))
+        assert 200 < used < 300  # about half the records, the events, have a negative
+        value, grad = _snce_value_and_grad(losses.snce_loss, z, pw, 0.07)
+        want_value, want_grad = _snce_value_and_grad(snce_composite, z, pw, 0.07)
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize("used", ["one", "every", "none"])
+def test_snce_with_one_every_or_no_record_having_a_negative_bitwise_equals_tiled_composite(caplog, used):
+    rng = np.random.default_rng(25)
+    m = 512
+    taus = rng.permutation(m) + 1.0  # distinct times, so every pair of events is weighted
+    deltas = np.ones(m, dtype=int) if used == "every" else np.zeros(m, dtype=int)
+    if used == "one":
+        taus[7], deltas[7] = 0.0, 1  # the one event comes first: every censored record is its negative
+    pw = losses.build_pair_weights(taus, deltas, sigma=3.0)
+    assert np.count_nonzero(pw.weights.any(axis=1)) == {"one": 1, "every": m, "none": 0}[used]
+    z = rng.normal(size=(2 * m, 16))
+    with caplog.at_level("WARNING"):
+        value, grad = _snce_value_and_grad(losses.snce_loss, z, pw, 0.07)
+    assert ("no comparable pairs" in caplog.text) == (used == "none")
+    want_value, want_grad = _snce_value_and_grad(snce_composite, z, pw, 0.07)
+    assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+    # the one event's anchors reach every embedding, each of which is a negative or a positive
+    assert np.count_nonzero(grad.any(axis=1)) == (0 if used == "none" else 2 * m)
+
+
+def test_snce_validation_forward_between_differentiated_graphs_leaves_both_intact(wide_batches):
+    # as in training: a batch's graph is differentiated, a validation batch of another
+    # size is scored without a backward pass, and the next batch reuses the buffers;
+    # a skipped anchor's gradient row must be zero whatever the buffers held before
+    (taus, deltas, z), (taus2, deltas2, z2) = wide_batches
+    steps = [(z, losses.build_pair_weights(taus, deltas, 3.0)),
+             (z2[:600], losses.build_pair_weights(taus2[:300], deltas2[:300], 3.0)),
+             (z2, losses.build_pair_weights(taus2, deltas2, 3.0))]
+    want = [_snce_value_and_grad(snce_composite, zs, pw, 0.07) for zs, pw in steps]
+    train_first = _snce_value_and_grad(losses.snce_loss, *steps[0], 0.07)
+    validation = losses.snce_loss(Tensor(steps[1][0]), steps[1][1], 0.07)
+    assert validation.values.tobytes() == np.float64(want[1][0]).reshape(1, 1).tobytes()
+    train_next = _snce_value_and_grad(losses.snce_loss, *steps[2], 0.07)
+    for (value, grad), (want_value, want_grad) in zip([train_first, train_next], [want[0], want[2]]):
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
 
 
 def test_infonce_permutation_of_negatives():
