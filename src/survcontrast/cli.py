@@ -512,7 +512,9 @@ def cmd_subgroup(args) -> int:
 
     write_csv(out / "subgroup_curves.csv", ["subgroup", "t", "model_mean", "kaplan_meier"], curve_rows)
     write_csv(out / "subgroup_distances.csv", ["subgroup", "n", "wasserstein"], dist_rows)
-    print("\n".join(lines))
+    # subgroup names come from the data: escape what stdout cannot encode, as under an ASCII locale
+    encoding = sys.stdout.encoding or "utf-8"
+    print("\n".join(lines).encode(encoding, "backslashreplace").decode(encoding))
     return 0
 
 

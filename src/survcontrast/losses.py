@@ -16,14 +16,19 @@ Batch layout for the contrastive losses: ``2M`` embeddings, originals in
 rows ``0..M-1`` and their corrupted views in rows ``M..2M-1``; row ``i``
 pairs with row ``(i + M) % 2M``. Views inherit the survival outcome of
 their originals, so the 2M x 2M weights would be the M x M record block,
-diagonal (self and own-view pairs) zeroed, repeated 2 x 2. The block is all
-that is ever built: ``build_pair_weights`` evaluates the comparability rule
-and the kernel once per pair of the batch's distinct (time, event) classes,
-at most 2T x 2T for T time bins, and gathers the block from those tables;
-``snce_loss`` takes ``log`` of the block and adds it into the four quadrants
-of the logits in place. Each anchor's weight sum is taken over the block's
-row laid twice end to end, in the order of the 2M-long row, because numpy's
-pairwise summation rounds ``2 * rowsum(block)`` differently.
+diagonal (self and own-view pairs) zeroed, repeated 2 x 2. A pair's weight
+depends only on the two records' (time, event) classes, so
+``build_pair_weights`` evaluates the comparability rule and the kernel once
+per pair of the batch's K classes (K <= 2T for T time bins, and K <= M) and
+keeps the K x K tables with each record's class. Training never builds the
+block: ``PairWeightMatrix`` gathers it only when ``weights`` or
+``indicators`` is read. ``snce_loss`` works per class. Each class's weight
+sum is taken over its table row gathered to the records and laid twice end
+to end, the order of a 2M-long row of the block, because numpy's pairwise
+summation rounds ``2 * rowsum(block)`` differently; the log of the table is
+taken once, and each used record's row of it is gathered and added into the
+four quadrants of the logits in place. An arbitrary block (uniform weights,
+say) is the table of M classes of one record each, and is used as it is.
 
 ``nll_loss`` is one tape node. With ``g_pmf = -g delta / M`` and
 ``g_1mh = g_pmf [t < tau] + (-g (1 - delta) / M) [t <= tau]``, it pulls ``g``
@@ -39,21 +44,26 @@ An anchor whose record's block row is all zero has no usable negative: its
 pick is 0, its term ``log 0 * 0 = -1e30 * 0 = -0.0`` and its row of ``G`` zero,
 so its row of the logits is never computed. ``S`` is formed in full, since a
 row subset of the product takes other BLAS paths and other bits; the rows of
-the k anchors with a negative are gathered from it, and the log weights and
-weight sums are taken for their records alone. The pullback forms those k
-rows of ``G``, a block of rows at a time, and scatters them into a zeroed
-2M x 2M ``G``, so both of its products keep their shapes. When every anchor
+the k anchors with a negative are gathered from it, and the log weights are
+gathered for their records alone. With class tables a zero weight's lane
+holds not ``-1e30``, whose exp underflows and leaves numpy's fast path, but
+``log(min w) - 2 / nu - 4``, which lies below the row's max as ``|S| <= 1 +
+ulps``; its exp is then multiplied by 0, which gives the same +0.0. Where that
+floor would lie below ``FINITE_LANE_FLOOR``, or for an arbitrary block, the
+lane keeps ``-1e30``. The pullback forms those k rows of ``G``, a block of
+rows at a time, and scatters them into a zeroed 2M x 2M ``G``, so both of
+its products keep their shapes. When every anchor
 has a negative (uniform weights, or a batch of events) nothing is gathered or
 scattered. The large arrays live in two reused buffers of the calling
 thread, so a step does not fault in fresh pages: ``logits`` holds the
 anchors' rows of ``S``, then ``S + log w`` and its exp, which the pullback
 keeps, in its first k rows (all of ``S``, formed in place, when k = 2M);
-``scratch`` holds what dies inside one call: the records' block rows laid
-twice for the weight sums, the full ``S`` while its rows are gathered, their
-``log w``, and the pullback's ``G``. While a view of a buffer is alive, as the
-logits of a graph not yet differentiated are, a fresh one is handed out, so
-the arithmetic and its bits are those of fresh arrays. ``trainer.train``
-calls :func:`release_buffers` when it returns.
+``scratch`` holds what dies inside one call: the classes' weight rows laid
+twice for the weight sums, the full ``S`` while its rows are gathered, the
+records' ``log w`` and its 0/1 mask, and the pullback's ``G``. While a view
+of a buffer is alive, as the logits of a graph not yet differentiated are, a
+fresh one is handed out, so the arithmetic and its bits are those of fresh
+arrays. ``trainer.train`` calls :func:`release_buffers` when it returns.
 
 ``ranking_loss`` is one tape node. With ``S = exp(log(1 - h) U)`` (``U`` the
 upper-triangular ones), ``r = 1 - S``, ``at`` the one-hot of ``tau`` and ``A``
@@ -68,7 +78,6 @@ from __future__ import annotations
 import logging
 import sys
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,6 +87,7 @@ from .autodiff import Tensor
 logger = logging.getLogger(__name__)
 
 MASKED_LOG = -1e30  # stands in for log(0) without producing inf*0 NaNs
+FINITE_LANE_FLOOR = -1e10  # lowest finite masked logit: above it the rounding of S / nu stays far below 1
 NORM_EPS = 1e-30  # guards row normalization against an exactly-zero embedding
 PULLBACK_BLOCK = 32768  # entries of G (256 KB) formed at a time before they are scattered into the gradient
 
@@ -141,19 +151,46 @@ def comparability(delta_i, delta_j, tau_i, tau_j, alpha: float = 0.0):
     return anchor_first.astype(np.int64)
 
 
-@dataclass
 class PairWeightMatrix:
-    """Comparability indicators and negative weights of M records, M x M.
+    """Comparability indicators and negative weights of M records, as K x K
+    tables over the records' classes.
 
-    Entry (i, j) holds for every anchor and negative copy of records i and j
-    (original or view): the batch's 2M x 2M weights are this block repeated
-    2 x 2 and are never materialised. The diagonal (a record against itself
-    or its own view) is zero; ``weights = indicators * weight(...)``
-    elementwise.
+    Record i is of class ``classes[i]``, and every class holds a record.
+    Entry (i, j) of the M x M block, which holds for every anchor and
+    negative copy of records i and j (original or view), is entry
+    ``(classes[i], classes[j])`` of a table, except that the indicator of a
+    record against itself or its own view is zero. The batch's 2M x 2M
+    weights are the block repeated 2 x 2. ``indicators`` and ``weights``
+    read as the blocks, gathered on each read; with ``classes`` None the
+    records are their own classes, the tables are the blocks and nothing is
+    gathered. Assigning ``weights`` an M x M block makes it so.
     """
 
-    indicators: np.ndarray
-    weights: np.ndarray
+    def __init__(self, indicators: np.ndarray, weights: np.ndarray, classes: np.ndarray | None = None):
+        self.indicator_table = indicators
+        self.weight_table = weights
+        self.classes = classes
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The shape of the M x M block."""
+        return self.weight_table.shape if self.classes is None else (self.classes.size,) * 2
+
+    @property
+    def indicators(self) -> np.ndarray:
+        if self.classes is None:
+            return self.indicator_table
+        ind = self.indicator_table[self.classes][:, self.classes]
+        np.fill_diagonal(ind, 0)  # a record against itself or its own view
+        return ind
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.weight_table if self.classes is None else self.weight_table[self.classes][:, self.classes]
+
+    @weights.setter
+    def weights(self, block: np.ndarray) -> None:
+        self.indicator_table, self.weight_table, self.classes = self.indicators, block, None
 
 
 def build_pair_weights(taus, deltas, sigma: float, alpha: float = 0.0) -> PairWeightMatrix:
@@ -161,22 +198,24 @@ def build_pair_weights(taus, deltas, sigma: float, alpha: float = 0.0) -> PairWe
 
     A pair's indicator and weight depend only on the two records' classes,
     (time, event), so both are evaluated once per pair of the batch's
-    distinct classes and gathered into the M x M block.
+    distinct classes, with the elementwise arithmetic and so the bits of
+    the M x M expression, and kept as K x K tables.
     """
     taus = np.asarray(taus, dtype=np.float64)
     deltas = np.asarray(deltas)
     if taus.ndim != 1 or taus.shape != deltas.shape:
         raise ValueError("taus and deltas must be matching 1-D arrays")
     times, time_of = np.unique(taus, return_inverse=True)
-    cls = 2 * time_of + (deltas == 1)  # class 2t + 1 is an event at the t-th distinct time
-    class_tau = np.repeat(times, 2)[:, None]
-    class_delta = np.arange(2 * times.size)[:, None] % 2
+    code = 2 * time_of + (deltas == 1)  # code 2t + 1 is an event at the t-th distinct time
+    seen = np.zeros(2 * times.size, dtype=bool)
+    seen[code] = True
+    present = np.flatnonzero(seen)  # the codes of the batch's classes, so that K <= M
+    class_tau = times[present // 2][:, None]
+    class_delta = present[:, None] % 2
     ind_table = comparability(class_delta, class_delta.T, class_tau, class_tau.T, alpha)
     w_table = weight(class_tau, class_tau.T, sigma)
-    w_table *= ind_table  # a class against itself weighs weight(t, t) = 0: the gathered diagonal is zero
-    ind = ind_table[cls][:, cls]
-    np.fill_diagonal(ind, 0)  # a record against itself or its own view
-    return PairWeightMatrix(indicators=ind, weights=w_table[cls][:, cls])
+    w_table *= ind_table  # a class against itself weighs weight(t, t) = 0: the block's diagonal is zero
+    return PairWeightMatrix(ind_table, w_table, classes=np.cumsum(seen)[code] - 1)
 
 
 def uniform_pair_weights(m: int) -> PairWeightMatrix:
@@ -256,9 +295,9 @@ def snce_loss(embeddings: Tensor, pair_weights: PairWeightMatrix, nu: float) -> 
     weighted mean of exp(similarity) over the anchor's nonzero-weight
     negatives, so uniformly rescaling the weights changes nothing. Anchors
     without any usable negative are skipped; if the whole batch has none,
-    the loss is zero. ``pair_weights`` holds the (M, M) record block of the
-    2M embeddings; another shape, or negative or non-finite weights, raise
-    ValueError.
+    the loss is zero. ``pair_weights`` holds the M records of the 2M
+    embeddings, as class tables or as the block; another size, or negative
+    or non-finite weights, raise ValueError.
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
@@ -266,24 +305,28 @@ def snce_loss(embeddings: Tensor, pair_weights: PairWeightMatrix, nu: float) -> 
     if n < 4 or n % 2 != 0:
         raise ValueError("need an even number of embeddings covering at least 2 records")
     m = n // 2
-    w = pair_weights.weights
-    if w.shape != (m, m):
-        raise ValueError(f"pair weights {w.shape} do not match {n} embeddings: expected the ({m}, {m}) record block")
+    if pair_weights.shape != (m, m):
+        raise ValueError(f"pair weights {pair_weights.shape} do not match {n} embeddings: "
+                         f"expected the ({m}, {m}) record block")
+    table, classes = pair_weights.weight_table, pair_weights.classes
+    # a row of the 2M x 2M weights is its class's table row gathered over the records, twice,
+    # summed in that order: 2 * w.sum(axis=1) splits numpy's pairwise sum elsewhere and rounds
+    # differently. Laid out in the first rows of an M x 2M view, so the buffer does not regrow
+    w_rows = table if classes is None else table[:, classes]
+    class_sums = np.concatenate([w_rows, w_rows], axis=1,
+                                out=_workspace("scratch", m, n)[:len(table)]).sum(axis=1, keepdims=True)
+    if not (table.min() >= 0 and np.isfinite(class_sums).all()):
+        raise ValueError("pair weights must be finite and non-negative")
 
-    # the records with a usable negative: they and their views are the k anchors that
-    # contribute, and only their rows of the logits are computed
-    used = w.any(axis=1)
+    # the records of a class with a usable negative: they and their views are the k anchors
+    # that contribute, and only their rows of the logits are computed
+    used = class_sums[:, 0] > 0
+    if classes is not None:
+        used = used[classes]  # per record
     records = np.flatnonzero(used)
+    record_classes = records if classes is None else classes[records]
     anchors = np.concatenate([records, records + m])
     k = anchors.size
-    w_used = w if k == n else w[records]
-    # a row of the 2M x 2M weights is the block's row twice, summed in that order:
-    # 2 * w.sum(axis=1) splits numpy's pairwise sum elsewhere and rounds differently.
-    # Laid out in the first rows of an M x 2M view, so the buffer does not regrow as k varies
-    row_sums = np.concatenate([w_used, w_used], axis=1,
-                              out=_workspace("scratch", m, n)[:k // 2]).sum(axis=1, keepdims=True)
-    if not (w.min() >= 0 and np.isfinite(row_sums).all()):
-        raise ValueError("pair weights must be finite and non-negative")
     if k == 0:
         logger.warning("snce_loss: no comparable pairs in batch, returning zero loss")
         return ad.constant([[0.0]])
@@ -302,15 +345,35 @@ def snce_loss(embeddings: Tensor, pair_weights: PairWeightMatrix, nu: float) -> 
     z *= 1.0 / nu
     partners = (anchors + m) % n
     pos = z[np.arange(k), partners][:, None]
-    log_w = _workspace("scratch", k // 2, m)
-    log_w.fill(MASKED_LOG)
-    np.log(w_used, out=log_w, where=w_used > 0)
+    # each used record's row of log w, log 0 standing in as MASKED_LOG: with classes, the
+    # log of the table, taken once, gathered to the records' classes
+    log_w, mask = _workspace("scratch", k, m).reshape(2, k // 2, m)
+    finite_lanes = False
+    if classes is None:
+        w_used = table if k == n else table[records]
+        log_w.fill(MASKED_LOG)
+        np.log(w_used, out=log_w, where=w_used > 0)
+    else:
+        positive = table > 0
+        log_table = np.full(table.shape, MASKED_LOG)
+        np.log(table, out=log_table, where=positive)
+        # exp leaves its fast path on lanes that underflow, as MASKED_LOG's do, so a masked lane
+        # holds a finite log that is never its row's max, and its exp is multiplied by 0:
+        # log(min w) - 2 / nu - 4 is 4 below any weighted lane as |S| <= 1 + ulps
+        floor = log_table[positive].min() - 2 / nu - 4
+        finite_lanes = floor > FINITE_LANE_FLOOR
+        if finite_lanes:
+            log_table[~positive] = floor
+            np.take(positive[record_classes].astype(np.float64), classes, axis=1, out=mask, mode="clip")
+        np.take(log_table[record_classes], classes, axis=1, out=log_w, mode="clip")
     quadrants = z.reshape(2, k // 2, 2, m)
     np.add(quadrants, log_w[None, :, None, :], out=quadrants)  # S + log w, the block in each quadrant
     top = z.max(axis=1, keepdims=True)
     ex = np.exp(np.subtract(z, top, out=z), out=z)
+    if finite_lanes:
+        np.multiply(quadrants, mask[None, :, None, :], out=quadrants)  # +0.0, as exp(MASKED_LOG) gives
     s = ex.sum(axis=1, keepdims=True)
-    log_sum_w = np.tile(np.log(row_sums), (2, 1))  # of the weighted-mean denominator
+    log_sum_w = np.tile(np.log(class_sums[record_classes]), (2, 1))  # of the weighted-mean denominator
     terms = ((top + np.log(s) - log_sum_w) - pos) * pick
     if k < n:
         # summed over all 2M anchors, as the bits of numpy's pairwise sum depend on the count;

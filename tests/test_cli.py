@@ -1236,6 +1236,43 @@ def test_summary_on_an_ascii_stdout_spells_plus_minus(tmp_path, capsys):
     assert done.stdout.decode("ascii") == utf8.replace("±", "+/-")
 
 
+def test_subgroup_names_an_ascii_stdout_cannot_encode_are_escaped(tmp_path, capsys):
+    # "stufe=groß" on an ASCII stdout ended subgroup in a traceback, exit 1, after both
+    # CSVs were written; a UTF-8 stdout keeps its bytes
+    rng = np.random.default_rng(3)
+    rows = "".join(f"{rng.choice(['groß', 'klein'])},{rng.uniform(1, 30)},{rng.integers(0, 2)}\n" for _ in range(120))
+    (tmp_path / "data.csv").write_text("stufe,time,event\n" + rows, encoding="utf-8")
+    schema = {"columns": [{"name": "stufe", "kind": "categorical", "role": "feature"},
+                          {"name": "time", "kind": "real", "role": "time"},
+                          {"name": "event", "kind": "binary", "role": "event"}]}
+    (tmp_path / "schema.json").write_text(json.dumps(schema, ensure_ascii=False), encoding="utf-8")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"variants": ["nll"], "seeds": [0], "n_bins": 6, "out": str(tmp_path / "out"),
+                                "dataset": {"csv": str(tmp_path / "data.csv"), "schema": str(tmp_path / "schema.json")},
+                                "model": {"hidden_dim": 4}, "train": {"epochs": 1, "batch_size": 32}}))
+    argv = ["subgroup", "--config", str(spec), "--feature", "stufe"]
+    assert main(["train", "--config", str(spec)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    utf8 = capsys.readouterr().out
+    assert re.fullmatch(r"stufe=groß: n=\d+ wasserstein=[\d.]+\nstufe=klein: n=\d+ wasserstein=[\d.]+\n", utf8)
+    distances = (tmp_path / "out" / "subgroup_distances.csv").read_bytes()
+    done = run_in_ascii_locale(*argv)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.decode("ascii") == utf8.replace("ß", "\\xdf")
+    assert (tmp_path / "out" / "subgroup_distances.csv").read_bytes() == distances
+
+
+def test_importing_the_cli_loads_no_process_pool_or_scipy():
+    # run_all imports multiprocessing and concurrent.futures when it fans runs out, and only
+    # the tests use scipy: loaded on import, they would lengthen every command's start-up
+    code = ("import sys, survcontrast.cli\n"
+            "names = ('multiprocessing', 'concurrent.futures', 'scipy')\n"
+            "print(sorted(m for m in sys.modules if m in names or m.startswith(tuple(n + '.' for n in names))))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=package_env())
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 @pytest.mark.parametrize("field", ["out", "csv", "schema"])
 def test_a_spec_path_the_file_system_encoding_cannot_hold_exits_2_naming_it(tmp_path, field):
     # os.mkdir and open raised UnicodeEncodeError under an ASCII locale: a traceback, exit 1

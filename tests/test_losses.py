@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -316,6 +317,32 @@ def test_pair_weight_invariants():
     np.testing.assert_array_equal(pw.weights, pw.indicators * losses.weight(taus[:, None], taus[None, :], 0.5))
     t2 = np.concatenate([taus, taus])
     np.testing.assert_array_equal(tiled(pw.weights), tiled(pw.indicators) * losses.weight(t2[:, None], t2[None, :], 0.5))
+
+
+def test_build_pair_weights_keeps_one_table_entry_per_pair_of_the_batch_classes():
+    taus = np.array([3.0, 1.0, 3.0, 7.0, 1.0, 3.0])
+    deltas = np.array([1, 0, 1, 0, 0, 0])
+    pw = losses.build_pair_weights(taus, deltas, sigma=0.5)
+    # classes (1, censored), (3, censored), (3, event), (7, censored), in that order
+    assert pw.classes.tolist() == [2, 0, 2, 3, 0, 1]
+    assert pw.weight_table.shape == pw.indicator_table.shape == (4, 4) and pw.shape == (6, 6)
+    # an arbitrary block takes the place of the tables: the records become their own classes
+    pw.weights = pw.weights * 2.0
+    assert pw.classes is None and pw.weight_table.shape == pw.indicator_table.shape == (6, 6)
+    np.testing.assert_array_equal(pw.indicators, pair_weights_oracle(taus, deltas, 0.5, 0.0)[0])
+
+
+def test_build_pair_weights_on_4096_records_allocates_no_block():
+    rng = np.random.default_rng(26)
+    taus, deltas = rng.integers(0, 30, 4096).astype(np.float64), rng.integers(0, 2, 4096)
+    tracemalloc.start()
+    try:
+        pw = losses.build_pair_weights(taus, deltas, sigma=3.0, alpha=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pw.shape == (4096, 4096)
+    assert peak < 2**20  # one 4096 x 4096 block of float64 weights is 128 MB
 
 
 def test_resolve_alpha_percentile():
@@ -699,14 +726,21 @@ def test_snce_on_two_threads_matches_one_thread():
 
 
 @pytest.fixture(scope="module")
-def wide_batches():
-    """Outcomes of 512-record batches of prepared synthetic training rows, the
-    shape and censoring of the benchmark's wide-batch training, and embeddings."""
+def prepared_outcomes():
+    """The times and events of prepared synthetic training rows."""
     raw = generate_paired_exponential(SynthConfig(n_samples=2000, seed=0, feature_dim=12)).to_raw()
     data = prepare(raw, seed=0, n_bins=30)
+    return data.tau[data.split.train], data.delta[data.split.train]
+
+
+@pytest.fixture(scope="module")
+def wide_batches(prepared_outcomes):
+    """Outcomes of 512-record batches of prepared synthetic training rows, the
+    shape and censoring of the benchmark's wide-batch training, and embeddings."""
+    taus, deltas = prepared_outcomes
     rng = np.random.default_rng(24)
-    picks = [rng.choice(data.split.train, 512, replace=False) for _ in range(2)]
-    return [(data.tau[idx], data.delta[idx], rng.normal(size=(1024, 16))) for idx in picks]
+    picks = [rng.choice(taus.size, 512, replace=False) for _ in range(2)]
+    return [(taus[idx], deltas[idx], rng.normal(size=(1024, 16))) for idx in picks]
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0])
@@ -758,6 +792,78 @@ def test_snce_validation_forward_between_differentiated_graphs_leaves_both_intac
     for (value, grad), (want_value, want_grad) in zip([train_first, train_next], [want[0], want[2]]):
         assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
         assert grad.tobytes() == want_grad.tobytes()
+
+
+class TablesOnly(losses.PairWeightMatrix):
+    """Pair weights whose M x M blocks may not be read."""
+
+    @property
+    def indicators(self):
+        raise AssertionError("the indicator block was gathered")
+
+    @property
+    def weights(self):
+        raise AssertionError("the weight block was gathered")
+
+
+@pytest.mark.parametrize("weights", ["alpha 0", "alpha 2", "uniform"])
+@pytest.mark.parametrize("m", [64, 512])
+def test_snce_on_class_tables_bitwise_equals_tiled_composite(prepared_outcomes, m, weights):
+    taus, deltas = prepared_outcomes
+    rng = np.random.default_rng([27, m])
+    for _ in range(3):
+        idx = rng.choice(taus.size, m, replace=False)
+        if weights == "uniform":
+            pw = losses.uniform_pair_weights(m)
+        else:
+            pw = losses.build_pair_weights(taus[idx], deltas[idx], sigma=3.0, alpha=float(weights[-1]))
+            assert len(pw.weight_table) <= 60  # one class per (bin, event) of the batch
+        z = rng.normal(size=(2 * m, 16))
+        tables = TablesOnly(pw.indicator_table, pw.weight_table, pw.classes)
+        value, grad = _snce_value_and_grad(losses.snce_loss, z, tables, 0.07)
+        want_value, want_grad = _snce_value_and_grad(snce_composite, z, pw, 0.07)
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize("nu", [1e-20, 1e-12, 1e-3, 0.07, 1e3])
+@pytest.mark.parametrize("scale", [1.0, 1e-300])
+def test_snce_with_tiny_weights_or_extreme_nu_bitwise_equals_tiled_composite(prepared_outcomes, nu, scale):
+    # a masked logit is the finite log(min w) - 2 / nu - 4, which must stay below every row's
+    # max; for nu = 1e-12 and 1e-20 it would lie under FINITE_LANE_FLOOR, and the lanes keep
+    # -1e30. Weights near 1e-300 have logs near -690
+    taus, deltas = prepared_outcomes
+    rng = np.random.default_rng(28)
+    idx = rng.choice(taus.size, 256, replace=False)
+    pw = losses.build_pair_weights(taus[idx], deltas[idx], sigma=3.0, alpha=1.0)
+    pw.weight_table = pw.weight_table * scale
+    z = rng.normal(size=(512, 16))
+    value, grad = _snce_value_and_grad(losses.snce_loss, z, pw, nu)
+    want_value, want_grad = _snce_value_and_grad(snce_composite, z, pw, nu)
+    assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+@st.composite
+def weight_blocks(draw):
+    """An arbitrary M x M block: sparse so some anchors have no negative, asymmetric, with
+    self and own-view pairs allowed on its diagonal, and values far apart in size."""
+    m = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.uniform(0, 2, (m, m)) * 10.0 ** rng.integers(-300, 300, (m, m))
+    w *= rng.uniform(size=(m, m)) < draw(st.floats(0, 1))
+    return rng.normal(size=(2 * m, draw(st.integers(1, 8)))), w, draw(st.sampled_from([0.07, 0.5, 3.0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(weight_blocks())
+def test_snce_on_an_arbitrary_block_bitwise_equals_tiled_composite(batch):
+    z, w, nu = batch
+    pw = losses.PairWeightMatrix(indicators=(w > 0).astype(np.int64), weights=w)
+    value, grad = _snce_value_and_grad(losses.snce_loss, z, pw, nu)
+    want_value, want_grad = _snce_value_and_grad(snce_composite, z, pw, nu)
+    assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
 
 
 def test_infonce_permutation_of_negatives():
