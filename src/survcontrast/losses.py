@@ -20,15 +20,22 @@ diagonal (self and own-view pairs) zeroed, repeated 2 x 2. A pair's weight
 depends only on the two records' (time, event) classes, so
 ``build_pair_weights`` evaluates the comparability rule and the kernel once
 per pair of the batch's K classes (K <= 2T for T time bins, and K <= M) and
-keeps the K x K tables with each record's class. Training never builds the
-block: ``PairWeightMatrix`` gathers it only when ``weights`` or
-``indicators`` is read. ``snce_loss`` works per class. Each class's weight
-sum is taken over its table row gathered to the records and laid twice end
-to end, the order of a 2M-long row of the block, because numpy's pairwise
-summation rounds ``2 * rowsum(block)`` differently; the log of the table is
-taken once, and each used record's row of it is gathered and added into the
-four quadrants of the logits in place. An arbitrary block (uniform weights,
-say) is the table of M classes of one record each, and is used as it is.
+keeps the K x K tables with each record's class. Pair weights take that one
+form: uniform weights are one class whose 1 x 1 tables hold 1, and an
+arbitrary block is the tables of M classes of one record each. Training
+never builds the block: ``PairWeightMatrix`` gathers it only when
+``weights`` or ``indicators`` is read. ``snce_loss`` works per class, and
+itself keeps a record from being a negative of itself or of its own view,
+whatever its class's self weight. Each class's weight sum is taken over its
+table row gathered to the records and laid twice end to end, the order of a
+2M-long row of the block, because numpy's pairwise summation rounds
+``2 * rowsum(block)`` differently, and twice the class's self weight is
+taken away. That gives the bits of the block's row, own lanes zeroed,
+whenever every self weight is 0 or every weight is an integer: outcome
+tables have self weight ``w(t, t) = 0``, a block has its diagonal zeroed,
+and uniform weights are 1. The log of the table is taken once, and each used
+record's row of it is gathered, its own lanes masked, and added into the
+four quadrants of the logits in place.
 
 ``nll_loss`` is one tape node. With ``g_pmf = -g delta / M`` and
 ``g_1mh = g_pmf [t < tau] + (-g (1 - delta) / M) [t <= tau]``, it pulls ``g``
@@ -45,12 +52,13 @@ pick is 0, its term ``log 0 * 0 = -1e30 * 0 = -0.0`` and its row of ``G`` zero,
 so its row of the logits is never computed. ``S`` is formed in full, since a
 row subset of the product takes other BLAS paths and other bits; the rows of
 the k anchors with a negative are gathered from it, and the log weights are
-gathered for their records alone. With class tables a zero weight's lane
-holds not ``-1e30``, whose exp underflows and leaves numpy's fast path, but
-``log(min w) - 2 / nu - 4``, which lies below the row's max as ``|S| <= 1 +
-ulps``; its exp is then multiplied by 0, which gives the same +0.0. Where that
-floor would lie below ``FINITE_LANE_FLOOR``, or for an arbitrary block, the
-lane keeps ``-1e30``. The pullback forms those k rows of ``G``, a block of
+gathered for their records alone. Where the table has a zero weight, its
+lanes hold not ``-1e30``, whose exp underflows and leaves numpy's fast path,
+but ``log(min w) - 2 / nu - 4``, which lies below the row's max as ``|S| <=
+1 + ulps``; its exp is then multiplied by 0, which gives the same +0.0.
+Where that floor would lie below ``FINITE_LANE_FLOOR``, or where no table
+weight is zero (uniform weights, which mask only the two own lanes a row),
+the lanes keep ``-1e30``. The pullback forms those k rows of ``G``, a block of
 rows at a time, and scatters them into a zeroed 2M x 2M ``G``, so both of
 its products keep their shapes. When every anchor
 has a negative (uniform weights, or a batch of events) nothing is gathered or
@@ -151,6 +159,12 @@ def comparability(delta_i, delta_j, tau_i, tau_j, alpha: float = 0.0):
     return anchor_first.astype(np.int64)
 
 
+def _zero_diagonal(block: np.ndarray) -> np.ndarray:
+    """``block``, its diagonal set to 0 in place: a record against itself or its own view."""
+    np.fill_diagonal(block, 0)
+    return block
+
+
 class PairWeightMatrix:
     """Comparability indicators and negative weights of M records, as K x K
     tables over the records' classes.
@@ -158,39 +172,40 @@ class PairWeightMatrix:
     Record i is of class ``classes[i]``, and every class holds a record.
     Entry (i, j) of the M x M block, which holds for every anchor and
     negative copy of records i and j (original or view), is entry
-    ``(classes[i], classes[j])`` of a table, except that the indicator of a
-    record against itself or its own view is zero. The batch's 2M x 2M
-    weights are the block repeated 2 x 2. ``indicators`` and ``weights``
-    read as the blocks, gathered on each read; with ``classes`` None the
-    records are their own classes, the tables are the blocks and nothing is
-    gathered. Assigning ``weights`` an M x M block makes it so.
+    ``(classes[i], classes[j])`` of a table, except on the diagonal: a
+    record is never a negative of itself or of its own view, whatever its
+    class's self entry holds. The batch's 2M x 2M weights are the block
+    repeated 2 x 2. ``indicators`` and ``weights`` read as the blocks,
+    diagonal zeroed, gathered on each read. A block passed without
+    ``classes``, or assigned to ``weights``, becomes M classes of one record
+    each, its diagonal zeroed.
     """
 
     def __init__(self, indicators: np.ndarray, weights: np.ndarray, classes: np.ndarray | None = None):
+        if classes is None:  # an M x M block: each record its own class
+            indicators, weights = _zero_diagonal(np.array(indicators)), _zero_diagonal(np.array(weights))
+            classes = np.arange(len(weights))
         self.indicator_table = indicators
         self.weight_table = weights
         self.classes = classes
 
     @property
     def shape(self) -> tuple[int, ...]:
-        """The shape of the M x M block."""
-        return self.weight_table.shape if self.classes is None else (self.classes.size,) * 2
+        """The shape of the M x M block, or of a block that is not square."""
+        rows, cols = self.weight_table.shape
+        return (self.classes.size,) * 2 if rows == cols else (rows, cols)
 
     @property
     def indicators(self) -> np.ndarray:
-        if self.classes is None:
-            return self.indicator_table
-        ind = self.indicator_table[self.classes][:, self.classes]
-        np.fill_diagonal(ind, 0)  # a record against itself or its own view
-        return ind
+        return _zero_diagonal(self.indicator_table[self.classes][:, self.classes])
 
     @property
     def weights(self) -> np.ndarray:
-        return self.weight_table if self.classes is None else self.weight_table[self.classes][:, self.classes]
+        return _zero_diagonal(self.weight_table[self.classes][:, self.classes])
 
     @weights.setter
     def weights(self, block: np.ndarray) -> None:
-        self.indicator_table, self.weight_table, self.classes = self.indicators, block, None
+        self.__init__(self.indicators, block)
 
 
 def build_pair_weights(taus, deltas, sigma: float, alpha: float = 0.0) -> PairWeightMatrix:
@@ -219,9 +234,9 @@ def build_pair_weights(taus, deltas, sigma: float, alpha: float = 0.0) -> PairWe
 
 
 def uniform_pair_weights(m: int) -> PairWeightMatrix:
-    """Every structurally allowed pair weighted 1 (no outcome information)."""
-    allowed = 1 - np.eye(m, dtype=np.int64)
-    return PairWeightMatrix(indicators=allowed, weights=allowed.astype(np.float64))
+    """Every structurally allowed pair weighted 1 (no outcome information):
+    the M records are one class whose 1 x 1 tables hold 1."""
+    return PairWeightMatrix(np.ones((1, 1), dtype=np.int64), np.ones((1, 1)), classes=np.zeros(m, dtype=np.intp))
 
 
 def resolve_alpha_percentile(taus, deltas, percentile: float) -> float:
@@ -295,9 +310,12 @@ def snce_loss(embeddings: Tensor, pair_weights: PairWeightMatrix, nu: float) -> 
     weighted mean of exp(similarity) over the anchor's nonzero-weight
     negatives, so uniformly rescaling the weights changes nothing. Anchors
     without any usable negative are skipped; if the whole batch has none,
-    the loss is zero. ``pair_weights`` holds the M records of the 2M
-    embeddings, as class tables or as the block; another size, or negative
-    or non-finite weights, raise ValueError.
+    the loss is zero. An anchor's own record, original or view, is never its
+    negative, whatever its class's self weight. ``pair_weights`` holds the M
+    records of the 2M embeddings; another size, or negative or non-finite
+    weights, raise ValueError. The weight sums keep the bits of the block's
+    rows when every self weight is 0 or every weight an integer (module
+    docstring), as for the weights this module builds.
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
@@ -311,20 +329,20 @@ def snce_loss(embeddings: Tensor, pair_weights: PairWeightMatrix, nu: float) -> 
     table, classes = pair_weights.weight_table, pair_weights.classes
     # a row of the 2M x 2M weights is its class's table row gathered over the records, twice,
     # summed in that order: 2 * w.sum(axis=1) splits numpy's pairwise sum elsewhere and rounds
-    # differently. Laid out in the first rows of an M x 2M view, so the buffer does not regrow
-    w_rows = table if classes is None else table[:, classes]
-    class_sums = np.concatenate([w_rows, w_rows], axis=1,
+    # differently. Laid out in the first rows of an M x 2M view, so the buffer does not regrow.
+    # Taking away the two own lanes' self weight after the sum keeps the bits of the row whose
+    # own lanes are 0 when that weight is 0 (outcome tables, blocks) or every weight an integer
+    class_sums = np.concatenate([table[:, classes]] * 2, axis=1,
                                 out=_workspace("scratch", m, n)[:len(table)]).sum(axis=1, keepdims=True)
+    class_sums -= 2 * np.diag(table)[:, None]
     if not (table.min() >= 0 and np.isfinite(class_sums).all()):
         raise ValueError("pair weights must be finite and non-negative")
 
     # the records of a class with a usable negative: they and their views are the k anchors
     # that contribute, and only their rows of the logits are computed
-    used = class_sums[:, 0] > 0
-    if classes is not None:
-        used = used[classes]  # per record
+    used = (class_sums[:, 0] > 0)[classes]
     records = np.flatnonzero(used)
-    record_classes = records if classes is None else classes[records]
+    record_classes = classes[records]
     anchors = np.concatenate([records, records + m])
     k = anchors.size
     if k == 0:
@@ -345,27 +363,22 @@ def snce_loss(embeddings: Tensor, pair_weights: PairWeightMatrix, nu: float) -> 
     z *= 1.0 / nu
     partners = (anchors + m) % n
     pos = z[np.arange(k), partners][:, None]
-    # each used record's row of log w, log 0 standing in as MASKED_LOG: with classes, the
-    # log of the table, taken once, gathered to the records' classes
+    # each used record's row of log w, gathered from the log of the table, taken once, with
+    # log 0 standing in as MASKED_LOG. exp leaves its fast path on lanes that underflow, as
+    # MASKED_LOG's do, so where the table has a zero a masked lane holds a finite log that is
+    # never its row's max, and its exp is multiplied by 0: log(min w) - 2 / nu - 4 is 4 below
+    # any weighted lane as |S| <= 1 + ulps
     log_w, mask = _workspace("scratch", k, m).reshape(2, k // 2, m)
-    finite_lanes = False
-    if classes is None:
-        w_used = table if k == n else table[records]
-        log_w.fill(MASKED_LOG)
-        np.log(w_used, out=log_w, where=w_used > 0)
-    else:
-        positive = table > 0
-        log_table = np.full(table.shape, MASKED_LOG)
-        np.log(table, out=log_table, where=positive)
-        # exp leaves its fast path on lanes that underflow, as MASKED_LOG's do, so a masked lane
-        # holds a finite log that is never its row's max, and its exp is multiplied by 0:
-        # log(min w) - 2 / nu - 4 is 4 below any weighted lane as |S| <= 1 + ulps
-        floor = log_table[positive].min() - 2 / nu - 4
-        finite_lanes = floor > FINITE_LANE_FLOOR
-        if finite_lanes:
-            log_table[~positive] = floor
-            np.take(positive[record_classes].astype(np.float64), classes, axis=1, out=mask, mode="clip")
-        np.take(log_table[record_classes], classes, axis=1, out=log_w, mode="clip")
+    positive = table > 0
+    log_table = np.log(table, out=np.full(table.shape, MASKED_LOG), where=positive)
+    floor = log_table[positive].min() - 2 / nu - 4
+    masked = floor if floor > FINITE_LANE_FLOOR and not positive.all() else MASKED_LOG
+    log_table[~positive] = masked
+    np.take(log_table[record_classes], classes, axis=1, out=log_w, mode="clip")
+    log_w[np.arange(k // 2), records] = masked  # a record is never a negative of itself or of its own view
+    finite_lanes = masked > MASKED_LOG
+    if finite_lanes:
+        np.greater(log_w, masked, out=mask)  # a weighted lane's log is above the floor
     quadrants = z.reshape(2, k // 2, 2, m)
     np.add(quadrants, log_w[None, :, None, :], out=quadrants)  # S + log w, the block in each quadrant
     top = z.max(axis=1, keepdims=True)

@@ -155,7 +155,11 @@ class HazardModel:
         self.seed = seed
         nets = (config.projection(), config.encoder(), config.hazard_net())
         cuts = np.cumsum([0] + [net.n_params() for net in nets])
-        self.params = Tensor(np.zeros((1, cuts[-1])), requires_grad=True)
+        try:
+            params = np.zeros((1, cuts[-1]))
+        except ValueError as exc:  # numpy refuses a buffer past its largest size with a ValueError
+            raise MemoryError(f"cannot allocate {cuts[-1]} model parameters: {exc}") from None
+        self.params = Tensor(params, requires_grad=True)
         self.projection, self.encoder, self.hazard_net = (
             Mlp(net, self.params.values[:, a:b], self.params.grad[:, a:b]) for net, a, b in zip(nets, cuts, cuts[1:]))
         self._heads = {"projection": slice(0, cuts[2]), "hazard": slice(cuts[1], cuts[3])}

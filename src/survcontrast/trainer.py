@@ -164,11 +164,11 @@ def hazards(model, batch: Batch) -> Tensor:
 def pair_weights(batch: Batch, variant: str, config: TrainConfig, alpha: float) -> losses.PairWeightMatrix:
     """Uniform (``nll+nce``) or outcome-weighted (``nll+snce``) negative weights.
 
-    Outcome weights are K x K tables over the batch's (time, event) classes,
-    uniform ones the M x M record block; ``snce_loss`` gathers each record's
-    row of their log into the four quadrants of the 2M x 2M logits, so
-    neither the 2M x 2M weights nor, for outcome weights, the M x M block is
-    built. Reading ``weights`` or ``indicators`` gathers the block.
+    Both are K x K tables over the batch's (time, event) classes; uniform
+    weights are one class whose 1 x 1 tables hold 1. ``snce_loss`` gathers
+    each record's row of their log into the four quadrants of the 2M x 2M
+    logits, so neither the 2M x 2M weights nor the M x M block is built.
+    Reading ``weights`` or ``indicators`` gathers the block.
     """
     if variant == "nll+nce":
         return losses.uniform_pair_weights(batch.size)

@@ -80,6 +80,16 @@ def test_invalid_sigma_exits_2(tmp_path, capsys):
     assert "sigma" in capsys.readouterr().err
 
 
+def test_a_model_larger_than_numpy_can_allocate_is_a_memory_error(tmp_path, capsys):
+    # numpy refuses a buffer past its largest size with a ValueError, not a MemoryError
+    spec = write_spec(tmp_path, seeds=[0], model={"hidden_dim": 10**9})
+    assert main(["train", "--config", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("memory error: nll_snce_seed0: cannot allocate ")
+    assert captured.err.count("\n") == 1 and "array is too big" in captured.err
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "nope.json")]) == 2
     assert capsys.readouterr().err == f"file error: {tmp_path / 'nope.json'}: No such file or directory\n"

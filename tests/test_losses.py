@@ -328,20 +328,31 @@ def test_build_pair_weights_keeps_one_table_entry_per_pair_of_the_batch_classes(
     assert pw.weight_table.shape == pw.indicator_table.shape == (4, 4) and pw.shape == (6, 6)
     # an arbitrary block takes the place of the tables: the records become their own classes
     pw.weights = pw.weights * 2.0
-    assert pw.classes is None and pw.weight_table.shape == pw.indicator_table.shape == (6, 6)
+    assert pw.classes.tolist() == list(range(6)) and pw.weight_table.shape == pw.indicator_table.shape == (6, 6)
     np.testing.assert_array_equal(pw.indicators, pair_weights_oracle(taus, deltas, 0.5, 0.0)[0])
+
+
+def _peak_bytes(build):
+    """``build()`` and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_build_pair_weights_on_4096_records_allocates_no_block():
     rng = np.random.default_rng(26)
     taus, deltas = rng.integers(0, 30, 4096).astype(np.float64), rng.integers(0, 2, 4096)
-    tracemalloc.start()
-    try:
-        pw = losses.build_pair_weights(taus, deltas, sigma=3.0, alpha=1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    pw, peak = _peak_bytes(lambda: losses.build_pair_weights(taus, deltas, sigma=3.0, alpha=1.0))
     assert pw.shape == (4096, 4096)
+    assert peak < 2**20  # one 4096 x 4096 block of float64 weights is 128 MB
+
+
+def test_uniform_pair_weights_on_4096_records_allocate_no_block():
+    pw, peak = _peak_bytes(lambda: losses.uniform_pair_weights(4096))
+    assert pw.shape == (4096, 4096) and pw.weight_table.shape == (1, 1)
     assert peak < 2**20  # one 4096 x 4096 block of float64 weights is 128 MB
 
 
@@ -558,8 +569,9 @@ def test_snce_rejects_negative_or_non_finite_weights(bad):
     z = Tensor(rng.normal(size=(8, 3)))
     pw = losses.build_pair_weights(np.array([1, 3, 5, 2]), np.array([1, 0, 1, 1]), sigma=0.75)
     assert np.isfinite(losses.snce_loss(z, pw, nu=0.5).item())
-    pw.weights = pw.weights.copy()
-    pw.weights[0, 1] = bad  # an allowed pair, not the anchor's own view
+    block = pw.weights
+    block[0, 1] = bad  # an allowed pair, not the anchor's own view
+    pw.weights = block
     with pytest.raises(ValueError, match="finite and non-negative"):
         losses.snce_loss(z, pw, nu=0.5)
 
@@ -589,7 +601,7 @@ def snce_batches(draw):
         pw.weights = pw.weights * draw(st.floats(1e-3, 1e3))
     elif kind == "hand":
         # an arbitrary M x M block: sparse so some anchors have no negative,
-        # asymmetric, and with self and own-view pairs allowed on its diagonal
+        # asymmetric, and with a diagonal the loss ignores
         raw = np.asarray(draw(st.lists(st.floats(0, 2), min_size=m * m, max_size=m * m))).reshape(m, m)
         w = raw * (raw > 1.2)
         pw = losses.PairWeightMatrix(indicators=(w > 0).astype(np.int64), weights=w)
@@ -779,19 +791,22 @@ def test_snce_with_one_every_or_no_record_having_a_negative_bitwise_equals_tiled
 def test_snce_validation_forward_between_differentiated_graphs_leaves_both_intact(wide_batches):
     # as in training: a batch's graph is differentiated, a validation batch of another
     # size is scored without a backward pass, and the next batch reuses the buffers;
-    # a skipped anchor's gradient row must be zero whatever the buffers held before
+    # a skipped anchor's gradient row must be zero whatever the buffers held before.
+    # Outcome weights, then uniform ones (one class), as nll+snce and nll+nce train
     (taus, deltas, z), (taus2, deltas2, z2) = wide_batches
-    steps = [(z, losses.build_pair_weights(taus, deltas, 3.0)),
-             (z2[:600], losses.build_pair_weights(taus2[:300], deltas2[:300], 3.0)),
-             (z2, losses.build_pair_weights(taus2, deltas2, 3.0))]
-    want = [_snce_value_and_grad(snce_composite, zs, pw, 0.07) for zs, pw in steps]
-    train_first = _snce_value_and_grad(losses.snce_loss, *steps[0], 0.07)
-    validation = losses.snce_loss(Tensor(steps[1][0]), steps[1][1], 0.07)
-    assert validation.values.tobytes() == np.float64(want[1][0]).reshape(1, 1).tobytes()
-    train_next = _snce_value_and_grad(losses.snce_loss, *steps[2], 0.07)
-    for (value, grad), (want_value, want_grad) in zip([train_first, train_next], [want[0], want[2]]):
-        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
-        assert grad.tobytes() == want_grad.tobytes()
+    for pair_weights in (lambda t, d: losses.build_pair_weights(t, d, 3.0),
+                         lambda t, d: losses.uniform_pair_weights(t.size)):
+        steps = [(z, pair_weights(taus, deltas)),
+                 (z2[:600], pair_weights(taus2[:300], deltas2[:300])),
+                 (z2, pair_weights(taus2, deltas2))]
+        want = [_snce_value_and_grad(snce_composite, zs, pw, 0.07) for zs, pw in steps]
+        train_first = _snce_value_and_grad(losses.snce_loss, *steps[0], 0.07)
+        validation = losses.snce_loss(Tensor(steps[1][0]), steps[1][1], 0.07)
+        assert validation.values.tobytes() == np.float64(want[1][0]).reshape(1, 1).tobytes()
+        train_next = _snce_value_and_grad(losses.snce_loss, *steps[2], 0.07)
+        for (value, grad), (want_value, want_grad) in zip([train_first, train_next], [want[0], want[2]]):
+            assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+            assert grad.tobytes() == want_grad.tobytes()
 
 
 class TablesOnly(losses.PairWeightMatrix):
@@ -844,10 +859,43 @@ def test_snce_with_tiny_weights_or_extreme_nu_bitwise_equals_tiled_composite(pre
     assert grad.tobytes() == want_grad.tobytes()
 
 
+@pytest.mark.parametrize("nu", [1e-12, 0.07])
+@pytest.mark.parametrize("table", [[[2.0, 1.0], [3.0, 1.0]], [[1.0, 0.0], [0.0, 2.0]]])
+def test_snce_on_a_table_with_integer_self_weights_bitwise_equals_tiled_composite(table, nu):
+    # the weight sums take away the two own lanes' self weight, exact for integers; the
+    # table with a zero takes finite lanes at nu 0.07 and MASKED_LOG ones at nu 1e-12
+    rng = np.random.default_rng(29)
+    for m in (2, 5, 64):
+        classes = rng.permutation(np.arange(m) % 2)  # both classes hold a record
+        pw = losses.PairWeightMatrix(np.ones((2, 2), dtype=np.int64), np.array(table), classes)
+        tables = TablesOnly(pw.indicator_table, pw.weight_table, pw.classes)
+        z = rng.normal(size=(2 * m, 8))
+        value, grad = _snce_value_and_grad(losses.snce_loss, z, tables, nu)
+        want_value, want_grad = _snce_value_and_grad(snce_composite, z, pw, nu)
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes(), m
+        assert grad.tobytes() == want_grad.tobytes(), m
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 20), st.integers(0, 2**32 - 1))
+def test_snce_ignores_the_diagonal_of_a_block(m, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0, 2, (m, m)) * (rng.uniform(size=(m, m)) < 0.5)
+    zeroed = w.copy()
+    np.fill_diagonal(w, rng.uniform(0.5, 3, m))
+    np.fill_diagonal(zeroed, 0.0)
+    z = rng.normal(size=(2 * m, 4))
+    results = [_snce_value_and_grad(losses.snce_loss, z, losses.PairWeightMatrix((b > 0).astype(np.int64), b), 0.07)
+               for b in (w, zeroed)]
+    (value, grad), (want_value, want_grad) = results
+    assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+
+
 @st.composite
 def weight_blocks(draw):
     """An arbitrary M x M block: sparse so some anchors have no negative, asymmetric, with
-    self and own-view pairs allowed on its diagonal, and values far apart in size."""
+    a diagonal the loss ignores, and values far apart in size."""
     m = draw(st.integers(2, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     w = rng.uniform(0, 2, (m, m)) * 10.0 ** rng.integers(-300, 300, (m, m))
